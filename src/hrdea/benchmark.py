@@ -26,7 +26,9 @@ from .baselines import (
     sets_from_gaps,
 )
 from .dataset import DataSet, Direction
-from .dea import directional_distance, interval_dea_bounds
+from .dea import directional_distances, interval_dea_bounds
+# Unused here; the tracer in perfbench/spans.py looks this name up.
+from .dea import directional_distance  # noqa: F401
 from .errors import ValidationError
 from .pipeline import run_hr_dea
 from .sampler import RngStream
@@ -85,14 +87,10 @@ def compare_metrics(base, est) -> ComparisonMetrics:
 def _output_distances(data: DataSet) -> np.ndarray:
     """Output-oriented distances; values are floored so an imputed zero
     output yields a finite (huge) distance instead of a degenerate LP."""
-    direction = Direction.output_oriented()
     X = np.maximum(data.X, 1e-12)
     Y = np.maximum(data.Y, 1e-12)
-    out = np.empty(data.n)
-    for k in range(data.n):
-        dx, dy, _ = direction.resolve_at(X[:, k], Y[:, k])
-        out[k] = directional_distance(X, Y, X[:, k], Y[:, k], dx, dy, anchor=k)
-    return out
+    dx, dy, _ = Direction.output_oriented().resolve_at(X, Y)
+    return directional_distances(X, Y, X, Y, dx, dy, np.arange(data.n))
 
 
 def _child_seed(seed: int, case_stream: int, offset: int) -> int:

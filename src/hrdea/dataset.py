@@ -215,10 +215,15 @@ class Direction:
         )
 
     def resolve_at(self, x: np.ndarray, y: np.ndarray, u: np.ndarray | None = None):
-        """Numeric (dx, dy, du) for an observation (x, y, u)."""
+        """Numeric (dx, dy, du) for an observation (x, y, u).
+
+        The observation may also be a stack of columns, x of shape (m, n)
+        and so on; the result then holds one direction per column, and
+        every column must have a strictly positive component.
+        """
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        u = np.zeros(0) if u is None else np.asarray(u, dtype=float)
+        u = np.zeros((0, *x.shape[1:])) if u is None else np.asarray(u, dtype=float)
         if self.mode == "input":
             dx, dy, du = x.copy(), np.zeros_like(y), np.zeros_like(u)
         elif self.mode == "output":
@@ -226,12 +231,15 @@ class Direction:
         elif self.mode == "proportional":
             dx, dy, du = x.copy(), y.copy(), u.copy()
         else:
-            dx = np.zeros_like(x) if self.dx is None else np.asarray(self.dx, dtype=float)
-            dy = np.zeros_like(y) if self.dy is None else np.asarray(self.dy, dtype=float)
-            du = np.zeros_like(u) if self.du is None else np.asarray(self.du, dtype=float)
-            if dx.shape != x.shape or dy.shape != y.shape or du.shape != u.shape:
-                raise ValidationError("custom direction does not match variable counts")
-        if not (np.any(dx > 0) or np.any(dy > 0) or np.any(du > 0)):
+            parts = []
+            for fixed, obs in ((self.dx, x), (self.dy, y), (self.du, u)):
+                fixed = np.zeros(len(obs)) if fixed is None else np.asarray(fixed, dtype=float)
+                if fixed.shape != obs.shape[:1]:
+                    raise ValidationError("custom direction does not match variable counts")
+                column = fixed.reshape(-1, *(1,) * (obs.ndim - 1))
+                parts.append(np.broadcast_to(column, obs.shape).copy())
+            dx, dy, du = parts
+        if not np.all(np.any(dx > 0, axis=0) | np.any(dy > 0, axis=0) | np.any(du > 0, axis=0)):
             raise ValidationError("direction must have at least one strictly positive component")
         return dx, dy, du
 

@@ -10,6 +10,11 @@ The distance maximization and the slack maximization are solved
 lexicographically: the reported distance is always the optimum of the pure
 distance phase, and the non-Archimedean weight only enters the reported
 objective value.
+
+The plain model's distance phase is warm-started at an anchor vertex, and
+``directional_distances`` solves a whole sampled world of such LPs as one
+batch; the weak-disposability model and the slack phases are solved cold,
+one LP at a time.
 """
 
 from __future__ import annotations
@@ -20,9 +25,14 @@ import numpy as np
 
 from .dataset import DataSet, Direction
 from .errors import LpInfeasible, LpUnbounded, ValidationError
-from .lp import simplex, two_phase
+from .lp import batch_simplex, two_phase
+# Unused here; the tracer in perfbench/spans.py looks this name up.
+from .lp import simplex  # noqa: F401
 
 DEFAULT_EPS = 1e-6
+# Tableau bytes per chunk of a batched solve: bounds the stack and the
+# temporaries of its pivots, and keeps them in cache.
+BATCH_BYTES = 256 * 1024
 
 
 @dataclass(frozen=True)
@@ -41,40 +51,75 @@ class DeaSolution:
     beta: np.ndarray | None = None
 
 
-def _eq1_distance(X, Y, xk, yk, dx, dy, anchor: int) -> float:
-    """Distance phase of the plain directional model, warm-started.
+def _eq1_tableaux(X, Y, xk, yk, dx, dy, anchors):
+    """Warm-start tableaux of the plain model's distance phase, one per member.
 
-    The reference column ``anchor`` must weakly dominate the evaluated
-    point (X[:, anchor] <= xk, Y[:, anchor] >= yk); then the vertex with
-    full weight on the anchor is feasible and no phase-1 is needed.
+    Member b evaluates the point (xk[:, b], yk[:, b]) along (dx[:, b],
+    dy[:, b]), starting at the vertex with full weight on reference column
+    ``anchors[b]``; that vertex is feasible because the anchor weakly
+    dominates the point.  Variables are (mu, D, gx, gy).  Returns the
+    (batch, rows+1, ncols+1) stack and its (batch, rows) basis.
     """
     m, n = X.shape
     s = Y.shape[0]
-    ncols = n + 1 + m + s
+    batch = anchors.size
     rows = m + s + 1
-    T = np.zeros((rows + 1, ncols + 1))
-    ax = X[:, anchor]
-    ay = Y[:, anchor]
-    T[:m, :n] = X - ax[:, None]
-    T[m : m + s, :n] = ay[:, None] - Y
-    T[rows - 1, :n] = 1.0
-    T[:m, n] = dx
-    T[m : m + s, n] = dy
-    idx = np.arange(m)
-    T[idx, n + 1 + idx] = 1.0
-    idx = np.arange(s)
-    T[m + idx, n + 1 + m + idx] = 1.0
-    T[:m, -1] = xk - ax
-    T[m : m + s, -1] = ay - yk
-    T[rows - 1, -1] = 1.0
-    T[-1, n] = -1.0
-    basis = np.concatenate(
-        [n + 1 + np.arange(m + s), [anchor]]
-    )
-    status = simplex(T, basis, ncols)
-    if status == "unbounded":
-        raise LpUnbounded("distance unbounded; check the direction vector")
-    return max(float(T[-1, -1]), 0.0)
+    T = np.zeros((batch, rows + 1, n + 1 + m + s + 1))
+    ax = X[:, anchors].T
+    ay = Y[:, anchors].T
+    T[:, :m, :n] = X - ax[:, :, None]
+    T[:, m : m + s, :n] = ay[:, :, None] - Y
+    T[:, rows - 1, :n] = 1.0
+    T[:, :m, n] = dx.T
+    T[:, m : m + s, n] = dy.T
+    idx = np.arange(m + s)
+    T[:, idx, n + 1 + idx] = 1.0
+    T[:, :m, -1] = xk.T - ax
+    T[:, m : m + s, -1] = ay - yk.T
+    T[:, rows - 1, -1] = 1.0
+    T[:, -1, n] = -1.0
+    basis = np.empty((batch, rows), dtype=np.intp)
+    basis[:, :-1] = n + 1 + idx
+    basis[:, -1] = anchors
+    return T, basis
+
+
+def _unit_scale(*parts) -> np.ndarray:
+    """Largest direction component of each member (columns of 2-D parts)."""
+    scale = np.max(np.concatenate(parts), axis=0, initial=0.0)
+    if np.any(scale <= 0.0):
+        raise ValidationError("direction must have a strictly positive component")
+    return scale
+
+
+def directional_distances(X, Y, xk, yk, dx, dy, anchors) -> np.ndarray:
+    """Plain-model distances of a stack of points, warm-started and batched.
+
+    ``xk``, ``yk``, ``dx`` and ``dy`` hold one column per member; reference
+    column ``anchors[b]`` must weakly dominate point b (for a world scored
+    against itself, the point's own column).  Members are solved in chunks
+    of at most ``BATCH_BYTES`` of tableau each.
+    """
+    anchors = np.asarray(anchors, dtype=np.intp)
+    if np.any(X[:, anchors] > xk) or np.any(Y[:, anchors] < yk):
+        raise ValidationError("every anchor must weakly dominate its evaluated point")
+    # Solve with the direction normalized to unit magnitude; D scales
+    # inversely, and the tableau stays conditioned for tiny components.
+    scale = _unit_scale(dx, dy)
+    dx, dy = dx / scale, dy / scale
+    m, n = X.shape
+    s = Y.shape[0]
+    member_bytes = (m + s + 2) * (n + m + s + 2) * 8
+    chunk = max(1, BATCH_BYTES // member_bytes)
+    out = np.empty(anchors.size)
+    for a in range(0, anchors.size, chunk):
+        b = min(a + chunk, anchors.size)
+        T, basis = _eq1_tableaux(X, Y, xk[:, a:b], yk[:, a:b], dx[:, a:b], dy[:, a:b],
+                                 anchors[a:b])
+        out[a:b], unbounded = batch_simplex(T, basis, n + 1 + m + s)
+        if unbounded.any():
+            raise LpUnbounded("distance unbounded; check the direction vector")
+    return np.where(out < 0.0, 0.0, out) / scale
 
 
 def _eq1_matrices(X, Y, xk, yk, dx, dy):
@@ -95,15 +140,18 @@ def _eq1_matrices(X, Y, xk, yk, dx, dy):
 
 
 def directional_distance(X, Y, xk, yk, dx, dy, anchor: int | None = None) -> float:
-    """Optimal radial distance of (xk, yk) against the frontier of (X, Y)."""
-    # Solve with the direction normalized to unit magnitude; D scales
-    # inversely, and the tableau stays conditioned for tiny components.
-    scale = float(max(np.max(dx, initial=0.0), np.max(dy, initial=0.0)))
-    if scale <= 0.0:
-        raise ValidationError("direction must have a strictly positive component")
-    dx, dy = dx / scale, dy / scale
+    """Optimal radial distance of (xk, yk) against the frontier of (X, Y).
+
+    With an ``anchor`` column that weakly dominates the point this is
+    ``directional_distances`` for a batch of one; otherwise the LP is
+    solved cold with ``two_phase``.
+    """
     if anchor is not None and np.all(X[:, anchor] <= xk) and np.all(Y[:, anchor] >= yk):
-        return _eq1_distance(X, Y, xk, yk, dx, dy, anchor) / scale
+        return float(directional_distances(
+            X, Y, xk[:, None], yk[:, None], dx[:, None], dy[:, None], [anchor]
+        )[0])
+    scale = float(_unit_scale(dx, dy))
+    dx, dy = dx / scale, dy / scale
     A, b = _eq1_matrices(X, Y, xk, yk, dx, dy)
     c = np.zeros(A.shape[1])
     c[X.shape[1]] = 1.0
@@ -234,11 +282,7 @@ def solve_weak_disposability(
 
 def weak_disposability_distance(X, Y, U, xk, yk, uk, dx, dy, du) -> float:
     """Distance-only entry point used by the sampling pipeline."""
-    scale = float(
-        max(np.max(dx, initial=0.0), np.max(dy, initial=0.0), np.max(du, initial=0.0))
-    )
-    if scale <= 0.0:
-        raise ValidationError("direction must have a strictly positive component")
+    scale = float(_unit_scale(dx, dy, du))
     return _eq3_distance(X, Y, U, xk, yk, uk, dx / scale, dy / scale, du / scale) / scale
 
 

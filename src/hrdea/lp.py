@@ -1,10 +1,22 @@
 """Dense primal simplex for the small LPs generated by the DEA models.
 
-All variables are implicitly non-negative.  Problems are maximized.  The
-solver is a plain two-phase tableau simplex; Dantzig pricing is used first
-and Bland's rule takes over after a fixed number of pivots to rule out
-cycling.  Instances here have at most a few hundred columns, so dense
-arithmetic is the right trade-off.
+All variables are implicitly non-negative.  Problems are maximized.  Two
+entry points share one pivot rule:
+
+* ``two_phase`` solves one LP cold (phase 1 on artificials, then
+  the objective) and checks that its answer satisfies ``Ax = b`` to within
+  ``FEAS_TOL`` relative to ``b``.
+* ``batch_simplex`` continues a stack of LPs that all start at a feasible
+  basis, such as the warm-started DEA models of one sampled world.  It
+  pivots every unfinished member at once and drops members as they finish.
+
+Dantzig pricing is used first and Bland's rule takes over after
+``BLAND_AFTER`` pivots to rule out cycling; Bland's rule lives in the
+serial ``simplex`` only, and a batch member that reaches it continues
+there.  A member's arithmetic does not depend on the batch it sits in, so
+a batch of one gives the same bits as any larger batch.  Instances here
+have at most a few hundred columns, so dense arithmetic is the right
+trade-off.
 """
 
 from __future__ import annotations
@@ -67,16 +79,19 @@ def _pivot(T: np.ndarray, row: int, col: int) -> None:
     T -= np.outer(factors, piv_row)
 
 
-def simplex(T: np.ndarray, basis: np.ndarray, ncols: int) -> str:
+def simplex(T: np.ndarray, basis: np.ndarray, ncols: int, start: int = 0) -> str:
     """Run the simplex on a reduced tableau.
 
     ``T`` is (rows+1, ncols+1): constraint rows with the RHS in the last
     column, objective row last holding z_j - c_j (optimal when all >= 0
     for maximization).  ``basis`` maps constraint rows to basic columns and
-    is updated in place.  Returns "optimal" or "unbounded".
+    is updated in place.  ``start`` is the number of pivots already made on
+    this tableau, so a run handed over by ``batch_simplex`` keeps its place
+    in the Dantzig/Bland schedule and the iteration limit.  Returns
+    "optimal" or "unbounded".
     """
     zrow = T[-1]
-    for it in range(MAX_ITER):
+    for it in range(start, MAX_ITER):
         reduced = zrow[:ncols]
         if it < BLAND_AFTER:
             col = int(np.argmin(reduced))
@@ -102,6 +117,58 @@ def simplex(T: np.ndarray, basis: np.ndarray, ncols: int) -> str:
         _pivot(T, row, col)
         basis[row] = col
     raise LpError("simplex iteration limit exceeded")
+
+
+def batch_simplex(T: np.ndarray, basis: np.ndarray, ncols: int):
+    """Run the simplex on a stack of reduced tableaux at once.
+
+    ``T`` is (batch, rows+1, ncols+1) and ``basis`` (batch, rows), each
+    member laid out as in ``simplex`` and starting at a feasible basis;
+    both are consumed.  Each round prices every unfinished member with
+    Dantzig's rule, runs its ratio test and pivots, exactly as ``simplex``
+    does for a single tableau.  A member still open after ``BLAND_AFTER``
+    pivots continues in ``simplex``.  Returns (objective, unbounded): the
+    final objective value of each member and a mask of the unbounded ones.
+    """
+    batch = len(basis)
+    objective = np.empty(batch)
+    unbounded = np.zeros(batch, dtype=bool)
+    members = np.arange(batch)  # original index of each member still in T
+    for _ in range(BLAND_AFTER):
+        reduced = T[:, -1, :ncols]
+        col = np.argmin(reduced, axis=1)
+        lanes = np.arange(members.size)
+        optimal = reduced[lanes, col] >= -PIVOT_TOL
+        col_vals = T[lanes, :-1, col]
+        positive = col_vals > PIVOT_TOL
+        stuck = ~positive.any(axis=1) & ~optimal
+        done = optimal | stuck
+        if done.any():
+            objective[members[done]] = T[done, -1, -1]
+            unbounded[members[stuck]] = True
+            keep = ~done
+            if not keep.any():
+                return objective, unbounded
+            T, basis, members = T[keep], basis[keep], members[keep]
+            col, col_vals, positive = col[keep], col_vals[keep], positive[keep]
+            lanes = np.arange(members.size)
+        ratios = np.divide(
+            T[:, :-1, -1], col_vals, out=np.full(col_vals.shape, np.inf), where=positive
+        )
+        row = np.argmin(ratios, axis=1)
+        # The update of _pivot, member by member: the same operations on
+        # the same operands, so every member gets the bits of a serial run.
+        piv_row = T[lanes, row] / T[lanes, row, col][:, None]
+        T[lanes, row] = piv_row
+        factors = T[lanes, :, col]
+        factors[lanes, row] = 0.0
+        T -= factors[:, :, None] * piv_row[:, None, :]
+        basis[lanes, row] = col
+    for lane, member in enumerate(members):
+        status = simplex(T[lane], basis[lane], ncols, start=BLAND_AFTER)
+        objective[member] = T[lane, -1, -1]
+        unbounded[member] = status == "unbounded"
+    return objective, unbounded
 
 
 def extract_solution(T: np.ndarray, basis: np.ndarray, nvar: int) -> np.ndarray:
@@ -196,6 +263,11 @@ def two_phase(A: np.ndarray, b: np.ndarray, c: np.ndarray):
     if status == "unbounded":
         raise LpUnbounded("objective unbounded above")
     x = extract_solution(T, basis, ncols)
+    # A pivot on a tiny element can leave a basis whose x breaks Ax = b;
+    # such an answer is a solver failure, never a distance.
+    residual = np.abs(A @ x - b).max(initial=0.0)
+    if residual > FEAS_TOL * (1.0 + b.max(initial=0.0)):  # b >= 0 here
+        raise LpError(f"answer violates Ax = b by {residual:.3g}")
     return x, float(T[-1, -1])
 
 

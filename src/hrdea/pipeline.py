@@ -20,7 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import DataSet, Direction
-from .dea import directional_distance, weak_disposability_distance
+from .dea import directional_distances, weak_disposability_distance
+# Unused here; the tracer in perfbench/spans.py looks this name up.
+from .dea import directional_distance  # noqa: F401
 from .errors import ParseError, ValidationError
 from .geometry import UncertaintySet
 from .sampler import RngStream, WalkState, XI_LAWS, step
@@ -71,34 +73,23 @@ def _column_distances(points: np.ndarray, m: int, s: int, model: str, direction:
     Values are floored at a tiny positive constant before LP assembly:
     sampled points may sit exactly on the orthant boundary, and a zero
     value would make the proportional or one-sided directions degenerate.
+    The plain model solves the whole world as one warm-started batch, each
+    DMU anchored at its own column.
     """
     n = points.shape[1]
     floored = np.maximum(points, INPUT_FLOOR)
     X = floored[:m]
     Y = floored[m : m + s]
     U = floored[m + s :]
-    mode = direction.mode
-    zx, zy, zu = np.zeros(m), np.zeros(s), np.zeros(U.shape[0])
-    if mode == "custom":
-        fixed = direction.resolve_at(X[:, 0], Y[:, 0], U[:, 0])
-    out = np.empty(n)
-    for k in range(n):
-        # inline the per-DMU direction: this loop dominates the runtime
-        if mode == "proportional":
-            dx, dy, du = X[:, k], Y[:, k], U[:, k]
-        elif mode == "input":
-            dx, dy, du = X[:, k], zy, zu
-        elif mode == "output":
-            dx, dy, du = zx, Y[:, k], zu
-        else:
-            dx, dy, du = fixed
-        if model == "weak":
-            out[k] = weak_disposability_distance(
-                X, Y, U, X[:, k], Y[:, k], U[:, k], dx, dy, du
+    dx, dy, du = direction.resolve_at(X, Y, U)
+    if model == "weak":
+        return np.array([
+            weak_disposability_distance(
+                X, Y, U, X[:, k], Y[:, k], U[:, k], dx[:, k], dy[:, k], du[:, k]
             )
-        else:
-            out[k] = directional_distance(X, Y, X[:, k], Y[:, k], dx, dy, anchor=k)
-    return out
+            for k in range(n)
+        ])
+    return directional_distances(X, Y, X, Y, dx, dy, np.arange(n))
 
 
 def _solve_block(args):
@@ -151,7 +142,8 @@ def run_hr_dea(
         if law not in XI_LAWS:
             raise ValidationError(f"unknown xi law {law!r}")
 
-    # Serial walk advance: cheap, and keeps the recurrence exact.
+    # Serial walk advance: keeps the recurrence exact, and each step draws
+    # from its own (seed, ell*n + j) stream.
     states = [WalkState(point=uset.center.copy()) for uset in sets]
     points = np.empty((t, data.z, n))
     for ell in range(1, t + 1):

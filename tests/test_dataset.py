@@ -161,6 +161,27 @@ def test_direction_modes():
     assert (dx[0], dy[0], du[0]) == (1.0, 0.5, 0.0)
 
 
+def test_direction_resolves_column_stacks():
+    X = np.array([[2.0, 4.0], [1.0, 3.0]])
+    Y = np.array([[5.0, 6.0]])
+    U = np.array([[7.0, 8.0]])
+    modes = (
+        Direction.input_oriented(),
+        Direction.output_oriented(),
+        Direction.proportional(),
+        Direction.custom([1.0, 0.0], [0.5], [0.0]),
+    )
+    for direction in modes:
+        stacked = direction.resolve_at(X, Y, U)
+        for k in range(X.shape[1]):
+            single = direction.resolve_at(X[:, k], Y[:, k], U[:, k])
+            for part, column in zip(stacked, single):
+                assert np.array_equal(part[:, k], column)
+    # every column needs a strictly positive component of its own
+    with pytest.raises(ValidationError):
+        Direction.input_oriented().resolve_at(np.array([[1.0, 0.0]]), Y)
+
+
 def test_direction_must_have_positive_component():
     ds = from_arrays(X=[[2.0]], Y=[[3.0]])
     with pytest.raises(ValidationError):

@@ -3,14 +3,21 @@ brute-force grid oracles before the simplex answer is trusted."""
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
+from hrdea import lp
 from hrdea.dataset import Direction, from_arrays
 from hrdea.dea import (
+    BATCH_BYTES,
+    directional_distance,
+    directional_distances,
     interval_dea_bounds,
     solve_directional,
     solve_weak_disposability,
+    weak_disposability_distance,
 )
-from hrdea.errors import ValidationError
+from hrdea.errors import LpError, LpInfeasible, ValidationError
+from hrdea.pipeline import INPUT_FLOOR, _column_distances
 
 
 def brute_force_directional(X, Y, xk, yk, dx, dy, grid=None):
@@ -256,3 +263,171 @@ def test_distance_invariant_to_slack_weight():
         for eps in (1e-8, 1e-7, 1e-5):
             sol = solve_directional(data, k, d, eps=eps)
             assert sol.distance == pytest.approx(base.distance, abs=1e-9)
+
+
+# --- the batched world solve --------------------------------------------
+
+DIRECTIONS = {
+    "input": Direction.input_oriented(),
+    "output": Direction.output_oriented(),
+    "proportional": Direction.proportional(),
+    "custom": Direction.custom([1.0, 0.5], [2.0]),
+}
+
+
+def highs_distance(X, Y, xk, yk, dx, dy) -> float:
+    """The plain model from its formulation, solved by HiGHS:
+
+        max D  s.t.  X lam <= xk - D dx,  Y lam >= yk + D dy,  sum(lam) = 1,
+                     lam >= 0,  D free.
+
+    The direction is first scaled to a largest component of one, and D back
+    by the same factor: HiGHS takes a coefficient below 1e-9 as zero, and a
+    direction resolved at a cell floored to INPUT_FLOOR has one of 1e-12.
+    """
+    scale = max(dx.max(), dy.max())
+    dx, dy = dx / scale, dy / scale
+    m, n = X.shape
+    c = np.zeros(n + 1)
+    c[n] = -1.0
+    a_ub = np.block([[X, dx[:, None]], [-Y, dy[:, None]]])
+    b_ub = np.concatenate([xk, -yk])
+    a_eq = np.concatenate([np.ones(n), [0.0]])[None, :]
+    res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=[1.0],
+                  bounds=[(0.0, None)] * n + [(None, None)], method="highs")
+    assert res.status == 0, res.message
+    return float(-res.fun) / scale
+
+
+def scenario_world(rng, n):
+    """Two inputs and one output, drawn as in Scenario I."""
+    x1 = 10.0 + 5.0 * rng.uniform(size=n)
+    x2 = 20.0 + 10.0 * np.abs(rng.normal(size=n))
+    y1 = 5.0 * np.sqrt(x1) * x2**0.7 * (1.0 - rng.uniform(size=n))
+    return np.vstack([x1, x2, y1])
+
+
+def check_world(points, direction, m=2, s=1):
+    """The world's batch against each member as a batch of one (same bits)
+    and against HiGHS (1e-9 relative to max(1, |D|)); returns the batch."""
+    batch = _column_distances(points, m, s, "plain", direction)
+    floored = np.maximum(points, INPUT_FLOOR)
+    X, Y = floored[:m], floored[m : m + s]
+    dx, dy, _ = direction.resolve_at(X, Y)
+    n = points.shape[1]
+    single = [directional_distance(X, Y, X[:, k], Y[:, k], dx[:, k], dy[:, k], anchor=k)
+              for k in range(n)]
+    assert np.array_equal(batch, single)
+    oracle = np.array([highs_distance(X, Y, X[:, k], Y[:, k], dx[:, k], dy[:, k])
+                       for k in range(n)])
+    np.testing.assert_array_less(np.abs(batch - oracle), 1e-9 * np.maximum(1.0, np.abs(oracle)))
+    return batch
+
+
+@pytest.mark.parametrize("n", [1, 2, 30, 80])
+@pytest.mark.parametrize("mode", sorted(DIRECTIONS))
+def test_world_batch_matches_single_solves_and_highs(mode, n):
+    if n == 80:  # the world must cross a chunk edge of the batched solve
+        assert n > BATCH_BYTES // ((2 + 1 + 2) * (n + 2 + 1 + 2) * 8)
+    points = scenario_world(np.random.default_rng(1000 + n), n)
+    batch = check_world(points, DIRECTIONS[mode])
+    if n == 1:
+        assert batch[0] == 0.0
+
+
+@pytest.mark.parametrize("mode", sorted(DIRECTIONS))
+def test_world_batch_duplicates_ties_and_floored_cells(mode):
+    points = scenario_world(np.random.default_rng(31), 30)
+    # Three DMUs on one frontier facet, the third the midpoint of the others.
+    points[:, 4] = [5.0, 10.0, 400.0]
+    points[:, 5] = [10.0, 5.0, 400.0]
+    points[:, 6] = [7.5, 7.5, 400.0]
+    points[:, 1] = points[:, 4]  # a duplicate of an efficient DMU
+    points[:, 2] = points[:, 3]  # a duplicate of an arbitrary DMU
+    # Floored to INPUT_FLOOR.  (A DMU floored in every cell is left out:
+    # HiGHS takes its 1e-12 coefficients as zero and misses its distance.)
+    points[0, 7] = 0.0
+    points[2, 8] = 0.0
+    batch = check_world(points, DIRECTIONS[mode])
+    assert np.all(batch[[1, 4, 5, 6]] == 0.0)
+
+
+# Sampled world 94 of the run-box-n100 benchmark workload at seed 7, cut
+# down to the 8 DMUs that keep one DMU (D011 there, 1 here) pivoting past
+# BLAND_AFTER under Dantzig's rule, so that its LP finishes under Bland's.
+CYCLING_WORLD = np.array([
+    [
+        11.178815644202173, 10.676175865496194, 15.292837300159604, 9.769926134145672,
+        9.996998028527768, 14.146169979767471, 12.91902624458953, 10.630470105370362,
+    ],
+    [
+        40.79821635470682, 21.10855462504388, 30.750473386953143, 21.268105521821237,
+        20.45120776766349, 17.6587451133506, 24.50698748255495, 19.183254946062284,
+    ],
+    [
+        47.6675806924268, 121.75559265695003, 182.18018403817325, 7.06949567024137,
+        104.76949274266248, 85.98589470831907, 169.27218493200655, 115.47959276370776,
+    ],
+])
+
+
+def test_batch_member_past_bland_after_finishes_serially(monkeypatch):
+    handovers = []
+    serial = lp.simplex
+
+    def spy(T, basis, ncols, start=0):
+        handovers.append(start)
+        return serial(T, basis, ncols, start)
+
+    monkeypatch.setattr(lp, "simplex", spy)
+    check_world(CYCLING_WORLD, Direction.proportional())
+    # once in the world's batch, once in DMU 1's batch of one
+    assert handovers == [lp.BLAND_AFTER, lp.BLAND_AFTER]
+
+
+def test_batch_rejects_anchor_that_does_not_dominate():
+    X = np.array([[1.0, 2.0]])
+    Y = np.array([[1.0, 1.0]])
+    with pytest.raises(ValidationError):
+        directional_distances(X, Y, X[:, [0]], Y[:, [0]], X[:, [0]], Y[:, [0]], [1])
+
+
+# A weak-model world at hospital magnitudes (beds and staff in the hundreds,
+# outputs in the thousands): a pooled 27 x 4 panel drawn like the
+# weak-panel-n108 benchmark workload with inputs x500, outputs x5000 and the
+# undesirable output x500 (seed 14), cut down to the 7 DMUs that keep DMU 3's
+# answer off Ax = b.  Without the residual check two_phase returned 0.1747
+# for DMU 3, where HiGHS gives 0.0746.
+HOSPITAL_WORLD = np.array([
+    [
+        285.4511076408349, 125.70778015516682, 1845.816745284963, 644.0582561181857,
+        640.8983902952051, 2049.8874321111107, 1877.2380999274114,
+    ],
+    [
+        323.82452590086166, 109.21062917569017, 2086.478867996864, 596.9061367269181,
+        664.5443822723844, 1843.617754200813, 1949.5168335948663,
+    ],
+    [
+        2758.794839982768, 978.9446044582035, 11346.099134153796, 5183.613065506569,
+        6664.008920768675, 16015.923851291467, 20416.62873550511,
+    ],
+    [
+        2689.8956542009105, 1013.5850353824704, 11724.822572787421, 4317.971646174193,
+        5975.660883282099, 19403.494175675893, 20214.667642376582,
+    ],
+    [
+        228.158196820007, 138.13107042897565, 1418.4145729868517, 678.6473109527687,
+        976.6277483449195, 2787.231069133534, 969.1986862718204,
+    ],
+])
+
+
+def test_two_phase_answer_that_breaks_ax_eq_b_raises():
+    X, Y, U = HOSPITAL_WORLD[:2], HOSPITAL_WORLD[2:4], HOSPITAL_WORLD[4:]
+    k = 3
+    with pytest.raises(LpError, match="violates Ax = b") as info:
+        weak_disposability_distance(
+            X, Y, U, X[:, k], Y[:, k], U[:, k], X[:, k], Y[:, k], U[:, k]
+        )
+    # not LpInfeasible, which interval_dea_bounds would turn into a 0.0 bound
+    assert not isinstance(info.value, LpInfeasible)

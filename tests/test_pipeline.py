@@ -1,6 +1,10 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import hrdea.pipeline
 from hrdea.dataset import Direction, from_arrays
 from hrdea.dea import interval_dea_bounds, solve_directional, solve_weak_disposability
 from hrdea.errors import ValidationError
@@ -53,6 +57,29 @@ def test_degenerate_sets_reproduce_weak_model():
         [solve_weak_disposability(data, k, d).distance for k in range(data.n)]
     )
     assert np.abs(dm.values - plain[:, None]).max() < 1e-9
+
+
+def test_traced_entry_points_resolve(monkeypatch):
+    """perfbench/spans.py rebinds module attributes at the names their
+    callers look up; every name it lists must exist, and run_hr_dea must
+    reach _column_distances through its module global."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for module, attr, _ in spans.TRACED:
+        assert callable(getattr(module, attr))
+    columns = []
+    solve = hrdea.pipeline._column_distances
+
+    def counted(*args):
+        columns.append(1)
+        return solve(*args)
+
+    monkeypatch.setattr(hrdea.pipeline, "_column_distances", counted)
+    data = random_instance(np.random.default_rng(4), 5)
+    run_hr_dea(data, point_sets(data), Direction.proportional(), t=3)
+    assert len(columns) == 1 + 3  # the centroids, then one per world
 
 
 def test_shape_contract():
