@@ -13,8 +13,12 @@ objective value.
 
 The plain model's distance phase is warm-started at an anchor vertex, and
 ``directional_distances`` solves a whole sampled world of such LPs as one
-batch; the weak-disposability model and the slack phases are solved cold,
-one LP at a time.
+batch from tableaux already pivoted to that vertex (``_eq1_tableaux``).
+Every other LP is solved cold, one at a time, by ``two_phase`` on one
+equality form (``_standard_form``): the weak model's distance phase, the
+plain model's distance phase without an anchor, and both models' slack
+phases.  The plain model is the weak model without undesirable rows and
+without the beta block.
 """
 
 from __future__ import annotations
@@ -122,21 +126,57 @@ def directional_distances(X, Y, xk, yk, dx, dy, anchors) -> np.ndarray:
     return np.where(out < 0.0, 0.0, out) / scale
 
 
-def _eq1_matrices(X, Y, xk, yk, dx, dy):
-    """Standard-form (A, b) of the plain model with variables (mu, D, gx, gy)."""
+def _standard_form(X, Y, U, xk, yk, uk, dx, dy, du, dist=None):
+    """Equality form (A, b) of the directional model for the point (xk, yk, uk).
+
+    Rows are inputs, desirable outputs, undesirable outputs and convexity::
+
+        X (alpha + beta) + D dx + gx = xk,   Y alpha - D dy - gy = yk,
+        U alpha + D du = uk,                 sum(alpha + beta) = 1.
+
+    Columns are (alpha, beta, D, gx, gy).  With ``U`` None there are no
+    undesirable rows and no beta block: the plain model, whose ``uk`` and
+    ``du`` are ignored.  With ``dist`` given, D is fixed there and moved
+    into b, as the slack phase needs.
+    """
     m, n = X.shape
     s = Y.shape[0]
-    ncols = n + 1 + m + s
-    A = np.zeros((m + s + 1, ncols))
+    weak = U is not None
+    if not weak:
+        U, uk, du = np.zeros((0, n)), np.zeros(0), np.zeros(0)
+    v = U.shape[0]
+    lam = 2 * n if weak else n
+    g = lam if dist is not None else lam + 1  # first slack column
+    A = np.zeros((m + s + v + 1, g + m + s))
     A[:m, :n] = X
+    if weak:
+        A[:m, n:lam] = X
     A[m : m + s, :n] = Y
-    A[m + s, :n] = 1.0
-    A[:m, n] = dx
-    A[m : m + s, n] = -dy
-    A[np.arange(m), n + 1 + np.arange(m)] = 1.0
-    A[m + np.arange(s), n + 1 + m + np.arange(s)] = -1.0
-    b = np.concatenate([xk, yk, [1.0]])
-    return A, b
+    A[m + s : m + s + v, :n] = U
+    A[-1, :lam] = 1.0
+    A[np.arange(m), g + np.arange(m)] = 1.0
+    A[m + np.arange(s), g + m + np.arange(s)] = -1.0
+    if dist is None:
+        A[:m, lam] = dx
+        A[m : m + s, lam] = -dy
+        A[m + s : m + s + v, lam] = du
+        return A, np.concatenate([xk, yk, uk, [1.0]])
+    return A, np.concatenate([xk - dist * dx, yk + dist * dy, uk - dist * du, [1.0]])
+
+
+def _cold_distance(X, Y, U, xk, yk, uk, dx, dy, du) -> float:
+    """The distance phase solved cold by ``two_phase`` (``U`` None: plain model).
+
+    As in ``directional_distances``, the direction is scaled to unit
+    magnitude for the solve and D scaled back.
+    """
+    scale = float(_unit_scale(dx, dy) if U is None else _unit_scale(dx, dy, du))
+    A, b = _standard_form(X, Y, U, xk, yk, uk, dx / scale, dy / scale,
+                          None if U is None else du / scale)
+    c = np.zeros(A.shape[1])
+    c[A.shape[1] - X.shape[0] - Y.shape[0] - 1] = 1.0  # D, just before the slacks
+    _, obj = two_phase(A, b, c)
+    return max(float(obj), 0.0) / scale
 
 
 def directional_distance(X, Y, xk, yk, dx, dy, anchor: int | None = None) -> float:
@@ -150,74 +190,22 @@ def directional_distance(X, Y, xk, yk, dx, dy, anchor: int | None = None) -> flo
         return float(directional_distances(
             X, Y, xk[:, None], yk[:, None], dx[:, None], dy[:, None], [anchor]
         )[0])
-    scale = float(_unit_scale(dx, dy))
-    dx, dy = dx / scale, dy / scale
-    A, b = _eq1_matrices(X, Y, xk, yk, dx, dy)
+    return _cold_distance(X, Y, None, xk, yk, None, dx, dy, None)
+
+
+def _slack_phase(X, Y, U, xk, yk, uk, dx, dy, du, dist):
+    """Maximize total slack at the fixed optimal distance.
+
+    Returns the intensities (alpha, then beta for the weak model) and the
+    slacks gx and gy.
+    """
+    A, b = _standard_form(X, Y, U, xk, yk, uk, dx, dy, du, dist)
+    m = X.shape[0]
+    lam = A.shape[1] - m - Y.shape[0]
     c = np.zeros(A.shape[1])
-    c[X.shape[1]] = 1.0
-    x, obj = two_phase(A, b, c)
-    return max(float(obj), 0.0) / scale
-
-
-def _eq3_distance(X, Y, U, xk, yk, uk, dx, dy, du) -> float:
-    """Distance phase of the weak-disposability model."""
-    m, n = X.shape
-    s, v = Y.shape[0], U.shape[0]
-    ncols = 2 * n + 1 + m + s
-    rows = m + s + v + 1
-    A = np.zeros((rows, ncols))
-    A[:m, :n] = X
-    A[:m, n : 2 * n] = X
-    A[m : m + s, :n] = Y
-    A[m + s : m + s + v, :n] = U
-    A[rows - 1, : 2 * n] = 1.0
-    A[:m, 2 * n] = dx
-    A[m : m + s, 2 * n] = -dy
-    A[m + s : m + s + v, 2 * n] = du
-    A[np.arange(m), 2 * n + 1 + np.arange(m)] = 1.0
-    A[m + np.arange(s), 2 * n + 1 + m + np.arange(s)] = -1.0
-    b = np.concatenate([xk, yk, uk, [1.0]])
-    c = np.zeros(ncols)
-    c[2 * n] = 1.0
-    x, obj = two_phase(A, b, c)
-    return max(float(obj), 0.0)
-
-
-def _slack_phase_eq1(X, Y, xk, yk, dx, dy, dist):
-    """Maximize total slack at the fixed optimal distance."""
-    m, n = X.shape
-    s = Y.shape[0]
-    ncols = n + m + s
-    A = np.zeros((m + s + 1, ncols))
-    A[:m, :n] = X
-    A[m : m + s, :n] = Y
-    A[m + s, :n] = 1.0
-    A[np.arange(m), n + np.arange(m)] = 1.0
-    A[m + np.arange(s), n + m + np.arange(s)] = -1.0
-    b = np.concatenate([xk - dist * dx, yk + dist * dy, [1.0]])
-    c = np.zeros(ncols)
-    c[n:] = 1.0
+    c[lam:] = 1.0
     x, _ = two_phase(A, b, c)
-    return x[:n], x[n : n + m], x[n + m :]
-
-
-def _slack_phase_eq3(X, Y, U, xk, yk, uk, dx, dy, du, dist):
-    m, n = X.shape
-    s, v = Y.shape[0], U.shape[0]
-    ncols = 2 * n + m + s
-    A = np.zeros((m + s + v + 1, ncols))
-    A[:m, :n] = X
-    A[:m, n : 2 * n] = X
-    A[m : m + s, :n] = Y
-    A[m + s : m + s + v, :n] = U
-    A[m + s + v, : 2 * n] = 1.0
-    A[np.arange(m), 2 * n + np.arange(m)] = 1.0
-    A[m + np.arange(s), 2 * n + m + np.arange(s)] = -1.0
-    b = np.concatenate([xk - dist * dx, yk + dist * dy, uk - dist * du, [1.0]])
-    c = np.zeros(ncols)
-    c[2 * n :] = 1.0
-    x, _ = two_phase(A, b, c)
-    return x[:n], x[n : 2 * n], x[2 * n : 2 * n + m], x[2 * n + m :]
+    return x[:lam], x[lam : lam + m], x[lam + m :]
 
 
 def _check_unmasked(data: DataSet):
@@ -238,7 +226,7 @@ def solve_directional(
     dx, dy, _ = direction.resolve(data, k)
     xk, yk = data.X[:, k], data.Y[:, k]
     dist = directional_distance(data.X, data.Y, xk, yk, dx, dy, anchor=k)
-    mu, gx, gy = _slack_phase_eq1(data.X, data.Y, xk, yk, dx, dy, dist)
+    mu, gx, gy = _slack_phase(data.X, data.Y, None, xk, yk, None, dx, dy, None, dist)
     return DeaSolution(
         distance=dist,
         intensities=mu,
@@ -263,9 +251,8 @@ def solve_weak_disposability(
     dx, dy, du = direction.resolve(data, k)
     xk, yk, uk = data.X[:, k], data.Y[:, k], data.U[:, k]
     dist = weak_disposability_distance(data.X, data.Y, data.U, xk, yk, uk, dx, dy, du)
-    alpha, beta, gx, gy = _slack_phase_eq3(
-        data.X, data.Y, data.U, xk, yk, uk, dx, dy, du, dist
-    )
+    weights, gx, gy = _slack_phase(data.X, data.Y, data.U, xk, yk, uk, dx, dy, du, dist)
+    alpha, beta = weights[: data.n], weights[data.n :]
     return DeaSolution(
         distance=dist,
         intensities=alpha + beta,
@@ -282,8 +269,7 @@ def solve_weak_disposability(
 
 def weak_disposability_distance(X, Y, U, xk, yk, uk, dx, dy, du) -> float:
     """Distance-only entry point used by the sampling pipeline."""
-    scale = float(_unit_scale(dx, dy, du))
-    return _eq3_distance(X, Y, U, xk, yk, uk, dx / scale, dy / scale, du / scale) / scale
+    return _cold_distance(X, Y, U, xk, yk, uk, dx, dy, du)
 
 
 def interval_dea_bounds(

@@ -154,8 +154,7 @@ def confidence_interval(samples, tau: float) -> tuple[float, float]:
     if (1.0 - tau) * t / 2.0 < 1.0 - 1e-9:
         minimum = math.ceil(2.0 / (1.0 - tau))
         raise ValidationError(f"need at least t = {minimum} samples for tau = {tau}")
-    lo_idx = math.ceil((1.0 - tau) * t / 2.0 - 1e-9)
-    hi_idx = math.floor((1.0 + tau) * t / 2.0 + 1e-9)
+    lo_idx, hi_idx = ci_indices(t, tau)
     return float(ordered[lo_idx - 1]), float(ordered[hi_idx - 1])
 
 

@@ -1,6 +1,7 @@
 """Dense primal simplex for the small LPs generated by the DEA models.
 
-All variables are implicitly non-negative.  Problems are maximized.  Two
+All variables are implicitly non-negative.  Problems are maximized and
+given in equality form; a ``<=`` row takes an explicit slack column.  Two
 entry points share one pivot rule:
 
 * ``two_phase`` solves one LP cold (phase 1 on artificials, then
@@ -21,54 +22,14 @@ trade-off.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import LpError, LpInfeasible, LpUnbounded, ValidationError
+from .errors import LpError, LpInfeasible, LpUnbounded
 
 PIVOT_TOL = 1e-10
 FEAS_TOL = 1e-9
 BLAND_AFTER = 200
 MAX_ITER = 20_000
-
-
-@dataclass
-class LpProblem:
-    """max c'x  s.t.  a_eq x = b_eq,  a_ub x <= b_ub,  x >= 0."""
-
-    c: np.ndarray
-    a_eq: np.ndarray | None = None
-    b_eq: np.ndarray | None = None
-    a_ub: np.ndarray | None = None
-    b_ub: np.ndarray | None = None
-
-    def __post_init__(self):
-        self.c = np.asarray(self.c, dtype=float)
-        nvar = self.c.size
-        for name in ("a_eq", "a_ub"):
-            a = getattr(self, name)
-            if a is not None:
-                a = np.atleast_2d(np.asarray(a, dtype=float))
-                if a.shape[1] != nvar:
-                    raise ValidationError(f"{name} has {a.shape[1]} columns, expected {nvar}")
-                setattr(self, name, a)
-        for aname, bname in (("a_eq", "b_eq"), ("a_ub", "b_ub")):
-            a, b = getattr(self, aname), getattr(self, bname)
-            if (a is None) != (b is None):
-                raise ValidationError(f"{aname} and {bname} must be given together")
-            if b is not None:
-                b = np.asarray(b, dtype=float).ravel()
-                if b.size != a.shape[0]:
-                    raise ValidationError(f"{bname} length does not match {aname}")
-                setattr(self, bname, b)
-
-
-@dataclass
-class LpSolution:
-    x: np.ndarray
-    objective: float
-    status: str = "optimal"
 
 
 def _pivot(T: np.ndarray, row: int, col: int) -> None:
@@ -179,33 +140,6 @@ def extract_solution(T: np.ndarray, basis: np.ndarray, nvar: int) -> np.ndarray:
     return x
 
 
-def _build_standard(problem: LpProblem):
-    """Equality standard form: slack columns for the <= rows, b >= 0."""
-    nvar = problem.c.size
-    blocks_a, blocks_b = [], []
-    if problem.a_eq is not None:
-        blocks_a.append(problem.a_eq)
-        blocks_b.append(problem.b_eq)
-    nslack = 0 if problem.a_ub is None else problem.a_ub.shape[0]
-    if nslack:
-        blocks_a.append(problem.a_ub)
-        blocks_b.append(problem.b_ub)
-    if not blocks_a:
-        raise ValidationError("problem has no constraints")
-    A = np.vstack(blocks_a)
-    b = np.concatenate(blocks_b)
-    rows = A.shape[0]
-    full = np.zeros((rows, nvar + nslack))
-    full[:, :nvar] = A
-    if nslack:
-        full[rows - nslack :, nvar:] = np.eye(nslack)
-    flip = b < 0
-    full[flip] *= -1.0
-    b = np.abs(b)
-    c = np.concatenate([problem.c, np.zeros(nslack)])
-    return full, b, c
-
-
 def _phase_one(A: np.ndarray, b: np.ndarray):
     """Find a BFS via artificial variables; returns (tableau, basis) or None."""
     rows, ncols = A.shape
@@ -269,10 +203,3 @@ def two_phase(A: np.ndarray, b: np.ndarray, c: np.ndarray):
     if residual > FEAS_TOL * (1.0 + b.max(initial=0.0)):  # b >= 0 here
         raise LpError(f"answer violates Ax = b by {residual:.3g}")
     return x, float(T[-1, -1])
-
-
-def lp_solve(problem: LpProblem) -> LpSolution:
-    """Solve an LpProblem; raises LpInfeasible / LpUnbounded."""
-    A, b, c = _build_standard(problem)
-    x, obj = two_phase(A, b, c)
-    return LpSolution(x=x[: problem.c.size], objective=obj)

@@ -163,6 +163,7 @@ def benchmark_report():
     return report, time.perf_counter() - start
 
 
+@pytest.mark.slow
 def test_criterion_5_benchmark_ordering(benchmark_report):
     """Sampling variants beat hot-deck and regression; runtime < 10 min."""
     report, elapsed = benchmark_report
@@ -181,6 +182,7 @@ def test_criterion_5_benchmark_ordering(benchmark_report):
     )
 
 
+@pytest.mark.slow
 def test_criterion_5_hotdeck_threshold(benchmark_report):
     """Every sampling variant's Pearson is at least hot-deck's plus 0.05.
 

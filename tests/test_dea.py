@@ -431,3 +431,127 @@ def test_two_phase_answer_that_breaks_ax_eq_b_raises():
         )
     # not LpInfeasible, which interval_dea_bounds would turn into a 0.0 bound
     assert not isinstance(info.value, LpInfeasible)
+
+
+# --- the cold LPs against HiGHS -------------------------------------------
+
+WEAK_DIRECTIONS = {**DIRECTIONS, "custom": Direction.custom([1.0, 0.5], [2.0], [1.5])}
+
+
+def highs_model(X, Y, U, xk, yk, uk, dx, dy, du, dist=None) -> float:
+    """The weak-disposability model from its formulation, solved by HiGHS:
+
+        max D  s.t.  X (alpha + beta) <= xk - D dx,  Y alpha >= yk + D dy,
+                     U alpha = uk - D du,  sum(alpha + beta) = 1,
+                     alpha, beta >= 0,  D free.
+
+    With U None, beta is fixed at zero and there are no U rows: the plain
+    model.  With ``dist`` given, D is fixed there and the optimum returned
+    is the slack phase's, the total slack
+    sum(xk - D dx - X (alpha + beta)) + sum(Y alpha - yk - D dy).
+    """
+    n = X.shape[1]
+    plain = U is None
+    if plain:
+        U, uk, du = np.zeros((0, n)), np.zeros(0), np.zeros(0)
+    a_ub = np.block([[X, X, dx[:, None]], [-Y, np.zeros_like(Y), dy[:, None]]])
+    b_ub = np.concatenate([xk, -yk])
+    a_eq = np.zeros((U.shape[0] + 1, 2 * n + 1))
+    a_eq[:-1, :n] = U
+    a_eq[:-1, -1] = du
+    a_eq[-1, :-1] = 1.0
+    b_eq = np.append(uk, 1.0)
+    bounds = [(0.0, None)] * n + [(0.0, 0.0 if plain else None)] * n
+    if dist is None:
+        c = np.zeros(2 * n + 1)
+        c[-1] = -1.0
+        const = 0.0
+        bounds.append((None, None))
+    else:
+        c = np.concatenate([X.sum(axis=0) - Y.sum(axis=0), X.sum(axis=0), [0.0]])
+        const = (xk - dist * dx).sum() - (yk + dist * dy).sum()
+        bounds.append((dist, dist))
+    res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds,
+                  method="highs")
+    assert res.status == 0, res.message
+    return float(-res.fun) + const
+
+
+def assert_matches(value, oracle):
+    """Agreement as in check_world: 1e-9 relative to max(1, |oracle|)."""
+    value, oracle = np.asarray(value, dtype=float), np.asarray(oracle, dtype=float)
+    np.testing.assert_array_less(np.abs(value - oracle), 1e-9 * np.maximum(1.0, np.abs(oracle)))
+
+
+def assert_rows_hold(sol, data, k, direction):
+    """The solution's targets and slacks satisfy every row of the model."""
+    dx, dy, du = direction.resolve(data, k)
+    d = sol.distance
+    assert np.all(sol.intensities >= 0.0)
+    assert np.all(sol.slacks_x >= 0.0) and np.all(sol.slacks_y >= 0.0)
+    assert_matches(sol.targets_x + sol.slacks_x, data.X[:, k] - d * dx)
+    assert_matches(sol.targets_y - sol.slacks_y, data.Y[:, k] + d * dy)
+    assert_matches(sol.targets_u, data.U[:, k] - d * du)
+    assert_matches(sol.intensities.sum(), 1.0)
+
+
+def order_one_world(n):
+    """Two inputs, one desirable and one undesirable output, all in [0.5, 2].
+
+    From n = 3 on, DMUs 0 and 1 share the smallest inputs at different
+    outputs and DMU 2 has twice those inputs: its input-oriented projection
+    ties on intensities with different output slacks, so only the slack
+    phase's objective picks the answer.
+    """
+    points = np.random.default_rng(2000 + n).uniform(0.5, 2.0, size=(4, n))
+    if n >= 3:
+        points[:, :3] = [[0.5, 0.5, 1.0], [0.5, 0.5, 1.0], [2.0, 1.0, 1.0], [1.0, 1.0, 1.0]]
+    return points
+
+
+@pytest.mark.parametrize("n", [2, 30])
+@pytest.mark.parametrize("mode", sorted(DIRECTIONS))
+def test_cold_plain_distance_matches_highs(mode, n):
+    # No anchor: each DMU and a dominated version of it, off the data.
+    points = scenario_world(np.random.default_rng(3000 + n), n)
+    X, Y = points[:2], points[2:]
+    for xk, yk in ((X, Y), (1.2 * X, 0.8 * Y)):
+        dx, dy, _ = DIRECTIONS[mode].resolve_at(xk, yk)
+        for k in range(n):
+            args = (X, Y, xk[:, k], yk[:, k], dx[:, k], dy[:, k])
+            assert_matches(directional_distance(*args), highs_distance(*args))
+
+
+@pytest.mark.parametrize("n", [2, 30])
+@pytest.mark.parametrize("mode", sorted(DIRECTIONS))
+def test_plain_slack_phase_matches_highs(mode, n):
+    points = order_one_world(n)
+    data = from_arrays(points[:2], points[2:3])
+    direction = DIRECTIONS[mode]
+    for k in range(n):
+        sol = solve_directional(data, k, direction)
+        dx, dy, _ = direction.resolve(data, k)
+        args = (data.X, data.Y, None, data.X[:, k], data.Y[:, k], None, dx, dy, None)
+        assert_matches(sol.distance, highs_model(*args))
+        assert_matches(sol.slacks_x.sum() + sol.slacks_y.sum(),
+                       highs_model(*args, dist=sol.distance))
+        assert_rows_hold(sol, data, k, direction)
+
+
+@pytest.mark.parametrize("n", [2, 30])
+@pytest.mark.parametrize("mode", sorted(WEAK_DIRECTIONS))
+def test_weak_model_matches_highs(mode, n):
+    points = order_one_world(n)
+    data = from_arrays(points[:2], points[2:3], points[3:])
+    direction = WEAK_DIRECTIONS[mode]
+    for k in range(n):
+        dx, dy, du = direction.resolve(data, k)
+        args = (data.X, data.Y, data.U, data.X[:, k], data.Y[:, k], data.U[:, k], dx, dy, du)
+        oracle = highs_model(*args)
+        assert_matches(weak_disposability_distance(*args), oracle)
+        sol = solve_weak_disposability(data, k, direction)
+        assert_matches(sol.distance, oracle)
+        assert_matches(sol.slacks_x.sum() + sol.slacks_y.sum(),
+                       highs_model(*args, dist=sol.distance))
+        assert_rows_hold(sol, data, k, direction)
+        assert_matches(sol.alpha + sol.beta, sol.intensities)
