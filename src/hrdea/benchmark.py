@@ -26,11 +26,13 @@ from .baselines import (
     sets_from_gaps,
 )
 from .dataset import DataSet, Direction
-from .dea import directional_distances, interval_dea_bounds
+from .dea import interval_dea_bounds
 # Unused here; the tracer in perfbench/spans.py looks this name up.
 from .dea import directional_distance  # noqa: F401
 from .errors import ValidationError
-from .pipeline import run_hr_dea
+# Imported by name, so the tracer's pipeline.column spans count the
+# sampled worlds only.
+from .pipeline import _column_distances, run_hr_dea
 from .sampler import RngStream
 
 ALTERNATIVES = (
@@ -85,12 +87,11 @@ def compare_metrics(base, est) -> ComparisonMetrics:
 
 
 def _output_distances(data: DataSet) -> np.ndarray:
-    """Output-oriented distances; values are floored so an imputed zero
-    output yields a finite (huge) distance instead of a degenerate LP."""
-    X = np.maximum(data.X, 1e-12)
-    Y = np.maximum(data.Y, 1e-12)
-    dx, dy, _ = Direction.output_oriented().resolve_at(X, Y)
-    return directional_distances(X, Y, X, Y, dx, dy, np.arange(data.n))
+    """Output-oriented distances of the sample scored as one world; values
+    are floored there, so an imputed zero output yields a finite (huge)
+    distance instead of a degenerate LP."""
+    return _column_distances(data.stacked(), data.m, data.s, "plain",
+                             Direction.output_oriented())
 
 
 def _child_seed(seed: int, case_stream: int, offset: int) -> int:
@@ -115,13 +116,10 @@ def run_case(scenario: str, rep: int, n: int, gaps: int, t: int, seed: int) -> d
 
     lower, upper = interval_matrices(masked, gapspec)
     m = masked.m
-    mids = np.empty(masked.n)
-    for k in range(masked.n):
-        d_low, d_high = interval_dea_bounds(
-            masked, lower[:m], upper[:m], lower[m:], upper[m:], k, direction
-        )
-        mids[k] = (d_low + d_high) / 2.0
-    estimates["interval"] = mids
+    d_low, d_high = interval_dea_bounds(
+        masked, lower[:m], upper[:m], lower[m:], upper[m:], direction
+    )
+    estimates["interval"] = (d_low + d_high) / 2.0
 
     for name, shape, offset in (
         ("hr_box", "box", _HR_BOX),

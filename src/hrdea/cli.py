@@ -21,7 +21,6 @@ from .dataset import Direction, load_dataset
 from .dea import solve_directional, solve_weak_disposability
 from .errors import DegenerateFitError, HrdeaError
 from .inference import (
-    BucketScheme,
     beta_density_points,
     erii_counts,
     fit_beta,
@@ -112,7 +111,7 @@ def _analyze_matrix(matrix_path, outdir, tau, width) -> int:
     os.makedirs(outdir, exist_ok=True)
     report_path = os.path.join(outdir, "report.csv")
     save_report(report, report_path, source_config=dm.config)
-    scheme = BucketScheme.for_values(dm.values, width=width)
+    scheme = report.scheme
     mids = scheme.midpoints()
     source = {"seed": dm.seed, "source": dm.config}
     for j, dmu in enumerate(dm.dmu_ids):

@@ -11,14 +11,14 @@ lexicographically: the reported distance is always the optimum of the pure
 distance phase, and the non-Archimedean weight only enters the reported
 objective value.
 
-The plain model's distance phase is warm-started at an anchor vertex, and
-``directional_distances`` solves a whole sampled world of such LPs as one
-batch from tableaux already pivoted to that vertex (``_eq1_tableaux``).
-Every other LP is solved cold, one at a time, by ``two_phase`` on one
-equality form (``_standard_form``): the weak model's distance phase, the
-plain model's distance phase without an anchor, and both models' slack
-phases.  The plain model is the weak model without undesirable rows and
-without the beta block.
+Every plain-model distance is warm-started at an anchor vertex:
+``directional_distances`` solves a stack of such LPs as one batch from
+tableaux already pivoted to that vertex (``_eq1_tableaux``), and
+``directional_distance`` is its batch of one.  ``two_phase`` solves the
+rest cold, one at a time, on one equality form (``_standard_form``): the
+weak model's distance phase and both models' slack phases.  The plain
+model is the weak model without undesirable rows and without the beta
+block.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import DataSet, Direction
-from .errors import LpInfeasible, LpUnbounded, ValidationError
+from .errors import LpUnbounded, ValidationError
 from .lp import batch_simplex, two_phase
 # Unused here; the tracer in perfbench/spans.py looks this name up.
 from .lp import simplex  # noqa: F401
@@ -164,33 +164,13 @@ def _standard_form(X, Y, U, xk, yk, uk, dx, dy, du, dist=None):
     return A, np.concatenate([xk - dist * dx, yk + dist * dy, uk - dist * du, [1.0]])
 
 
-def _cold_distance(X, Y, U, xk, yk, uk, dx, dy, du) -> float:
-    """The distance phase solved cold by ``two_phase`` (``U`` None: plain model).
-
-    As in ``directional_distances``, the direction is scaled to unit
-    magnitude for the solve and D scaled back.
-    """
-    scale = float(_unit_scale(dx, dy) if U is None else _unit_scale(dx, dy, du))
-    A, b = _standard_form(X, Y, U, xk, yk, uk, dx / scale, dy / scale,
-                          None if U is None else du / scale)
-    c = np.zeros(A.shape[1])
-    c[A.shape[1] - X.shape[0] - Y.shape[0] - 1] = 1.0  # D, just before the slacks
-    _, obj = two_phase(A, b, c)
-    return max(float(obj), 0.0) / scale
-
-
-def directional_distance(X, Y, xk, yk, dx, dy, anchor: int | None = None) -> float:
-    """Optimal radial distance of (xk, yk) against the frontier of (X, Y).
-
-    With an ``anchor`` column that weakly dominates the point this is
-    ``directional_distances`` for a batch of one; otherwise the LP is
-    solved cold with ``two_phase``.
-    """
-    if anchor is not None and np.all(X[:, anchor] <= xk) and np.all(Y[:, anchor] >= yk):
-        return float(directional_distances(
-            X, Y, xk[:, None], yk[:, None], dx[:, None], dy[:, None], [anchor]
-        )[0])
-    return _cold_distance(X, Y, None, xk, yk, None, dx, dy, None)
+def directional_distance(X, Y, xk, yk, dx, dy, anchor: int) -> float:
+    """Optimal radial distance of (xk, yk) against the frontier of (X, Y):
+    ``directional_distances`` for a batch of one, so reference column
+    ``anchor`` must weakly dominate the point."""
+    return float(directional_distances(
+        X, Y, xk[:, None], yk[:, None], dx[:, None], dy[:, None], [anchor]
+    )[0])
 
 
 def _slack_phase(X, Y, U, xk, yk, uk, dx, dy, du, dist):
@@ -268,8 +248,17 @@ def solve_weak_disposability(
 
 
 def weak_disposability_distance(X, Y, U, xk, yk, uk, dx, dy, du) -> float:
-    """Distance-only entry point used by the sampling pipeline."""
-    return _cold_distance(X, Y, U, xk, yk, uk, dx, dy, du)
+    """The weak model's distance phase, solved cold by ``two_phase``.
+
+    As in ``directional_distances``, the direction is scaled to unit
+    magnitude for the solve and D scaled back.
+    """
+    scale = float(_unit_scale(dx, dy, du))
+    A, b = _standard_form(X, Y, U, xk, yk, uk, dx / scale, dy / scale, du / scale)
+    c = np.zeros(A.shape[1])
+    c[A.shape[1] - X.shape[0] - Y.shape[0] - 1] = 1.0  # D, just before the slacks
+    _, obj = two_phase(A, b, c)
+    return max(float(obj), 0.0) / scale
 
 
 def interval_dea_bounds(
@@ -278,17 +267,17 @@ def interval_dea_bounds(
     upper_x: np.ndarray,
     lower_y: np.ndarray,
     upper_y: np.ndarray,
-    k: int,
     direction: Direction,
-) -> tuple[float, float]:
-    """Widest distance interval for DMU k under box uncertainty.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Widest distance interval of every DMU under box uncertainty.
 
-    The upper bound projects the worst version of k (upper inputs, lower
-    outputs) on the frontier of the best scenario; the lower bound projects
-    the best version of k on the worst-scenario frontier.  A best version
-    that would end up beyond the worst frontier (a super-efficiency case)
-    is reported with the bound clamped at zero, consistent with the
-    sampling pipeline where every point belongs to its own frontier.
+    Returns ``(d_low, d_high)``, one entry per DMU.  The upper bound
+    projects the worst version of k (upper inputs, lower outputs) on the
+    frontier of the best scenario; the lower bound projects the best
+    version of k on the worst-scenario frontier.  A best version that
+    would end up beyond the worst frontier (a super-efficiency case) is
+    reported with the bound clamped at zero, consistent with the sampling
+    pipeline where every point belongs to its own frontier.
     """
     if data.v > 0:
         raise ValidationError("interval bounds are defined for the model without undesirables")
@@ -308,16 +297,28 @@ def interval_dea_bounds(
     lower_x, upper_x = np.maximum(lower_x, 1e-12), np.maximum(upper_x, 1e-12)
     lower_y, upper_y = np.maximum(lower_y, 1e-12), np.maximum(upper_y, 1e-12)
 
-    # Worst version of k against the best scenario.
-    xk_w, yk_w = upper_x[:, k], lower_y[:, k]
-    dxw, dyw, _ = direction.resolve_at(xk_w, yk_w)
-    d_high = directional_distance(lower_x, upper_y, xk_w, yk_w, dxw, dyw, anchor=k)
+    # Worst versions against the best scenario, each anchored at its own
+    # best version.
+    dxw, dyw, _ = direction.resolve_at(upper_x, lower_y)
+    d_high = directional_distances(lower_x, upper_y, upper_x, lower_y, dxw, dyw,
+                                   np.arange(data.n))
 
-    # Best version of k against the worst scenario.
-    xk_b, yk_b = lower_x[:, k], upper_y[:, k]
-    dxb, dyb, _ = direction.resolve_at(xk_b, yk_b)
-    try:
-        d_low = directional_distance(upper_x, lower_y, xk_b, yk_b, dxb, dyb)
-    except LpInfeasible:
-        d_low = 0.0
+    # Best version of k against the worst scenario, with column k swapped
+    # for that best version so that it can anchor the solve.  The swap
+    # gives max(D*, 0), D* being the optimum against the unswapped worst
+    # scenario (-inf when infeasible): the clamped bound defined above.
+    # Every point of the unswapped hull stays feasible, as k's worst version
+    # is dominated by its best, so the value is >= D*; the anchor makes it
+    # >= 0.  A point with weight w < 1 on column k that reaches D > 0
+    # rescales (divide the other weights by 1 - w) to a point of the
+    # unswapped hull reaching D / (1 - w) >= D; with w = 1 no D > 0 is
+    # reached, the direction being >= 0 with a positive component.  So a
+    # best version the worst frontier envelops keeps its distance, and a
+    # super-efficient one gets exactly 0.
+    dxb, dyb, _ = direction.resolve_at(lower_x, upper_y)
+    d_low = np.empty(data.n)
+    for k in range(data.n):
+        X, Y = upper_x.copy(), lower_y.copy()
+        X[:, k], Y[:, k] = lower_x[:, k], upper_y[:, k]
+        d_low[k] = directional_distance(X, Y, X[:, k], Y[:, k], dxb[:, k], dyb[:, k], k)
     return d_low, d_high

@@ -72,14 +72,6 @@ class BucketScheme:
         mids[1:] = (np.arange(1, self.count + 1) - 0.5) * self.width
         return mids
 
-    def index(self, d: float) -> int:
-        if d < -self.zero_tol:
-            raise ValidationError("distances must be >= 0")
-        if d <= self.zero_tol:
-            return 0
-        g = int(math.ceil(d / self.width - 1e-12))
-        return min(max(g, 1), self.count)
-
 
 def erii_counts(samples, scheme: BucketScheme) -> np.ndarray:
     """Integer bucket occupancies; exact building block for the index."""

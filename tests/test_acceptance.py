@@ -81,10 +81,10 @@ def test_criterion_2_proposition_2_containment():
     dm = run_hr_dea(data, sets, d, t=2000, seed=7, threads=2)
     lo, hi = stacked - w, stacked + w
     m = data.m
+    d_low, d_high = interval_dea_bounds(data, lo[:m], hi[:m], lo[m:], hi[m:], d)
     for k in range(n):
-        d_low, d_high = interval_dea_bounds(data, lo[:m], hi[:m], lo[m:], hi[m:], k, d)
-        assert dm.values[k].min() >= d_low - 1e-9, f"DMU {k} below lower bound"
-        assert dm.values[k].max() <= d_high + 1e-9, f"DMU {k} above upper bound"
+        assert dm.values[k].min() >= d_low[k] - 1e-9, f"DMU {k} below lower bound"
+        assert dm.values[k].max() <= d_high[k] + 1e-9, f"DMU {k} above upper bound"
     # same streams: the first 200 columns are exactly the t=200 run
     width_small = dm.values[:, :200].max(axis=1) - dm.values[:, :200].min(axis=1)
     width_large = dm.values.max(axis=1) - dm.values.min(axis=1)

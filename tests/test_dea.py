@@ -3,6 +3,9 @@ brute-force grid oracles before the simplex answer is trusted."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.optimize import linprog
 
 from hrdea import lp
@@ -174,12 +177,11 @@ def test_interval_bounds_fixture(two_dmu):
     ux = np.array([[1.0, 2.5]])
     ly = uy = np.array([[1.0, 1.0]])
     d = Direction.input_oriented()
-    d_low, d_high = interval_dea_bounds(two_dmu, lx, ux, ly, uy, 1, d)
-    assert d_low == pytest.approx(1.0 / 3.0, abs=1e-9)
-    assert d_high == pytest.approx(0.6, abs=1e-9)
-    d_low, d_high = interval_dea_bounds(two_dmu, lx, ux, ly, uy, 0, d)
-    assert d_low == pytest.approx(0.0, abs=1e-9)
-    assert d_high == pytest.approx(0.0, abs=1e-9)
+    d_low, d_high = interval_dea_bounds(two_dmu, lx, ux, ly, uy, d)
+    assert d_low[1] == pytest.approx(1.0 / 3.0, abs=1e-9)
+    assert d_high[1] == pytest.approx(0.6, abs=1e-9)
+    assert d_low[0] == pytest.approx(0.0, abs=1e-9)
+    assert d_high[0] == pytest.approx(0.0, abs=1e-9)
 
 
 def test_interval_bounds_degenerate_equal_plain(two_dmu):
@@ -187,9 +189,9 @@ def test_interval_bounds_degenerate_equal_plain(two_dmu):
     ly = uy = two_dmu.Y
     d = Direction.input_oriented()
     plain = solve_directional(two_dmu, 1, d).distance
-    d_low, d_high = interval_dea_bounds(two_dmu, lx, ux, ly, uy, 1, d)
-    assert d_low == pytest.approx(plain, abs=1e-9)
-    assert d_high == pytest.approx(plain, abs=1e-9)
+    d_low, d_high = interval_dea_bounds(two_dmu, lx, ux, ly, uy, d)
+    assert d_low[1] == pytest.approx(plain, abs=1e-9)
+    assert d_high[1] == pytest.approx(plain, abs=1e-9)
 
 
 def test_interval_bounds_crossed_rejected(two_dmu):
@@ -197,7 +199,7 @@ def test_interval_bounds_crossed_rejected(two_dmu):
     ux = np.array([[1.0, 2.5]])
     ly = uy = two_dmu.Y
     with pytest.raises(ValidationError):
-        interval_dea_bounds(two_dmu, lx, ux, ly, uy, 1, Direction.input_oriented())
+        interval_dea_bounds(two_dmu, lx, ux, ly, uy, Direction.input_oriented())
 
 
 def _random_instance(rng, n=None, m=None, s=None):
@@ -284,6 +286,9 @@ def highs_distance(X, Y, xk, yk, dx, dy) -> float:
     The direction is first scaled to a largest component of one, and D back
     by the same factor: HiGHS takes a coefficient below 1e-9 as zero, and a
     direction resolved at a cell floored to INPUT_FLOOR has one of 1e-12.
+    HiGHS's feasibility tolerances are tightened from 1e-7 to 1e-10: at 1e-7
+    a box 1e-9 wide reads as D = 1e-9 where D = 0.  An infeasible LP gives
+    -inf.
     """
     scale = max(dx.max(), dy.max())
     dx, dy = dx / scale, dy / scale
@@ -294,7 +299,11 @@ def highs_distance(X, Y, xk, yk, dx, dy) -> float:
     b_ub = np.concatenate([xk, -yk])
     a_eq = np.concatenate([np.ones(n), [0.0]])[None, :]
     res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=[1.0],
-                  bounds=[(0.0, None)] * n + [(None, None)], method="highs")
+                  bounds=[(0.0, None)] * n + [(None, None)], method="highs",
+                  options={"primal_feasibility_tolerance": 1e-10,
+                           "dual_feasibility_tolerance": 1e-10})
+    if res.status == 2:
+        return -np.inf
     assert res.status == 0, res.message
     return float(-res.fun) / scale
 
@@ -392,6 +401,13 @@ def test_batch_rejects_anchor_that_does_not_dominate():
         directional_distances(X, Y, X[:, [0]], Y[:, [0]], X[:, [0]], Y[:, [0]], [1])
 
 
+def test_single_distance_rejects_anchor_that_does_not_dominate():
+    X = np.array([[1.0, 2.0]])
+    Y = np.array([[1.0, 1.0]])
+    with pytest.raises(ValidationError):
+        directional_distance(X, Y, X[:, 0], Y[:, 0], X[:, 0], Y[:, 0], anchor=1)
+
+
 # A weak-model world at hospital magnitudes (beds and staff in the hundreds,
 # outputs in the thousands): a pooled 27 x 4 panel drawn like the
 # weak-panel-n108 benchmark workload with inputs x500, outputs x5000 and the
@@ -429,7 +445,7 @@ def test_two_phase_answer_that_breaks_ax_eq_b_raises():
         weak_disposability_distance(
             X, Y, U, X[:, k], Y[:, k], U[:, k], X[:, k], Y[:, k], U[:, k]
         )
-    # not LpInfeasible, which interval_dea_bounds would turn into a 0.0 bound
+    # not LpInfeasible: the LP is feasible, its answer is what went wrong
     assert not isinstance(info.value, LpInfeasible)
 
 
@@ -512,14 +528,15 @@ def order_one_world(n):
 @pytest.mark.parametrize("n", [2, 30])
 @pytest.mark.parametrize("mode", sorted(DIRECTIONS))
 def test_cold_plain_distance_matches_highs(mode, n):
-    # No anchor: each DMU and a dominated version of it, off the data.
+    # Each DMU and a dominated version of it, off the data, both anchored
+    # at the DMU's column.
     points = scenario_world(np.random.default_rng(3000 + n), n)
     X, Y = points[:2], points[2:]
     for xk, yk in ((X, Y), (1.2 * X, 0.8 * Y)):
         dx, dy, _ = DIRECTIONS[mode].resolve_at(xk, yk)
         for k in range(n):
             args = (X, Y, xk[:, k], yk[:, k], dx[:, k], dy[:, k])
-            assert_matches(directional_distance(*args), highs_distance(*args))
+            assert_matches(directional_distance(*args, anchor=k), highs_distance(*args))
 
 
 @pytest.mark.parametrize("n", [2, 30])
@@ -555,3 +572,39 @@ def test_weak_model_matches_highs(mode, n):
                        highs_model(*args, dist=sol.distance))
         assert_rows_hold(sol, data, k, direction)
         assert_matches(sol.alpha + sol.beta, sol.intensities)
+
+
+# --- interval bounds against HiGHS ----------------------------------------
+
+
+def test_interval_bounds_match_highs():
+    """Both bounds of every DMU against HiGHS on order-one boxes: the worst
+    version against the best scenario, the best version against the worst
+    scenario with an infeasible or negative optimum reported as 0."""
+    super_efficient = []
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(
+        n=st.integers(2, 12),
+        mode=st.sampled_from(sorted(DIRECTIONS)),
+        data=st.data(),
+    )
+    def check(n, mode, data):
+        cells = st.floats(0.5, 2.0)
+        lower = data.draw(arrays(float, (3, n), elements=cells))
+        upper = lower + data.draw(arrays(float, (3, n), elements=st.floats(0.0, 1.0)))
+        direction = DIRECTIONS[mode]
+        d_low, d_high = interval_dea_bounds(from_arrays(lower[:2], lower[2:]), lower[:2],
+                                            upper[:2], lower[2:], upper[2:], direction)
+        for k in range(n):
+            xw, yw = upper[:2, k], lower[2:, k]
+            dx, dy, _ = direction.resolve_at(xw, yw)
+            high = highs_distance(lower[:2], upper[2:], xw, yw, dx, dy)
+            xb, yb = lower[:2, k], upper[2:, k]
+            dx, dy, _ = direction.resolve_at(xb, yb)
+            low = highs_distance(upper[:2], lower[2:], xb, yb, dx, dy)
+            super_efficient.append(low < 0.0)
+            assert_matches([d_low[k], d_high[k]], [max(low, 0.0), high])
+
+    check()
+    assert any(super_efficient)

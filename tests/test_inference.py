@@ -68,9 +68,9 @@ def test_erii_sums_to_one_exactly():
 
 def test_bucket_edges_are_half_open():
     scheme = BucketScheme(width=0.01, count=3)
-    assert scheme.index(0.01) == 1
-    assert scheme.index(0.010000001) == 2
-    assert scheme.index(1e-10) == 0  # zero tolerance
+    assert erii_counts([0.01], scheme)[1] == 1
+    assert erii_counts([0.010000001], scheme)[2] == 1
+    assert erii_counts([1e-10], scheme)[0] == 1  # zero tolerance
 
 
 def test_bucket_count_guard():

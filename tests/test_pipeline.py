@@ -82,6 +82,24 @@ def test_traced_entry_points_resolve(monkeypatch):
     assert len(columns) == 1 + 3  # the centroids, then one per world
 
 
+def test_benchmark_workloads_resolve(monkeypatch):
+    """perfbench/workloads.py imports hrdea's API by name and checks
+    bench-n300 with anchored distances; an API change that breaks either
+    fails here."""
+    root = Path(__file__).resolve().parents[1] / "perfbench"
+    monkeypatch.syspath_prepend(str(root))  # workloads.py imports oracle.py
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  root / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    data = random_instance(np.random.default_rng(6), 5)
+    X, Y = data.X, data.Y
+    for k in range(data.n):
+        d = workloads.directional_distance(X, Y, X[:, k], Y[:, k], np.zeros(data.m),
+                                           Y[:, k], anchor=k)
+        assert d == solve_directional(data, k, Direction.output_oriented()).distance
+
+
 def test_shape_contract():
     rng = np.random.default_rng(3)
     data = random_instance(rng, 10)
@@ -106,8 +124,8 @@ def test_single_uncertain_dmu_stays_within_interval_bounds():
     lx = np.array([[1.0, 1.5]])
     ux = np.array([[1.0, 2.5]])
     ly = uy = np.array([[1.0, 1.0]])
-    d_low, d_high = interval_dea_bounds(data, lx, ux, ly, uy, 1, d)
-    assert d_low - 1e-9 <= lo and hi <= d_high + 1e-9
+    d_low, d_high = interval_dea_bounds(data, lx, ux, ly, uy, d)
+    assert d_low[1] - 1e-9 <= lo and hi <= d_high[1] + 1e-9
 
 
 def test_box_sets_contained_in_interval_bounds():
@@ -120,12 +138,10 @@ def test_box_sets_contained_in_interval_bounds():
     w = 0.1 * stacked
     lo, hi = stacked - w, stacked + w
     m = data.m
+    d_low, d_high = interval_dea_bounds(data, lo[:m], hi[:m], lo[m:], hi[m:], d)
     for k in range(data.n):
-        d_low, d_high = interval_dea_bounds(
-            data, lo[:m], hi[:m], lo[m:], hi[m:], k, d
-        )
-        assert dm.values[k].min() >= d_low - 1e-9
-        assert dm.values[k].max() <= d_high + 1e-9
+        assert dm.values[k].min() >= d_low[k] - 1e-9
+        assert dm.values[k].max() <= d_high[k] + 1e-9
 
 
 def test_prefix_property_and_width_growth():
