@@ -8,7 +8,6 @@ with each alternative, and compare against the gap-free scores.
 from __future__ import annotations
 
 import csv
-import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -32,7 +31,7 @@ from .dea import directional_distance  # noqa: F401
 from .errors import ValidationError
 # Imported by name, so the tracer's pipeline.column spans count the
 # sampled worlds only.
-from .pipeline import _column_distances, run_hr_dea
+from .pipeline import _column_distances, run_hr_dea, write_header
 from .sampler import RngStream
 
 ALTERNATIVES = (
@@ -217,8 +216,7 @@ def run_benchmark(
 def save_benchmark(report: BenchmarkReport, path) -> None:
     """CSV table: one row per (alternative, metric), one column per scenario."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("# hrdea benchmark-report v1\n")
-        fh.write(f"# config: {json.dumps(report.config, sort_keys=True)}\n")
+        write_header(fh, "benchmark-report", report.config)
         writer = csv.writer(fh)
         writer.writerow(["alternative", "metric", *report.scenarios, "mean"])
         for alt in ALTERNATIVES:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import os
 import sys
 
@@ -27,7 +26,7 @@ from .inference import (
     robustness_report,
     save_report,
 )
-from .pipeline import load_distance_matrix, run_hr_dea, save_distance_matrix
+from .pipeline import load_distance_matrix, run_hr_dea, save_distance_matrix, write_header
 from .setspec import build_sets, parse_set_spec
 
 
@@ -57,11 +56,6 @@ def _direction(args) -> Direction:
     return Direction(args.orientation)
 
 
-def _write_header(fh, name: str, config: dict):
-    fh.write(f"# hrdea {name} v1\n")
-    fh.write(f"# config: {json.dumps(config, sort_keys=True)}\n")
-
-
 def _cmd_solve(args) -> int:
     data = _load(args)
     direction = _direction(args)
@@ -74,7 +68,7 @@ def _cmd_solve(args) -> int:
         "eps": args.eps,
     }
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        _write_header(fh, "distances", config)
+        write_header(fh, "distances", config)
         writer = csv.writer(fh)
         writer.writerow(["dmu", "distance", "objective"])
         for k, dmu in enumerate(data.dmu_ids):
@@ -105,6 +99,26 @@ def _run_matrix(args):
     )
 
 
+def _write_density(path, dm, dmu: str, fit) -> None:
+    """Beta density curve of one DMU of ``dm``, with the fit in the header."""
+    config = {
+        "dmu": dmu,
+        "alpha": fit.alpha,
+        "beta": fit.beta,
+        "q1": fit.q1,
+        "q2": fit.q2,
+        "ks": fit.ks_statistic,
+        "seed": dm.seed,
+        "source": dm.config,
+    }
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        write_header(fh, "density", config)
+        writer = csv.writer(fh)
+        writer.writerow(["x", "y"])
+        for x, y in beta_density_points(fit):
+            writer.writerow([repr(float(x)), repr(float(y))])
+
+
 def _analyze_matrix(matrix_path, outdir, tau, width) -> int:
     dm = load_distance_matrix(matrix_path)
     report = robustness_report(dm, tau=tau, bucket_width=width)
@@ -113,13 +127,16 @@ def _analyze_matrix(matrix_path, outdir, tau, width) -> int:
     save_report(report, report_path, source_config=dm.config)
     scheme = report.scheme
     mids = scheme.midpoints()
-    source = {"seed": dm.seed, "source": dm.config}
     for j, dmu in enumerate(dm.dmu_ids):
         samples = dm.values[j]
         counts = erii_counts(samples, scheme)
         hist_path = os.path.join(outdir, f"hist_{dmu}.csv")
         with open(hist_path, "w", newline="", encoding="utf-8") as fh:
-            _write_header(fh, "histogram", {"dmu": dmu, "bucket_width": width, **source})
+            write_header(
+                fh,
+                "histogram",
+                {"dmu": dmu, "bucket_width": width, "seed": dm.seed, "source": dm.config},
+            )
             writer = csv.writer(fh)
             writer.writerow(["x", "y"])
             for x, c in zip(mids, counts):
@@ -128,25 +145,7 @@ def _analyze_matrix(matrix_path, outdir, tau, width) -> int:
             fit = fit_beta(samples)
         except (DegenerateFitError, HrdeaError):
             continue
-        density_path = os.path.join(outdir, f"density_{dmu}.csv")
-        with open(density_path, "w", newline="", encoding="utf-8") as fh:
-            _write_header(
-                fh,
-                "density",
-                {
-                    "dmu": dmu,
-                    "alpha": fit.alpha,
-                    "beta": fit.beta,
-                    "q1": fit.q1,
-                    "q2": fit.q2,
-                    "ks": fit.ks_statistic,
-                    **source,
-                },
-            )
-            writer = csv.writer(fh)
-            writer.writerow(["x", "y"])
-            for x, y in beta_density_points(fit):
-                writer.writerow([repr(float(x)), repr(float(y))])
+        _write_density(os.path.join(outdir, f"density_{dmu}.csv"), dm, dmu, fit)
     print(f"wrote {report_path}")
     return 0
 
@@ -185,22 +184,7 @@ def _cmd_density(args) -> int:
     dm = load_distance_matrix(args.matrix)
     samples = dm.row(args.dmu)
     fit = fit_beta(samples)
-    config = {
-        "dmu": args.dmu,
-        "alpha": fit.alpha,
-        "beta": fit.beta,
-        "q1": fit.q1,
-        "q2": fit.q2,
-        "ks": fit.ks_statistic,
-        "seed": dm.seed,
-        "source": dm.config,
-    }
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        _write_header(fh, "density", config)
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y"])
-        for x, y in beta_density_points(fit):
-            writer.writerow([repr(float(x)), repr(float(y))])
+    _write_density(args.out, dm, args.dmu, fit)
     print(
         f"beta fit for {args.dmu}: alpha={fit.alpha:.4f} beta={fit.beta:.4f} "
         f"support=[{fit.q1:.6f}, {fit.q2:.6f}] ks={fit.ks_statistic:.4f}"

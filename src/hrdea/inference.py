@@ -18,7 +18,7 @@ import numpy as np
 from scipy import stats
 
 from .errors import DegenerateFitError, HrdeaError, ValidationError
-from .pipeline import DistanceMatrix
+from .pipeline import DistanceMatrix, write_header
 
 ZERO_TOL = 1e-9
 DEFAULT_WIDTH = 0.01
@@ -376,8 +376,7 @@ def save_report(report: RobustnessReport, path, source_config: dict | None = Non
     """CSV report, one row per DMU, with a config comment header."""
     header = {"tau": report.tau, "bucket_width": report.bucket_width}
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("# hrdea robustness-report v1\n")
-        fh.write(f"# config: {json.dumps(header, sort_keys=True)}\n")
+        write_header(fh, "robustness-report", header)
         if source_config is not None:
             fh.write(f"# source: {json.dumps(source_config, sort_keys=True)}\n")
         writer = csv.writer(fh)

@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -28,7 +30,6 @@ from .geometry import UncertaintySet
 from .sampler import RngStream, WalkState, XI_LAWS, step
 
 INPUT_FLOOR = 1e-12
-FORMAT_NAME = "hrdea distance-matrix v1"
 
 
 @dataclass(frozen=True)
@@ -92,12 +93,20 @@ def _column_distances(points: np.ndarray, m: int, s: int, model: str, direction:
     return directional_distances(X, Y, X, Y, dx, dy, np.arange(n))
 
 
-def _solve_block(args):
-    start, block, m, s, model, direction = args
-    cols = [
-        _column_distances(block[i], m, s, model, direction) for i in range(block.shape[0])
-    ]
-    return start, np.column_stack(cols) if cols else np.empty((0, 0))
+def _worlds(sets: list[UncertaintySet], xi_laws, seed: int, t: int):
+    """Advance every DMU's walk one step per world and yield its z-by-n points.
+
+    The walk stays serial, so the recurrence is exact; the step of DMU j in
+    world ell draws from its own (seed, ell*n + j) stream.
+    """
+    n = len(sets)
+    states = [WalkState(point=uset.center.copy()) for uset in sets]
+    for ell in range(1, t + 1):
+        for j in range(n):
+            states[j] = step(
+                sets[j], states[j], RngStream(seed, ell * n + j), xi_law=xi_laws[j]
+            )
+        yield np.column_stack([state.point for state in states])
 
 
 def run_hr_dea(
@@ -116,6 +125,9 @@ def run_hr_dea(
     ``sets`` holds one uncertainty set per DMU (a point set encodes perfect
     knowledge).  Walk steps for DMU j at iteration ell draw from the Philox
     stream (seed, ell*n + j), so results do not depend on ``threads``.
+    Each world is walked when it is scored: a serial run holds one world of
+    points at a time, and with ``threads > 1`` the pool scores the first
+    worlds while the rest are still being walked.
     """
     n = data.n
     if t < 1:
@@ -142,35 +154,26 @@ def run_hr_dea(
         if law not in XI_LAWS:
             raise ValidationError(f"unknown xi law {law!r}")
 
-    # Serial walk advance: keeps the recurrence exact, and each step draws
-    # from its own (seed, ell*n + j) stream.
-    states = [WalkState(point=uset.center.copy()) for uset in sets]
-    points = np.empty((t, data.z, n))
-    for ell in range(1, t + 1):
-        for j in range(n):
-            states[j] = step(
-                sets[j], states[j], RngStream(seed, ell * n + j), xi_law=xi_laws[j]
-            )
-            points[ell - 1, :, j] = states[j].point
-
     centroids = np.column_stack([uset.center for uset in sets])
     baseline = _column_distances(centroids, data.m, data.s, model, direction)
 
-    values = np.empty((n, t))
-    if threads <= 1 or t == 1:
-        for ell in range(t):
-            values[:, ell] = _column_distances(points[ell], data.m, data.s, model, direction)
-    else:
-        nblocks = min(t, threads * 4)
-        edges = np.linspace(0, t, nblocks + 1, dtype=int)
-        tasks = [
-            (int(a), points[a:b], data.m, data.s, model, direction)
-            for a, b in zip(edges[:-1], edges[1:])
-            if b > a
-        ]
+    args = (
+        _worlds(sets, xi_laws, seed, t),
+        repeat(data.m),
+        repeat(data.s),
+        repeat(model),
+        repeat(direction),
+    )
+    if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            for start, block in pool.map(_solve_block, tasks):
-                values[:, start : start + block.shape[1]] = block
+            columns = list(
+                pool.map(_column_distances, *args, chunksize=math.ceil(t / (4 * threads)))
+            )
+    else:
+        columns = map(_column_distances, *args)
+    values = np.empty((n, t))
+    for ell, column in enumerate(columns):
+        values[:, ell] = column
 
     config = {
         "t": t,
@@ -189,11 +192,17 @@ def run_hr_dea(
     )
 
 
+def write_header(fh, name: str, config: dict) -> None:
+    """The comment lines that open every hrdea artifact: format name and
+    version, then the config as sorted JSON."""
+    fh.write(f"# hrdea {name} v1\n")
+    fh.write(f"# config: {json.dumps(config, sort_keys=True)}\n")
+
+
 def save_distance_matrix(dm: DistanceMatrix, path) -> None:
     """CSV with a comment header carrying the full config and seed."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(f"# {FORMAT_NAME}\n")
-        fh.write(f"# config: {json.dumps(dm.config, sort_keys=True)}\n")
+        write_header(fh, "distance-matrix", dm.config)
         writer = csv.writer(fh)
         writer.writerow(["dmu", "d0", *(f"iter_{i+1}" for i in range(dm.t))])
         for j, dmu in enumerate(dm.dmu_ids):
@@ -203,32 +212,45 @@ def save_distance_matrix(dm: DistanceMatrix, path) -> None:
 
 
 def load_distance_matrix(path) -> DistanceMatrix:
-    config = {}
+    """Read a matrix CSV; a malformed line raises ParseError with its number."""
+    config, seed = {}, 0
     with open(path, newline="", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     body = []
-    for line in lines:
+    for line_no, line in enumerate(lines, start=1):
         if line.startswith("#"):
             text = line[1:].strip()
             if text.startswith("config:"):
-                config = json.loads(text[len("config:") :])
+                try:
+                    config = json.loads(text[len("config:") :])
+                    seed = int(config.get("seed", 0))
+                except (AttributeError, TypeError, ValueError):
+                    raise ParseError(
+                        "config is not a JSON object with an integer seed", line_no
+                    ) from None
         elif line.strip():
-            body.append(line)
+            body.append((line_no, line))
     if not body:
         raise ParseError("no data rows in distance matrix file")
-    reader = csv.reader(body)
-    header = next(reader)
+    parsed = ((line_no, next(csv.reader([line]))) for line_no, line in body)
+    header_no, header = next(parsed)
     if header[:2] != ["dmu", "d0"]:
-        raise ParseError("unexpected distance-matrix header")
+        raise ParseError("unexpected distance-matrix header", header_no)
     ids, baseline, rows = [], [], []
-    for row in reader:
+    for line_no, row in parsed:
+        if len(row) != len(header):
+            raise ParseError(f"expected {len(header)} fields, got {len(row)}", line_no)
+        try:
+            numbers = [float(v) for v in row[1:]]
+        except ValueError:
+            raise ParseError(f"non-numeric distance in row {row[0]!r}", line_no) from None
         ids.append(row[0])
-        baseline.append(float(row[1]))
-        rows.append([float(v) for v in row[2:]])
+        baseline.append(numbers[0])
+        rows.append(numbers[1:])
     return DistanceMatrix(
         dmu_ids=tuple(ids),
         values=np.array(rows, dtype=float),
         baseline=np.array(baseline, dtype=float),
-        seed=int(config.get("seed", 0)),
+        seed=seed,
         config=config,
     )

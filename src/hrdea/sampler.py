@@ -50,30 +50,18 @@ class WalkState:
     iteration: int = 0
 
 
-DIRECTION_LAWS = ("cube", "sphere")
-
-
-def draw_direction(gen: np.random.Generator, z: int, law: str = "cube") -> np.ndarray:
+def draw_direction(gen: np.random.Generator, z: int) -> np.ndarray:
     """Random unit vector.
 
-    The default draws entries uniform(-1, 1) and normalizes (repeating the
-    measure-zero all-zero draw), which weights the cube diagonals slightly;
-    "sphere" draws the rotation-invariant Gaussian direction instead.
-    Either way the full-chord step leaves the uniform law stationary.
+    Draws entries uniform(-1, 1) and normalizes (repeating the measure-zero
+    all-zero draw), which weights the cube diagonals slightly; the full-chord
+    step still leaves the uniform law stationary.
     """
-    if law == "cube":
-        while True:
-            d = gen.uniform(-1.0, 1.0, size=z)
-            norm = np.linalg.norm(d)
-            if norm > 0.0:
-                return d / norm
-    if law == "sphere":
-        while True:
-            d = gen.normal(size=z)
-            norm = np.linalg.norm(d)
-            if norm > 0.0:
-                return d / norm
-    raise ValidationError(f"unknown direction law {law!r}; expected one of {DIRECTION_LAWS}")
+    while True:
+        d = gen.uniform(-1.0, 1.0, size=z)
+        norm = np.linalg.norm(d)
+        if norm > 0.0:
+            return d / norm
 
 
 def draw_xi(gen: np.random.Generator, law: str = "uniform") -> float:
@@ -92,7 +80,6 @@ def hr_step(
     direction: np.ndarray | None = None,
     xi: float | None = None,
     xi_law: str = "uniform",
-    direction_law: str = "cube",
 ) -> WalkState:
     """One Hit & Run step.
 
@@ -119,7 +106,7 @@ def hr_step(
             raise ValidationError("walk point lies outside the set")
         active = uset.active
         d = np.zeros(uset.z)
-        d[active] = draw_direction(gen, int(np.count_nonzero(active)), direction_law)
+        d[active] = draw_direction(gen, int(np.count_nonzero(active)))
     forward = chord_length(uset, p, d, checked=forced)
     step_xi = draw_xi(gen, xi_law) if xi is None else float(xi)
     if forced:
@@ -176,12 +163,11 @@ def step(
     state: WalkState,
     rng: RngStream | None = None,
     xi_law: str = "uniform",
-    direction_law: str = "cube",
 ) -> WalkState:
     """Shape dispatch used by the pipeline."""
     if uset.shape == "superellipsoid":
         return superellipsoid_step(uset, state, rng, xi_law=xi_law)
-    return hr_step(uset, state, rng, xi_law=xi_law, direction_law=direction_law)
+    return hr_step(uset, state, rng, xi_law=xi_law)
 
 
 def hr_sample(
@@ -191,7 +177,6 @@ def hr_sample(
     rng: RngStream | None = None,
     *,
     xi_law: str = "uniform",
-    direction_law: str = "cube",
     burn_in: int = 0,
     thin: int = 1,
 ) -> np.ndarray:
@@ -216,7 +201,7 @@ def hr_sample(
     kept = 0
     total = burn_in + t * thin
     for ell in range(1, total + 1):
-        state = step(uset, state, rng.child(ell), xi_law=xi_law, direction_law=direction_law)
+        state = step(uset, state, rng.child(ell), xi_law=xi_law)
         if ell > burn_in and (ell - burn_in) % thin == 0:
             out[kept] = state.point
             kept += 1

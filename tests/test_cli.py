@@ -130,3 +130,29 @@ def test_missing_file_exits_1(tmp_path):
                  "--inputs", "x1", "--outputs", "y1",
                  "--out", str(tmp_path / "o.csv")])
     assert code == 1
+
+
+MATRIX_HEAD = '# hrdea distance-matrix v1\n# config: {"seed": 1}\ndmu,d0,iter_1\n'
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        (MATRIX_HEAD + "A,0.1,0.2\nB,0.1\n", 5),
+        (MATRIX_HEAD + "A,0.1,abc\n", 4),
+        (MATRIX_HEAD + "A,0.1,0.2\nB\n", 5),
+        ("# config: {not json\ndmu,d0\nA,0.1\n", 1),
+        ("# config: [1]\ndmu,d0\nA,0.1\n", 1),
+        ('# config: {"seed": "x"}\ndmu,d0\nA,0.1\n', 1),
+    ],
+    ids=["ragged-row", "non-numeric-cell", "id-only-row", "bad-json", "config-not-object",
+         "bad-seed"],
+)
+def test_malformed_matrix_exits_1(tmp_path, capsys, text, line):
+    matrix = tmp_path / "matrix.csv"
+    matrix.write_text(text)
+    assert main(["analyze", "--matrix", str(matrix), "--outdir", str(tmp_path)]) == 1
+    assert f"error: line {line}:" in capsys.readouterr().err
+    assert main(["density", "--matrix", str(matrix), "--dmu", "A",
+                 "--out", str(tmp_path / "d.csv")]) == 1
+    assert f"error: line {line}:" in capsys.readouterr().err

@@ -1,4 +1,5 @@
 import importlib.util
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -163,12 +164,36 @@ def test_determinism_across_threads():
     data = random_instance(rng, 6)
     sets = box_sets(data)
     d = Direction.proportional()
-    serial = run_hr_dea(data, sets, d, t=40, seed=17, threads=1)
-    parallel = run_hr_dea(data, sets, d, t=40, seed=17, threads=2)
-    assert np.array_equal(serial.values, parallel.values)
-    assert np.array_equal(serial.baseline, parallel.baseline)
+    # t = 1 and 3 give the pool fewer worlds than 4 * threads chunks
+    for t in (1, 3, 40):
+        serial = run_hr_dea(data, sets, d, t=t, seed=17, threads=1)
+        parallel = run_hr_dea(data, sets, d, t=t, seed=17, threads=2)
+        assert np.array_equal(serial.values, parallel.values)
+        assert np.array_equal(serial.baseline, parallel.baseline)
     again = run_hr_dea(data, sets, d, t=40, seed=17, threads=1)
     assert np.array_equal(serial.values, again.values)
+
+
+def test_serial_run_holds_one_world(monkeypatch):
+    """A serial run scores each world as soon as it is walked, so peak memory
+    grows with t by the matrix column alone, not by the world's z x n points.
+    The LPs are stubbed out: they allocate nothing that outlives a world, and
+    under tracemalloc they would take most of the suite's time."""
+    monkeypatch.setattr(
+        hrdea.pipeline, "_column_distances", lambda points, *args: np.zeros(points.shape[1])
+    )
+    data = random_instance(np.random.default_rng(11), 20, m=3, s=2)
+    sets = point_sets(data)
+    peaks = {}
+    for t in (500, 2500):
+        tracemalloc.start()
+        try:
+            run_hr_dea(data, sets, Direction.proportional(), t=t, seed=1)
+            peaks[t] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    per_world = (peaks[2500] - peaks[500]) / 2000
+    assert per_world < data.z * data.n * 8 / 2
 
 
 def test_masked_cells_need_set_centers():
