@@ -19,13 +19,7 @@ from .benchmark import run_benchmark, save_benchmark
 from .dataset import Direction, load_dataset
 from .dea import solve_directional, solve_weak_disposability
 from .errors import DegenerateFitError, HrdeaError
-from .inference import (
-    beta_density_points,
-    erii_counts,
-    fit_beta,
-    robustness_report,
-    save_report,
-)
+from .inference import beta_density_points, erii, fit_beta, robustness_report, save_report
 from .pipeline import load_distance_matrix, run_hr_dea, save_distance_matrix, write_header
 from .setspec import build_sets, parse_set_spec
 
@@ -129,7 +123,6 @@ def _analyze_matrix(matrix_path, outdir, tau, width) -> int:
     mids = scheme.midpoints()
     for j, dmu in enumerate(dm.dmu_ids):
         samples = dm.values[j]
-        counts = erii_counts(samples, scheme)
         hist_path = os.path.join(outdir, f"hist_{dmu}.csv")
         with open(hist_path, "w", newline="", encoding="utf-8") as fh:
             write_header(
@@ -139,8 +132,8 @@ def _analyze_matrix(matrix_path, outdir, tau, width) -> int:
             )
             writer = csv.writer(fh)
             writer.writerow(["x", "y"])
-            for x, c in zip(mids, counts):
-                writer.writerow([repr(float(x)), repr(float(c / counts.sum()))])
+            for x, y in zip(mids, erii(samples, scheme)):
+                writer.writerow([repr(float(x)), repr(float(y))])
         try:
             fit = fit_beta(samples)
         except (DegenerateFitError, HrdeaError):

@@ -9,7 +9,7 @@ the center; a set with all semi-axes zero degenerates to a single point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -90,6 +90,12 @@ class UncertaintySet:
         return self.semi_axes > 0
 
     @property
+    def layout(self) -> tuple:
+        """What stacked sets share: shape, dimension, free and constraint counts."""
+        rows = 0 if self.rows_b is None else self.rows_b.size
+        return self.shape, self.z, int(np.count_nonzero(self.active)), rows
+
+    @property
     def is_point(self) -> bool:
         if self.shape == "point":
             return True
@@ -137,134 +143,127 @@ def _broadcast_axes(center, semi_axes):
     return w
 
 
+class SetStack:
+    """k sets of one ``layout``, stacked so that each rule below runs once for
+    all of them.  Dot products run over each member's free coordinates as a
+    stacked ``matmul``, which calls the BLAS dot or gemv of the member's own
+    ``u @ v`` with the same length: each member gets its batch-of-one bits."""
+
+    def __init__(self, sets):
+        if len({u.layout for u in sets}) != 1:
+            raise ValidationError("stacked sets must share one layout")
+        self.shape, self.center = sets[0].shape, np.array([u.center for u in sets])
+        self.frozen = ~np.array([u.active for u in sets])
+        k, z = self.center.shape
+        free = np.array([np.flatnonzero(~f) for f in self.frozen]).reshape(k, -1)
+        self.flat = free + z * np.arange(k)[:, None]  # flat indices of the free coordinates
+        self.mid = self.take(self.center)
+        if self.shape == "polytope":
+            self.rows_a, self.rows_b = (np.array([getattr(u, f) for u in sets])
+                                        for f in ("rows_a", "rows_b"))
+        else:
+            self.semi = self.take(np.array([u.semi_axes for u in sets]))
+        if self.shape == "superellipsoid":
+            self.orders = np.array([u.orders for u in sets]).T
+
+    def take(self, rows: np.ndarray) -> np.ndarray:
+        """The free coordinates of each member's row of a (k, z) array."""
+        return rows.take(self.flat)
+
+    def blocked(self, D: np.ndarray) -> np.ndarray:
+        """Rows of D that push along a coordinate fixed at the center."""
+        return ((np.abs(D) > DENOM_TOL) & self.frozen).any(axis=1)
+
+
+def _dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return (u[:, None, :] @ v[:, :, None])[:, 0, 0]
+
+
+def _products(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return (a @ v[:, :, None])[:, :, 0]
+
+
+def contains_many(stack: SetStack, P: np.ndarray, tol: float = CONTAIN_TOL) -> np.ndarray:
+    """Membership of each row of P in its member set, with a small outward slack."""
+    inside = ~(P < -tol).any(axis=1)
+    if stack.shape == "polytope":
+        return inside & (_products(stack.rows_a, P) <= stack.rows_b + tol).all(axis=1)
+    dev = P - stack.center
+    inside &= ~((np.abs(dev) > tol) & stack.frozen).any(axis=1)
+    t = stack.take(dev) / stack.semi
+    if stack.shape == "ellipsoid":
+        return inside & (_dots(t, t) <= 1 + tol)
+    if stack.shape == "rhombus":
+        return inside & (np.abs(t).sum(axis=1) <= 1 + tol)
+    if stack.shape == "superellipsoid":
+        (o1, o2), (tx, ty, tu) = stack.orders, np.abs(t).T
+        return inside & ((tx**o1 + ty**o1) ** (o2 / o1) + tu**o2 <= 1 + tol)
+    return inside & (np.abs(t) <= 1 + tol).all(axis=1)  # box; a point set has no t
+
+
 def contains(uset: UncertaintySet, point, tol: float = CONTAIN_TOL) -> bool:
     """Membership test with a small outward slack."""
     p = np.asarray(point, dtype=float).ravel()
     if p.shape != uset.center.shape:
         raise ValidationError("point dimension does not match the set")
-    if np.any(p < -tol):
-        return False
-    if uset.shape == "polytope":
-        return bool(np.all(uset.rows_a @ p <= uset.rows_b + tol))
-    dev = p - uset.center
-    active = uset.active
-    if np.any(np.abs(dev[~active]) > tol):
-        return False
-    if not active.any():
-        return True
-    t = dev[active] / uset.semi_axes[active]
-    if uset.shape == "box":
-        return bool(np.all(np.abs(t) <= 1 + tol))
-    if uset.shape == "ellipsoid":
-        return bool(t @ t <= 1 + tol)
-    if uset.shape == "rhombus":
-        return bool(np.abs(t).sum() <= 1 + tol)
-    # superellipsoid: all three coordinates are active
-    o1, o2 = uset.orders
-    tx, ty, tu = np.abs(t)
-    value = (tx**o1 + ty**o1) ** (o2 / o1) + tu**o2
-    return bool(value <= 1 + tol)
+    return bool(contains_many(SetStack([uset]), p[None], tol)[0])
 
 
-def _check_chord_inputs(uset: UncertaintySet, p, d):
-    p = np.asarray(p, dtype=float).ravel()
-    d = np.asarray(d, dtype=float).ravel()
-    if p.shape != uset.center.shape or d.shape != uset.center.shape:
-        raise ValidationError("point/direction dimension does not match the set")
-    norm = np.linalg.norm(d)
-    if abs(norm - 1.0) > 1e-6:
-        raise ValidationError(f"direction must have unit norm, got {norm}")
-    if not contains(uset, p):
-        raise ValidationError("chord start point lies outside the set")
-    return p, d
+def _orthant_cap(P: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """Largest step along each row of D that keeps every coordinate non-negative."""
+    caps = np.divide(P, -D, out=np.full(P.shape, np.inf), where=D < -DENOM_TOL)
+    return np.maximum(caps.min(axis=1), 0.0)
 
 
-def _orthant_cap(p: np.ndarray, d: np.ndarray) -> float:
-    """Largest step along d that keeps every coordinate non-negative."""
-    inward = d < -DENOM_TOL
-    if not inward.any():
-        return np.inf
-    caps = p[inward] / -d[inward]
-    return float(max(np.min(caps), 0.0))
-
-
-def _forward_min(num: np.ndarray, den: np.ndarray) -> float:
-    """Smallest non-negative hit among the faces the direction points at.
+def _forward_min(num: np.ndarray, den: np.ndarray, live: np.ndarray) -> np.ndarray:
+    """Smallest non-negative hit among the faces each row's direction points at.
 
     A face is ahead only when its denominator is strictly positive; a zero
     or negative denominator means the ray never reaches that face.  This
     also makes boundary points well-behaved: the
     face a point sits on blocks outward moves (hit at 0) but never inward
-    ones, so the walk cannot freeze there.
+    ones, so the walk cannot freeze there.  Rows not ``live`` are ignored.
     """
     ahead = den > DENOM_TOL
-    if not ahead.any():
+    lam = np.divide(num, den, out=np.full(num.shape, np.inf), where=ahead)
+    lam[~(lam >= -1e-6)] = np.inf
+    first = lam.min(axis=1, initial=np.inf)
+    stuck = live & (first == np.inf)
+    if (stuck & ~ahead.any(axis=1)).any():
         raise HrdeaError("set is unbounded along the sampled direction")
-    lam = num[ahead] / den[ahead]
-    lam = lam[lam >= -1e-6]
-    if lam.size == 0:
+    if stuck.any():
         raise HrdeaError("no forward boundary hit; interior precondition violated")
-    return float(max(np.min(lam), 0.0))
+    return np.maximum(first, 0.0)
 
 
-def _frozen_dims_block(uset, d) -> bool:
-    """True when d pushes along a coordinate that is fixed at the center."""
-    inactive = ~uset.active
-    return bool(inactive.any() and np.any(np.abs(d[inactive]) > DENOM_TOL))
+def _polytope_chords(stack: SetStack, P: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """Distance to the boundary along D for a linear-constraint set."""
+    k, z = P.shape
+    a = np.concatenate([stack.rows_a, np.broadcast_to(-np.eye(z), (k, z, z))], axis=1)
+    b = np.concatenate([stack.rows_b, np.zeros((k, z))], axis=1)
+    return _forward_min(b - _products(a, P), _products(a, D), np.ones(k, dtype=bool))
 
 
-def chord_length_polytope(uset: UncertaintySet, p, d, checked: bool = True) -> float:
-    """Distance to the boundary along d for a linear-constraint set."""
-    if checked:
-        p, d = _check_chord_inputs(uset, p, d)
-    a = np.vstack([uset.rows_a, -np.eye(uset.z)])
-    b = np.concatenate([uset.rows_b, np.zeros(uset.z)])
-    return _forward_min(b - a @ p, a @ d)
-
-
-def chord_length_box(uset: UncertaintySet, p, d, checked: bool = True) -> float:
-    if checked:
-        p, d = _check_chord_inputs(uset, p, d)
-    if _frozen_dims_block(uset, d):
-        return 0.0
-    active = uset.active
-    if not active.any():
-        return 0.0
-    c, w = uset.center[active], uset.semi_axes[active]
-    lo = np.maximum(c - w, 0.0)
-    hi = c + w
-    pa, da = p[active], d[active]
-    if not (np.abs(da) > DENOM_TOL).any():
-        return 0.0
+def _box_chords(stack: SetStack, P: np.ndarray, D: np.ndarray) -> np.ndarray:
+    lo, hi = np.maximum(stack.mid - stack.semi, 0.0), stack.mid + stack.semi
+    pa, da = stack.take(P), stack.take(D)
+    still = stack.blocked(D) | ~(np.abs(da) > DENOM_TOL).any(axis=1)
     # upper faces are ahead when d > 0, lower faces when d < 0
-    num = np.concatenate([hi - pa, pa - lo])
-    den = np.concatenate([da, -da])
-    return _forward_min(num, den)
+    num, den = np.concatenate([hi - pa, pa - lo], axis=1), np.concatenate([da, -da], axis=1)
+    return np.where(still, 0.0, _forward_min(num, den, ~still))
 
 
-def chord_length_ellipsoid(uset: UncertaintySet, p, d, checked: bool = True) -> float:
+def _ellipsoid_chords(stack: SetStack, P: np.ndarray, D: np.ndarray) -> np.ndarray:
     """Smallest positive root of the boundary quadratic, orthant-capped."""
-    if checked:
-        p, d = _check_chord_inputs(uset, p, d)
-    if _frozen_dims_block(uset, d):
-        return 0.0
-    active = uset.active
-    if not active.any():
-        return 0.0
-    w = uset.semi_axes[active]
-    da = d[active] / w
-    dev = (p[active] - uset.center[active]) / w
-    phi = da @ da
-    if phi == 0.0:
-        return 0.0
-    psi = 2.0 * (dev @ da)
-    sigma = dev @ dev - 1.0
+    da, dev = stack.take(D) / stack.semi, (stack.take(P) - stack.mid) / stack.semi
+    phi, psi, sigma = _dots(da, da), 2.0 * _dots(dev, da), _dots(dev, dev) - 1.0
     disc = psi * psi - 4.0 * phi * sigma
-    if disc < -1e-12:
+    still = stack.blocked(D) | (phi == 0.0)
+    if (~still & (disc < -1e-12)).any():
         raise HrdeaError("negative discriminant; start point outside the ellipsoid")
-    root = (-psi + np.sqrt(max(disc, 0.0))) / (2.0 * phi)
-    lam = max(float(root), 0.0)
-    return min(lam, _orthant_cap(p, d))
+    root = np.divide(-psi + np.sqrt(np.maximum(disc, 0.0)), 2.0 * phi,
+                     out=np.zeros(len(P)), where=~still)
+    return np.where(still, 0.0, np.minimum(np.maximum(root, 0.0), _orthant_cap(P, D)))
 
 
 @lru_cache(maxsize=32)
@@ -273,24 +272,49 @@ def _sign_patterns(z: int) -> np.ndarray:
     return (1.0 - 2.0 * bits).astype(float)
 
 
-def chord_length_rhombus(uset: UncertaintySet, p, d, checked: bool = True) -> float:
+def _rhombus_chords(stack: SetStack, P: np.ndarray, D: np.ndarray) -> np.ndarray:
     """Chord against the 2^z implicit faces |.|/w summing to one."""
-    if checked:
-        p, d = _check_chord_inputs(uset, p, d)
-    if _frozen_dims_block(uset, d):
-        return 0.0
-    active = uset.active
-    za = int(np.count_nonzero(active))
-    if za == 0:
-        return 0.0
+    za = stack.flat.shape[1]
     if za > RHOMBUS_MAX_DIM:
-        raise UnsupportedDimensionError(
-            f"rhombus chord limited to {RHOMBUS_MAX_DIM} free dimensions"
-        )
-    a = _sign_patterns(za) / uset.semi_axes[active]
-    num = 1.0 - a @ (p[active] - uset.center[active])
-    den = a @ d[active]
-    return min(_forward_min(num, den), _orthant_cap(p, d))
+        raise UnsupportedDimensionError(f"rhombus chord limited to {RHOMBUS_MAX_DIM} free "
+                                        "dimensions")
+    a = _sign_patterns(za) / stack.semi[:, None, :]
+    num = 1.0 - _products(a, stack.take(P) - stack.mid)
+    still = stack.blocked(D) | (za == 0)
+    lam = np.minimum(_forward_min(num, _products(a, stack.take(D)), ~still), _orthant_cap(P, D))
+    return np.where(still, 0.0, lam)
+
+
+def chord_lengths(stack: SetStack, P: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """Shape-appropriate chord length from each row of P along the unit row of D."""
+    if stack.shape == "point":
+        return np.zeros(len(P))
+    if stack.shape == "superellipsoid":
+        raise ValidationError("superellipsoid sets are sampled through their spherical "
+                              "parametrization")
+    rules = {"box": _box_chords, "ellipsoid": _ellipsoid_chords, "rhombus": _rhombus_chords,
+             "polytope": _polytope_chords}
+    return rules[stack.shape](stack, P, D)
+
+
+def _chord_of_one(rule, uset: UncertaintySet, p, d, checked: bool = True) -> float:
+    """The chord of one set by a vectorized rule (a batch of one)."""
+    P, D = (np.asarray(v, dtype=float).reshape(1, -1) for v in (p, d))
+    if checked:
+        if P.shape[1] != uset.z or D.shape[1] != uset.z:
+            raise ValidationError("point/direction dimension does not match the set")
+        norm = np.linalg.norm(D[0])
+        if abs(norm - 1.0) > 1e-6:
+            raise ValidationError(f"direction must have unit norm, got {norm}")
+        if not contains(uset, P[0]):
+            raise ValidationError("chord start point lies outside the set")
+    return float(rule(SetStack([uset]), P, D)[0])
+
+
+chord_length_box = partial(_chord_of_one, _box_chords)
+chord_length_ellipsoid = partial(_chord_of_one, _ellipsoid_chords)
+chord_length_rhombus = partial(_chord_of_one, _rhombus_chords)
+chord_length_polytope = partial(_chord_of_one, _polytope_chords)
 
 
 def chord_length(uset: UncertaintySet, p, d, checked: bool = True) -> float:
@@ -299,19 +323,7 @@ def chord_length(uset: UncertaintySet, p, d, checked: bool = True) -> float:
     ``checked=False`` skips the interiority/unit-norm validation; the walk
     uses it because its points stay inside the set by construction.
     """
-    if uset.shape == "box":
-        return chord_length_box(uset, p, d, checked)
-    if uset.shape == "ellipsoid":
-        return chord_length_ellipsoid(uset, p, d, checked)
-    if uset.shape == "rhombus":
-        return chord_length_rhombus(uset, p, d, checked)
-    if uset.shape == "polytope":
-        return chord_length_polytope(uset, p, d, checked)
-    if uset.shape == "point":
-        return 0.0
-    raise ValidationError(
-        "superellipsoid sets are sampled through their spherical parametrization"
-    )
+    return _chord_of_one(chord_lengths, uset, p, d, checked)
 
 
 def _signed_power(value: float, exponent: float) -> float:

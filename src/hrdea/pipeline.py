@@ -15,9 +15,10 @@ from __future__ import annotations
 import csv
 import json
 import math
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import islice
 
 import numpy as np
 
@@ -27,7 +28,9 @@ from .dea import directional_distances, weak_disposability_distance
 from .dea import directional_distance  # noqa: F401
 from .errors import ParseError, ValidationError
 from .geometry import UncertaintySet
-from .sampler import RngStream, WalkState, XI_LAWS, step
+from .sampler import Walker
+# Unused here; the tracer in perfbench/spans.py looks this name up.
+from .sampler import step  # noqa: F401
 
 INPUT_FLOOR = 1e-12
 
@@ -93,20 +96,35 @@ def _column_distances(points: np.ndarray, m: int, s: int, model: str, direction:
     return directional_distances(X, Y, X, Y, dx, dy, np.arange(n))
 
 
-def _worlds(sets: list[UncertaintySet], xi_laws, seed: int, t: int):
+def _worlds(walker: Walker, points: np.ndarray, seed: int, t: int):
     """Advance every DMU's walk one step per world and yield its z-by-n points.
 
-    The walk stays serial, so the recurrence is exact; the step of DMU j in
-    world ell draws from its own (seed, ell*n + j) stream.
+    Each world is one ``Walker.step`` over the n DMUs' (n, z) points; DMU j
+    draws from its own (seed, ell*n + j) stream in world ell, so the walk is
+    the serial recurrence, bit for bit.
     """
-    n = len(sets)
-    states = [WalkState(point=uset.center.copy()) for uset in sets]
+    n = len(points)
     for ell in range(1, t + 1):
-        for j in range(n):
-            states[j] = step(
-                sets[j], states[j], RngStream(seed, ell * n + j), xi_law=xi_laws[j]
-            )
-        yield np.column_stack([state.point for state in states])
+        points = walker.step(points, seed, range(ell * n, ell * n + n))
+        yield np.ascontiguousarray(points.T)
+
+
+def _score(worlds, *args):
+    """One pooled chunk: the distances of each of its worlds."""
+    return [_column_distances(points, *args) for points in worlds]
+
+
+def _pooled(worlds, args, threads: int, t: int):
+    """Score the worlds on a process pool, in order.  A chunk holds at most
+    32 worlds and at most two chunks per worker are in flight, so the walk
+    runs only that far ahead of the scores: memory does not grow with t."""
+    chunk = min(math.ceil(t / (4 * threads)), 32)
+    blocks = iter(lambda: list(islice(worlds, chunk)), [])
+    with ProcessPoolExecutor(max_workers=threads) as pool:
+        pending = deque(pool.submit(_score, b, *args) for b in islice(blocks, 2 * threads))
+        while pending:
+            yield from pending.popleft().result()
+            pending.extend(pool.submit(_score, b, *args) for b in islice(blocks, 1))
 
 
 def run_hr_dea(
@@ -126,8 +144,7 @@ def run_hr_dea(
     knowledge).  Walk steps for DMU j at iteration ell draw from the Philox
     stream (seed, ell*n + j), so results do not depend on ``threads``.
     Each world is walked when it is scored: a serial run holds one world of
-    points at a time, and with ``threads > 1`` the pool scores the first
-    worlds while the rest are still being walked.
+    points at a time, and with ``threads > 1`` a bounded window of worlds.
     """
     n = data.n
     if t < 1:
@@ -150,27 +167,16 @@ def run_hr_dea(
         xi_laws = [xi_laws] * n
     if len(xi_laws) != n:
         raise ValidationError("one xi law per DMU required")
-    for law in xi_laws:
-        if law not in XI_LAWS:
-            raise ValidationError(f"unknown xi law {law!r}")
+    walker = Walker(sets, xi_laws)  # checks each law
 
     centroids = np.column_stack([uset.center for uset in sets])
     baseline = _column_distances(centroids, data.m, data.s, model, direction)
 
-    args = (
-        _worlds(sets, xi_laws, seed, t),
-        repeat(data.m),
-        repeat(data.s),
-        repeat(model),
-        repeat(direction),
-    )
+    worlds, args = _worlds(walker, centroids.T, seed, t), (data.m, data.s, model, direction)
     if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            columns = list(
-                pool.map(_column_distances, *args, chunksize=math.ceil(t / (4 * threads)))
-            )
+        columns = _pooled(worlds, args, threads, t)
     else:
-        columns = map(_column_distances, *args)
+        columns = (_column_distances(points, *args) for points in worlds)
     values = np.empty((n, t))
     for ell, column in enumerate(columns):
         values[:, ell] = column

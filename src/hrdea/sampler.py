@@ -10,9 +10,21 @@ reproduces the one-sided construction instead (project the point on the
 boundary along d, jump a fraction of that segment), which is the
 deterministic form the tests pin down.
 
-Randomness comes from counter-based Philox streams keyed by (master seed,
-stream id), so a draw depends only on its stream id and never on execution
-order or thread count.
+Randomness comes from counter-based Philox4x64-10 streams (Salmon et al.
+2011) keyed by (master seed, stream id), so a draw depends only on its
+stream id and never on execution order or thread count.  ``Walker`` steps
+many walks at once.  One vectorized Philox draws all members' words (key
+``[seed, stream]`` masked to 64 bits, blocks from counter 1, each word mapped
+to ``(raw >> 11) * 2**-53``) in ``RngStream.generator``'s order: a word per
+free coordinate for the direction, then xi (psi, phi, xi for a
+superellipsoid), the fifth word on from the next block.  Membership and both
+chords then run once per layout of sets, with every dot product a stacked
+``matmul`` over compacted rows (``d[:, None, :] @ d[:, :, None]``, ``A @
+P[:, :, None]``): it calls the BLAS routine of the scalar ``u @ v``, ``A @ p``
+or ``np.linalg.norm`` with the same length, where ``einsum`` or ``(d *
+d).sum(1)`` would change last bits.  So each member walks bit for bit as it
+would alone.  A direction of norm 0 (the all-zero draw) sends its member to
+the serial generator path.
 """
 
 from __future__ import annotations
@@ -22,9 +34,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ValidationError
-from .geometry import UncertaintySet, chord_length, contains, superellipsoid_boundary_point
+from .geometry import SetStack, UncertaintySet, chord_length, chord_lengths, contains
+from .geometry import contains_many, superellipsoid_boundary_point
 
 _MASK64 = (1 << 64) - 1
+# Philox4x64 round multipliers and key increments (Salmon et al. 2011).
+_PHILOX_MUL = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
+_PHILOX_BUMP = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64)
+_SAMPLE_DRAWS = 256  # hr_sample draws the words of this many steps at once
 
 XI_LAWS = ("uniform", "triangular")
 
@@ -72,6 +89,103 @@ def draw_xi(gen: np.random.Generator, law: str = "uniform") -> float:
     raise ValidationError(f"unknown xi law {law!r}; expected one of {XI_LAWS}")
 
 
+def philox_words(seed: int, streams, blocks: int) -> np.ndarray:
+    """Row i: the first 4 * blocks words of ``Philox(key=[seed, streams[i]])``.
+
+    Philox4x64-10 over the keys at once; numpy has no 128-bit product, so the
+    high word of each 64 x 64 product is built from 32-bit halves.
+    """
+    key1 = np.array([int(s) & _MASK64 for s in streams], dtype=np.uint64)
+    shape = (2, key1.size * blocks)
+    m32, s32 = np.full(shape, 0xFFFFFFFF, np.uint64), np.full(shape, 32, np.uint64)
+    mul, bump = (np.broadcast_to(c, shape).copy() for c in (_PHILOX_MUL, _PHILOX_BUMP))
+    v0, v1 = mul & m32, mul >> s32
+    key = np.stack([np.full(shape[1], seed & _MASK64, np.uint64), np.repeat(key1, blocks)])
+    even = np.zeros(shape, np.uint64)  # counter words 0 and 2
+    even[0] = np.tile(np.arange(1, blocks + 1, dtype=np.uint64), key1.size)
+    odd = np.zeros(shape, np.uint64)  # counter words 1 and 3
+    for r in range(10):
+        if r:
+            key = key + bump
+        u0, u1 = even & m32, even >> s32
+        t = u1 * v0 + ((u0 * v0) >> s32)
+        high = u1 * v1 + (t >> s32) + ((u0 * v1 + (t & m32)) >> s32)
+        even, odd = high[::-1] ^ odd ^ key, (mul * even)[::-1]
+    return np.stack([even[0], odd[0], even[1], odd[1]], axis=1).reshape(key1.size, 4 * blocks)
+
+
+def _triangular(u: np.ndarray) -> np.ndarray:
+    """``Generator.triangular(0, 0.5, 1)`` from its unit double u."""
+    return np.where(u <= 0.5, 0.0 + np.sqrt(u * 0.5), 1.0 - np.sqrt((1.0 - u) * 0.5))
+
+
+def _full_chord(twice: SetStack, P: np.ndarray, D: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """The point at fraction xi of each member's full chord through P along D.
+    ``twice`` stacks each member twice: one pass gives the chords along D and -D."""
+    P2 = np.concatenate([P, P])
+    if not contains_many(twice, P2).all():
+        raise ValidationError("walk point lies outside the set")
+    forward, backward = np.split(chord_lengths(twice, P2, np.concatenate([D, -D])), 2)
+    return P + (xi * (forward + backward) - backward)[:, None] * D
+
+
+class Walker:
+    """The stochastic step of one walk per set, for all the sets at once."""
+
+    def __init__(self, sets: list[UncertaintySet], xi_laws):
+        for law in xi_laws:
+            if law not in XI_LAWS:
+                raise ValidationError(f"unknown xi law {law!r}; expected one of {XI_LAWS}")
+        self.sets, self.xi_laws = sets, list(xi_laws)
+        self.triangular = np.array([law == "triangular" for law in self.xi_laws])
+        layouts: dict[tuple, list[int]] = {}
+        for i, uset in enumerate(sets):
+            if not uset.is_point:  # a point set draws nothing
+                layouts.setdefault(uset.layout, []).append(i)
+        self.groups = [(SetStack([sets[i] for i in members] * 2), np.array(members))
+                       for members in layouts.values()]
+        self.live = [i for members in layouts.values() for i in members]
+        self.blocks = max([st.flat.shape[1] // 4 + 1 for st, _ in self.groups], default=0)
+
+    def uniforms(self, seed: int, streams) -> np.ndarray:
+        """The unit doubles of each stream, one row per stream."""
+        return (philox_words(seed, streams, self.blocks) >> np.uint64(11)) * 2.0**-53
+
+    def step(self, points: np.ndarray, seed: int, streams, u=None) -> np.ndarray:
+        """The members' next (k, z) points; member i draws from (seed, streams[i]).
+        ``u`` may hold the unit doubles of the non-point members, drawn ahead."""
+        streams = [streams[i] for i in self.live]
+        u = self.uniforms(seed, streams) if u is None else u
+        new, start = points.copy(), 0
+        for twice, members in self.groups:
+            rows = slice(start, start + members.size)
+            start = rows.stop
+            new[members] = self._move(twice, members, points[members], seed, streams[rows],
+                                      u[rows])
+        return new
+
+    def _move(self, twice, members, P, seed, streams, u):
+        """The next points P of one layout's members, from their unit doubles u."""
+        za = 2 if twice.shape == "superellipsoid" else twice.flat.shape[1]
+        xi, tri = u[:, za].copy(), self.triangular[members]
+        xi[tri] = _triangular(xi[tri])
+        if twice.shape == "superellipsoid":  # Generator.uniform's low + (high - low) * u
+            psi, phi = -np.pi + 2 * np.pi * u[:, 0], -np.pi / 2 + np.pi * u[:, 1]
+            return np.array([superellipsoid_step(self.sets[i], WalkState(point=p), psi=float(a),
+                                                 phi=float(b), xi=float(x)).point
+                             for i, p, a, b, x in zip(members, P, psi, phi, xi)])
+        d = -1.0 + 2.0 * u[:, :za]
+        norm = np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
+        D = np.zeros_like(P)
+        D.put(twice.flat[: len(P)], np.divide(d, norm[:, None], out=np.zeros_like(d),
+                                              where=norm[:, None] > 0.0))
+        for r in np.flatnonzero(norm == 0.0):  # the all-zero draw: redraw serially
+            gen = RngStream(seed, int(streams[r])).generator()
+            D[r, ~twice.frozen[r]] = draw_direction(gen, za)
+            xi[r] = draw_xi(gen, self.xi_laws[members[r]])
+        return _full_chord(twice, P, D, xi)
+
+
 def hr_step(
     uset: UncertaintySet,
     state: WalkState,
@@ -84,36 +198,32 @@ def hr_step(
     """One Hit & Run step.
 
     The stochastic step lands uniformly on the full chord through the
-    current point.  When ``direction`` is forced the step is the
-    deterministic one-sided projection P + chord(P, d) * xi * d.
+    current point; drawn whole, it is ``Walker``'s batch of one.  When
+    ``direction`` is forced the step is the deterministic one-sided
+    projection P + chord(P, d) * xi * d.
     """
     p = np.asarray(state.point, dtype=float)
     if uset.is_point:
         return replace(state, iteration=state.iteration + 1)
-    gen = rng.generator() if rng is not None else None
-    if direction is None or xi is None:
-        if gen is None:
-            raise ValidationError("provide an RngStream or force direction and xi")
-    forced = direction is not None
-    if forced:
+    if uset.shape == "superellipsoid":
+        raise ValidationError("superellipsoid sets are sampled through superellipsoid_step")
+    if (direction is None or xi is None) and rng is None:
+        raise ValidationError("provide an RngStream or force direction and xi")
+    if direction is None and xi is None:
+        new_point = Walker([uset], [xi_law]).step(p[None], rng.seed, [rng.stream])[0]
+    elif direction is None:  # a drawn direction, a forced fraction of its chord
+        d = np.zeros(uset.z)
+        d[uset.active] = draw_direction(rng.generator(), int(np.count_nonzero(uset.active)))
+        new_point = _full_chord(SetStack([uset] * 2), p[None], d[None], np.array([float(xi)]))[0]
+    else:
         d = np.asarray(direction, dtype=float)
         norm = np.linalg.norm(d)
         if norm == 0:
             raise ValidationError("forced direction must be non-zero")
         d = d / norm
-    else:
-        if not contains(uset, p):
-            raise ValidationError("walk point lies outside the set")
-        active = uset.active
-        d = np.zeros(uset.z)
-        d[active] = draw_direction(gen, int(np.count_nonzero(active)))
-    forward = chord_length(uset, p, d, checked=forced)
-    step_xi = draw_xi(gen, xi_law) if xi is None else float(xi)
-    if forced:
+        forward = chord_length(uset, p, d, checked=True)
+        step_xi = draw_xi(rng.generator(), xi_law) if xi is None else float(xi)
         new_point = p + forward * step_xi * d
-    else:
-        backward = chord_length(uset, p, -d, checked=False)
-        new_point = p + (step_xi * (forward + backward) - backward) * d
     return WalkState(point=new_point, iteration=state.iteration + 1)
 
 
@@ -164,7 +274,7 @@ def step(
     rng: RngStream | None = None,
     xi_law: str = "uniform",
 ) -> WalkState:
-    """Shape dispatch used by the pipeline."""
+    """One drawn step of a single walk, dispatched by shape."""
     if uset.shape == "superellipsoid":
         return superellipsoid_step(uset, state, rng, xi_law=xi_law)
     return hr_step(uset, state, rng, xi_law=xi_law)
@@ -196,13 +306,13 @@ def hr_sample(
     )
     if not contains(uset, point):
         raise ValidationError("start point lies outside the set")
-    state = WalkState(point=point)
-    out = np.empty((t, uset.z))
-    kept = 0
-    total = burn_in + t * thin
-    for ell in range(1, total + 1):
-        state = step(uset, state, rng.child(ell), xi_law=xi_law)
-        if ell > burn_in and (ell - burn_in) % thin == 0:
-            out[kept] = state.point
-            kept += 1
+    walker, points = Walker([uset], [xi_law]), point[None]
+    out, kept, total = np.empty((t, uset.z)), 0, burn_in + t * thin
+    for first in range(1, total + 1, _SAMPLE_DRAWS):
+        ells = range(first, min(first + _SAMPLE_DRAWS, total + 1))
+        u = walker.uniforms(rng.seed, [rng.stream + ell for ell in ells])
+        for i, ell in enumerate(ells):
+            points = walker.step(points, rng.seed, [rng.stream + ell], u[i : i + 1])
+            if ell > burn_in and (ell - burn_in) % thin == 0:
+                out[kept], kept = points[0], kept + 1
     return out

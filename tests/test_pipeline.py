@@ -196,6 +196,30 @@ def test_serial_run_holds_one_world(monkeypatch):
     assert per_world < data.z * data.n * 8 / 2
 
 
+def _no_lps(points, *args):
+    """A module-level stand-in for the world LPs, so a pool can pickle it."""
+    return np.zeros(points.shape[1])
+
+
+def test_pooled_run_holds_a_window(monkeypatch):
+    """With threads > 1 the parent keeps a bounded window of chunks in flight,
+    so its peak memory grows with t by the matrix column alone, as in a
+    serial run, and not by the points of every world queued for the pool."""
+    monkeypatch.setattr(hrdea.pipeline, "_column_distances", _no_lps)
+    data = random_instance(np.random.default_rng(11), 20, m=3, s=2)
+    sets = point_sets(data)
+    peaks = {}
+    for t in (500, 2500):
+        tracemalloc.start()
+        try:
+            run_hr_dea(data, sets, Direction.proportional(), t=t, seed=1, threads=2)
+            peaks[t] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    per_world = (peaks[2500] - peaks[500]) / 2000
+    assert per_world < data.z * data.n * 8 / 2
+
+
 def test_masked_cells_need_set_centers():
     # masked data is fine as long as the sets carry the geometry
     X = np.array([[1.0, np.nan]])

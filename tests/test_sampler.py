@@ -1,14 +1,19 @@
 import numpy as np
 import pytest
 
+from hrdea import sampler
 from hrdea.errors import ValidationError
 from hrdea.geometry import UncertaintySet, contains
 from hrdea.sampler import (
+    XI_LAWS,
     RngStream,
     WalkState,
+    Walker,
     draw_direction,
+    draw_xi,
     hr_sample,
     hr_step,
+    philox_words,
     superellipsoid_step,
 )
 
@@ -146,3 +151,152 @@ def test_superellipsoid_step_requires_shape():
     box = UncertaintySet.box([5.0, 5.0], [1.0, 1.0])
     with pytest.raises(ValidationError):
         superellipsoid_step(box, WalkState(point=np.array([5.0, 5.0])), RngStream(0))
+
+
+# --- the world kernel against a serial reference walk -----------------------
+
+MASK64 = (1 << 64) - 1
+
+
+def reference_chord(uset, p, d):
+    """The chord from p along d, one set at a time, with 1-d dot products."""
+    def first_hit(num, den):
+        lam = num[den > 1e-12] / den[den > 1e-12]
+        return max(np.min(lam[lam >= -1e-6]), 0.0)
+
+    inward = d < -1e-12
+    cap = max(np.min(p[inward] / -d[inward]), 0.0) if inward.any() else np.inf
+    if uset.shape == "polytope":
+        a = np.vstack([uset.rows_a, -np.eye(uset.z)])
+        return first_hit(np.concatenate([uset.rows_b, np.zeros(uset.z)]) - a @ p, a @ d)
+    free = uset.active
+    c, w, pa, da = uset.center[free], uset.semi_axes[free], p[free], d[free]
+    if not (np.abs(da) > 1e-12).any():
+        return 0.0
+    if uset.shape == "box":
+        lo = np.maximum(c - w, 0.0)
+        return first_hit(np.concatenate([c + w - pa, pa - lo]), np.concatenate([da, -da]))
+    if uset.shape == "ellipsoid":
+        da, dev = da / w, (pa - c) / w
+        phi, psi, sigma = da @ da, 2.0 * (dev @ da), dev @ dev - 1.0
+        root = (-psi + np.sqrt(max(psi * psi - 4.0 * phi * sigma, 0.0))) / (2.0 * phi)
+        return min(max(root, 0.0), cap)
+    signs = 1.0 - 2.0 * ((np.arange(2**da.size)[:, None] >> np.arange(da.size)) & 1)
+    a = signs / w  # the rhombus faces
+    return min(first_hit(1.0 - a @ (pa - c), a @ da), cap)
+
+
+def reference_step(uset, p, rng, xi_law):
+    """One stochastic step drawn through RngStream.generator(), word by word
+    as a serial walk draws it: the direction, then xi, then both chords."""
+    if uset.is_point:
+        return p
+    if uset.shape == "superellipsoid":
+        return superellipsoid_step(uset, WalkState(point=p), rng, xi_law=xi_law).point
+    assert contains(uset, p)
+    gen = rng.generator()
+    d = np.zeros(uset.z)
+    d[uset.active] = draw_direction(gen, int(np.count_nonzero(uset.active)))
+    forward = reference_chord(uset, p, d)
+    xi = draw_xi(gen, xi_law)
+    backward = reference_chord(uset, p, -d)
+    return p + (xi * (forward + backward) - backward) * d
+
+
+def mixed_world(z, n=36, seed=0):
+    """n sets of dimension z cycling through every shape (a superellipsoid
+    only at z = 3), some with gap-style frozen coordinates, and both xi laws."""
+    rng = np.random.default_rng(seed + z)
+    shapes = ["box", "ellipsoid", "rhombus", "polytope", "point", "box"]
+    if z == 3:
+        shapes.append("superellipsoid")
+    sets = []
+    for j in range(n):
+        shape = shapes[j % len(shapes)]
+        c = rng.uniform(0.5, 5.0, z)
+        w = rng.uniform(0.1, 1.5, z) * c  # some sets reach past the orthant
+        if shape == "polytope":
+            a = rng.normal(size=(4, z))
+            rows = np.vstack([a, np.eye(z), -np.eye(z)])
+            b = np.concatenate([a @ c + rng.uniform(0.2, 1.0, 4), c + w, w - c])
+            sets.append(UncertaintySet.polytope(rows, b, c))
+        elif shape == "point":
+            sets.append(UncertaintySet.point(c))
+        elif shape == "superellipsoid":
+            sets.append(UncertaintySet.superellipsoid(c, w, (1.5, 2.5)))
+        else:
+            if j % 4 == 1:  # a gap-style set: only some coordinates are uncertain
+                w[rng.permutation(z)[: max(1, z // 2)]] = 0.0
+            sets.append(getattr(UncertaintySet, shape)(c, w))
+    laws = ["triangular" if j % 3 == 2 else "uniform" for j in range(n)]
+    return sets, laws
+
+
+@pytest.mark.parametrize("z", [2, 3, 5])
+def test_world_kernel_matches_serial_walk(z):
+    sets, laws = mixed_world(z)
+    n, seed = len(sets), 11
+    walker = Walker(sets, laws)
+    if z == 5:
+        assert walker.blocks == 2  # five direction words and xi span two blocks
+    kernel = np.array([u.center for u in sets])
+    serial = kernel.copy()
+    for ell in range(1, 51):
+        kernel = walker.step(kernel, seed, range(ell * n, ell * n + n))
+        serial = np.array([reference_step(sets[j], serial[j], RngStream(seed, ell * n + j), laws[j])
+                           for j in range(n)])
+        assert np.array_equal(kernel, serial), f"world {ell}"
+    assert all(contains(u, p) for u, p in zip(sets, kernel))
+
+
+@pytest.mark.parametrize("law", XI_LAWS)
+def test_hr_sample_matches_serial_walk(law):
+    sets, _ = mixed_world(3, n=7)
+    for uset in sets + [PENTAGON]:
+        rng = RngStream(-5, 2**64 - 40)  # stream ids wrap past 2**64 on the way
+        p, expected = uset.center, []
+        for ell in range(1, 61):
+            p = reference_step(uset, p, rng.child(ell), law)
+            expected.append(p)
+        assert np.array_equal(hr_sample(uset, t=60, rng=rng, xi_law=law), np.array(expected))
+
+
+def test_philox_words_match_numpy():
+    streams = [0, 1, 2**63, 2**64 - 1]
+    for seed in (-1, 2**63, 7):
+        words = philox_words(seed, streams, 3)
+        for row, stream in zip(words, streams):
+            key = np.array([seed & MASK64, stream & MASK64], dtype=np.uint64)
+            assert np.array_equal(row, np.random.Philox(key=key).random_raw(12))
+
+
+def test_zero_direction_falls_back_to_the_generator(monkeypatch):
+    """A member whose direction words are all exactly one half draws a zero
+    direction; it takes the serial generator path, which on the real stream
+    gives the reference step, while the other members keep their words."""
+    sets, laws = mixed_world(3, n=8)
+    n, seed, ell = len(sets), 4, 3
+    words = sampler.philox_words
+
+    def zero_first_direction(seed, streams, blocks):
+        out = words(seed, streams, blocks)
+        out[0, : sets[0].z] = 1 << 63  # (raw >> 11) * 2**-53 == 0.5, so -1 + 2u == 0
+        return out
+
+    monkeypatch.setattr(sampler, "philox_words", zero_first_direction)
+    points = np.array([u.center for u in sets])
+    streams = range(ell * n, ell * n + n)
+    moved = Walker(sets, laws).step(points, seed, streams)
+    expected = [reference_step(sets[j], points[j], RngStream(seed, streams[j]), laws[j])
+                for j in range(n)]
+    assert sets[0].shape == "box" and contains(sets[0], moved[0])
+    assert np.array_equal(moved, np.array(expected))
+    monkeypatch.setattr(sampler, "draw_direction", lambda gen, z: pytest.fail("no fallback"))
+    with pytest.raises(pytest.fail.Exception):
+        Walker(sets, laws).step(points, seed, streams)
+
+
+def test_hr_step_rejects_superellipsoids():
+    se = UncertaintySet.superellipsoid([5.0, 5.0, 5.0], [3.0, 2.0, 4.0], (2.0, 2.0))
+    with pytest.raises(ValidationError):
+        hr_step(se, WalkState(point=se.center.copy()), RngStream(1, 2))
