@@ -14,11 +14,16 @@ objective value.
 Every plain-model distance is warm-started at an anchor vertex:
 ``directional_distances`` solves a stack of such LPs as one batch from
 tableaux already pivoted to that vertex (``_eq1_tableaux``), and
-``directional_distance`` is its batch of one.  ``two_phase`` solves the
-rest cold, one at a time, on one equality form (``_standard_form``): the
-weak model's distance phase and both models' slack phases.  The plain
-model is the weak model without undesirable rows and without the beta
-block.
+``directional_distance`` is its batch of one.  Each member is solved over a
+candidate set, the Pareto-nondominated reference columns (``_nondominated``)
+and its anchor; its final duals then price every column, and a member that
+some column would still improve is solved again over all columns by the
+same tableau builder.  The interval lower bounds are one such batch against
+the worst scenario, each anchored at its best version.  ``two_phase``
+solves the rest cold, one at a time, on one equality form
+(``_standard_form``): the weak model's distance phase and both models'
+slack phases.  The plain model is the weak model without undesirable rows
+and without the beta block.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ import numpy as np
 
 from .dataset import DataSet, Direction
 from .errors import LpUnbounded, ValidationError
-from .lp import batch_simplex, two_phase
+from .lp import PIVOT_TOL, batch_simplex, two_phase
 # Unused here; the tracer in perfbench/spans.py looks this name up.
 from .lp import simplex  # noqa: F401
 
@@ -55,37 +60,36 @@ class DeaSolution:
     beta: np.ndarray | None = None
 
 
-def _eq1_tableaux(X, Y, xk, yk, dx, dy, anchors):
+def _nondominated(X, Y) -> np.ndarray:
+    """Ascending indices of the Pareto-nondominated columns of (X, Y): a
+    column is dropped when another has inputs <= and outputs >= it, and of
+    identical columns only the first is kept.  Under free disposability a
+    dropped column's weight moves to one that covers it: same frontier."""
+    covers = (X[:, :, None] <= X[:, None, :]).all(0) & (Y[:, :, None] >= Y[:, None, :]).all(0)
+    equal = covers & covers.T
+    return np.flatnonzero(~((covers & ~equal).any(0) | np.triu(equal, 1).any(0)))
+
+
+def _eq1_tableaux(Z, sign, p, d, a, cols):
     """Warm-start tableaux of the plain model's distance phase, one per member.
 
-    Member b evaluates the point (xk[:, b], yk[:, b]) along (dx[:, b],
-    dy[:, b]), starting at the vertex with full weight on reference column
-    ``anchors[b]``; that vertex is feasible because the anchor weakly
+    ``Z`` stacks the reference inputs over the reference outputs and
+    ``sign`` is 1 on its input rows, -1 on its output rows.  Member b
+    evaluates the point p[:, b] along d[:, b] against reference columns
+    ``cols`` of Z and, last, its anchor a[:, b].  It starts at the vertex
+    with full weight on the anchor, feasible because the anchor weakly
     dominates the point.  Variables are (mu, D, gx, gy).  Returns the
     (batch, rows+1, ncols+1) stack and its (batch, rows) basis.
     """
-    m, n = X.shape
-    s = Y.shape[0]
-    batch = anchors.size
-    rows = m + s + 1
-    T = np.zeros((batch, rows + 1, n + 1 + m + s + 1))
-    ax = X[:, anchors].T
-    ay = Y[:, anchors].T
-    T[:, :m, :n] = X - ax[:, :, None]
-    T[:, m : m + s, :n] = ay[:, :, None] - Y
-    T[:, rows - 1, :n] = 1.0
-    T[:, :m, n] = dx.T
-    T[:, m : m + s, n] = dy.T
-    idx = np.arange(m + s)
-    T[:, idx, n + 1 + idx] = 1.0
-    T[:, :m, -1] = xk.T - ax
-    T[:, m : m + s, -1] = ay - yk.T
-    T[:, rows - 1, -1] = 1.0
-    T[:, -1, n] = -1.0
-    basis = np.empty((batch, rows), dtype=np.intp)
-    basis[:, :-1] = n + 1 + idx
-    basis[:, -1] = anchors
-    return T, basis
+    r, batch, w = sign.size, a.shape[1], cols.size + 1
+    T = np.zeros((batch, r + 2, w + r + 2))
+    T[:, :r, : w - 1] = sign[:, None] * (Z[:, cols] - a.T[:, :, None])
+    T[:, r, :w] = T[:, r, -1] = 1.0
+    T[:, :r, w] = d.T
+    T[:, np.arange(r), w + 1 + np.arange(r)] = 1.0
+    T[:, :r, -1] = sign * (p - a).T
+    T[:, -1, w] = -1.0
+    return T, np.tile(np.r_[w + 1 : w + 1 + r, w - 1], (batch, 1))
 
 
 def _unit_scale(*parts) -> np.ndarray:
@@ -96,34 +100,63 @@ def _unit_scale(*parts) -> np.ndarray:
     return scale
 
 
+def _solve_over(Z, sign, p, d, a, cols):
+    """Distances of members laid out as in ``_eq1_tableaux``, solved in
+    chunks of at most ``BATCH_BYTES`` of tableau, and a mask of those whose
+    final duals price some column of Z below tolerance."""
+    r, n = Z.shape
+    w = cols.size + 1
+    chunk = max(1, BATCH_BYTES // ((r + 2) * (w + r + 2) * 8))
+    out, short = np.empty(a.shape[1]), np.zeros(a.shape[1], dtype=bool)
+    for lo in range(0, a.shape[1], chunk):
+        part = slice(lo, lo + chunk)
+        T, basis = _eq1_tableaux(Z, sign, p[:, part], d[:, part], a[:, part], cols)
+        out[part], unbounded = batch_simplex(T, basis, w + 1 + r)
+        if unbounded.any():
+            raise LpUnbounded("distance unbounded; check the direction vector")
+        if cols.size < n:
+            # Column j is sign * (Z_j - a) over a 1; its price at the duals
+            # (the z-row at the slacks, and at the anchor for the convexity
+            # row) is u.Z_j + y_conv - u.a with u = sign * y, and the terms
+            # are bounded by |u|.Z_j + |u.a| + |y_conv| (for Z >= 0).  Each
+            # member's stacked matmul gives the same bits in any batch.
+            u, conv = T[:, -1, w + 1 : w + 1 + r] * sign, T[:, -1, w - 1]
+            ua = u * a[:, part].T
+            price = (u[:, None] @ Z)[:, 0] + (conv - ua.sum(1))[:, None]
+            size = (np.abs(u)[:, None] @ Z)[:, 0] + (np.abs(ua).sum(1) + np.abs(conv))[:, None]
+            short[part] = (price < -PIVOT_TOL * (1.0 + size)).any(axis=1)
+    return out, short
+
+
+def _warm_distances(X, Y, xk, yk, dx, dy, ax, ay) -> np.ndarray:
+    """Plain-model distances of points against the columns of (X, Y) plus
+    each member's anchor (ax[:, b], ay[:, b]), which weakly dominates point
+    b.  Each member is solved over the nondominated columns and its anchor,
+    then priced over all columns; if one would still improve it, it is
+    solved again over all of them."""
+    # Solve with the direction normalized to unit magnitude; D scales
+    # inversely, and the tableau stays conditioned for tiny components.
+    scale = _unit_scale(dx, dy)
+    Z, sign = np.concatenate([X, Y]), np.repeat([1.0, -1.0], [X.shape[0], Y.shape[0]])
+    p, d, a = np.concatenate([xk, yk]), np.concatenate([dx, dy]) / scale, np.concatenate([ax, ay])
+    out, short = _solve_over(Z, sign, p, d, a, _nondominated(X, Y))
+    if short.any():
+        out[short] = _solve_over(Z, sign, p[:, short], d[:, short], a[:, short],
+                                 np.arange(Z.shape[1]))[0]
+    return np.where(out < 0.0, 0.0, out) / scale
+
+
 def directional_distances(X, Y, xk, yk, dx, dy, anchors) -> np.ndarray:
     """Plain-model distances of a stack of points, warm-started and batched.
 
     ``xk``, ``yk``, ``dx`` and ``dy`` hold one column per member; reference
     column ``anchors[b]`` must weakly dominate point b (for a world scored
-    against itself, the point's own column).  Members are solved in chunks
-    of at most ``BATCH_BYTES`` of tableau each.
+    against itself, the point's own column).
     """
-    anchors = np.asarray(anchors, dtype=np.intp)
-    if np.any(X[:, anchors] > xk) or np.any(Y[:, anchors] < yk):
+    ax, ay = X[:, anchors], Y[:, anchors]
+    if np.any(ax > xk) or np.any(ay < yk):
         raise ValidationError("every anchor must weakly dominate its evaluated point")
-    # Solve with the direction normalized to unit magnitude; D scales
-    # inversely, and the tableau stays conditioned for tiny components.
-    scale = _unit_scale(dx, dy)
-    dx, dy = dx / scale, dy / scale
-    m, n = X.shape
-    s = Y.shape[0]
-    member_bytes = (m + s + 2) * (n + m + s + 2) * 8
-    chunk = max(1, BATCH_BYTES // member_bytes)
-    out = np.empty(anchors.size)
-    for a in range(0, anchors.size, chunk):
-        b = min(a + chunk, anchors.size)
-        T, basis = _eq1_tableaux(X, Y, xk[:, a:b], yk[:, a:b], dx[:, a:b], dy[:, a:b],
-                                 anchors[a:b])
-        out[a:b], unbounded = batch_simplex(T, basis, n + 1 + m + s)
-        if unbounded.any():
-            raise LpUnbounded("distance unbounded; check the direction vector")
-    return np.where(out < 0.0, 0.0, out) / scale
+    return _warm_distances(X, Y, xk, yk, dx, dy, ax, ay)
 
 
 def _standard_form(X, Y, U, xk, yk, uk, dx, dy, du, dist=None):
@@ -303,22 +336,18 @@ def interval_dea_bounds(
     d_high = directional_distances(lower_x, upper_y, upper_x, lower_y, dxw, dyw,
                                    np.arange(data.n))
 
-    # Best version of k against the worst scenario, with column k swapped
-    # for that best version so that it can anchor the solve.  The swap
-    # gives max(D*, 0), D* being the optimum against the unswapped worst
+    # Best version of k against the worst scenario plus that best version,
+    # which anchors the solve, all in one batch.  It dominates k's worst
+    # version, so this is the worst scenario with column k swapped for it,
+    # and gives max(D*, 0), D* being the optimum against the unswapped worst
     # scenario (-inf when infeasible): the clamped bound defined above.
-    # Every point of the unswapped hull stays feasible, as k's worst version
-    # is dominated by its best, so the value is >= D*; the anchor makes it
-    # >= 0.  A point with weight w < 1 on column k that reaches D > 0
-    # rescales (divide the other weights by 1 - w) to a point of the
-    # unswapped hull reaching D / (1 - w) >= D; with w = 1 no D > 0 is
-    # reached, the direction being >= 0 with a positive component.  So a
-    # best version the worst frontier envelops keeps its distance, and a
-    # super-efficient one gets exactly 0.
+    # Every point of the unswapped hull stays feasible, so the value is >=
+    # D*; the anchor makes it >= 0.  A point with weight w < 1 on column k
+    # that reaches D > 0 rescales (divide the other weights by 1 - w) to a
+    # point of the unswapped hull reaching D / (1 - w) >= D; with w = 1 no
+    # D > 0 is reached, the direction being >= 0 with a positive component.
+    # So a best version the worst frontier envelops keeps its distance, and
+    # a super-efficient one gets exactly 0.
     dxb, dyb, _ = direction.resolve_at(lower_x, upper_y)
-    d_low = np.empty(data.n)
-    for k in range(data.n):
-        X, Y = upper_x.copy(), lower_y.copy()
-        X[:, k], Y[:, k] = lower_x[:, k], upper_y[:, k]
-        d_low[k] = directional_distance(X, Y, X[:, k], Y[:, k], dxb[:, k], dyb[:, k], k)
+    d_low = _warm_distances(upper_x, lower_y, lower_x, upper_y, dxb, dyb, lower_x, upper_y)
     return d_low, d_high

@@ -85,14 +85,15 @@ def batch_simplex(T: np.ndarray, basis: np.ndarray, ncols: int):
 
     ``T`` is (batch, rows+1, ncols+1) and ``basis`` (batch, rows), each
     member laid out as in ``simplex`` and starting at a feasible basis;
-    both are consumed.  Each round prices every unfinished member with
-    Dantzig's rule, runs its ratio test and pivots, exactly as ``simplex``
-    does for a single tableau.  A member still open after ``BLAND_AFTER``
-    pivots continues in ``simplex``.  Returns (objective, unbounded): the
-    final objective value of each member and a mask of the unbounded ones.
+    both end holding each member's final tableau and basis.  Each round
+    prices every unfinished member with Dantzig's rule, runs its ratio test
+    and pivots, exactly as ``simplex`` does for one tableau.  A member still
+    open after ``BLAND_AFTER`` pivots continues in ``simplex``.  Returns
+    (objective, unbounded): each member's final objective value and a mask
+    of the unbounded ones.
     """
     batch = len(basis)
-    objective = np.empty(batch)
+    final, final_basis = T, basis  # T and basis shrink as members finish
     unbounded = np.zeros(batch, dtype=bool)
     members = np.arange(batch)  # original index of each member still in T
     for _ in range(BLAND_AFTER):
@@ -105,11 +106,11 @@ def batch_simplex(T: np.ndarray, basis: np.ndarray, ncols: int):
         stuck = ~positive.any(axis=1) & ~optimal
         done = optimal | stuck
         if done.any():
-            objective[members[done]] = T[done, -1, -1]
+            final[members[done]], final_basis[members[done]] = T[done], basis[done]
             unbounded[members[stuck]] = True
             keep = ~done
             if not keep.any():
-                return objective, unbounded
+                return final[:, -1, -1].copy(), unbounded
             T, basis, members = T[keep], basis[keep], members[keep]
             col, col_vals, positive = col[keep], col_vals[keep], positive[keep]
             lanes = np.arange(members.size)
@@ -127,9 +128,9 @@ def batch_simplex(T: np.ndarray, basis: np.ndarray, ncols: int):
         basis[lanes, row] = col
     for lane, member in enumerate(members):
         status = simplex(T[lane], basis[lane], ncols, start=BLAND_AFTER)
-        objective[member] = T[lane, -1, -1]
+        final[member], final_basis[member] = T[lane], basis[lane]
         unbounded[member] = status == "unbounded"
-    return objective, unbounded
+    return final[:, -1, -1].copy(), unbounded
 
 
 def extract_solution(T: np.ndarray, basis: np.ndarray, nvar: int) -> np.ndarray:

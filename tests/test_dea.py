@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.optimize import linprog
 
-from hrdea import lp
+from hrdea import dea, lp
 from hrdea.dataset import Direction, from_arrays
 from hrdea.dea import (
     BATCH_BYTES,
@@ -389,9 +389,115 @@ def test_batch_member_past_bland_after_finishes_serially(monkeypatch):
         return serial(T, basis, ncols, start)
 
     monkeypatch.setattr(lp, "simplex", spy)
+    # DMU 0 is dominated; over the other columns no member cycles.
+    check_world(CYCLING_WORLD, Direction.proportional())
+    assert handovers == []
+    # With no candidate columns, DMU 1's pricing fails and it is solved
+    # again over all columns, where it cycles as before.
+    monkeypatch.setattr(dea, "_nondominated", lambda X, Y: np.arange(0))
     check_world(CYCLING_WORLD, Direction.proportional())
     # once in the world's batch, once in DMU 1's batch of one
     assert handovers == [lp.BLAND_AFTER, lp.BLAND_AFTER]
+
+
+def all_columns(monkeypatch, X, Y, dx, dy):
+    """The world's distances, every member solved over all columns."""
+    with monkeypatch.context() as patch:
+        patch.setattr(dea, "_nondominated", lambda X, Y: np.arange(X.shape[1]))
+        return directional_distances(X, Y, X, Y, dx, dy, np.arange(X.shape[1]))
+
+
+def assert_relative(value, reference, rtol=1e-12):
+    close = np.abs(value - reference) <= rtol * np.abs(reference)
+    assert close.all(), (value[~close], reference[~close])
+
+
+def test_nondominated_keeps_the_first_of_duplicates():
+    X = np.array([[1.0, 2.0, 1.0, 1.0, 3.0, 2.0]])
+    Y = np.array([[1.0, 2.0, 1.0, 0.5, 2.0, 2.0]])
+    # 2 and 5 repeat 0 and 1, 3 is dominated by 0, 4 by 1
+    assert dea._nondominated(X, Y).tolist() == [0, 1]
+    assert dea._nondominated(X[:, :1], Y[:, :1]).tolist() == [0]
+
+
+def frame_dmu(X, Y, direction):
+    """The DMU carrying the most weight in the projections of the others."""
+    data = from_arrays(X, Y)
+    weight = np.zeros(data.n)
+    for k in range(data.n):
+        mu = solve_directional(data, k, direction).intensities
+        mu[k] = 0.0
+        weight += mu
+    return int(np.argmax(weight))
+
+
+@pytest.mark.parametrize("mode", sorted(DIRECTIONS))
+def test_pricing_sends_a_member_missing_a_frame_dmu_to_all_columns(mode, monkeypatch):
+    direction = DIRECTIONS[mode]
+    points = scenario_world(np.random.default_rng(41), 30)
+    X, Y = points[:2], points[2:]
+    dx, dy, _ = direction.resolve_at(X, Y)
+    reference = all_columns(monkeypatch, X, Y, dx, dy)
+    drop = frame_dmu(X, Y, direction)
+    nondominated = dea._nondominated
+    assert drop in nondominated(X, Y)
+    monkeypatch.setattr(dea, "_nondominated",
+                        lambda X, Y: np.setdiff1d(nondominated(X, Y), [drop]))
+    solved = []
+    build = dea._eq1_tableaux
+
+    def spy(Z, sign, p, d, a, cols):
+        solved.append((cols.size, a.shape[1]))
+        return build(Z, sign, p, d, a, cols)
+
+    monkeypatch.setattr(dea, "_eq1_tableaux", spy)
+    batch = check_world(points, direction)
+    fallback = sum(members for size, members in solved if size == 30)
+    assert fallback > 0
+    assert_relative(batch, reference)
+
+
+@pytest.mark.parametrize("mode", sorted(DIRECTIONS))
+def test_dominated_and_duplicate_anchors_match_all_columns(mode, monkeypatch):
+    direction = DIRECTIONS[mode]
+    points = scenario_world(np.random.default_rng(43), 60)
+    twin = dea._nondominated(points[:2], points[2:])[-1]
+    points[:, 1] = points[:, twin]  # a duplicate: 1 is kept, twin is not
+    points[:, 9] = points[:, 8]  # a duplicate of a dominated DMU
+    points[0, 7] = 0.0  # floored to INPUT_FLOOR
+    points[1, 12] = 0.0
+    points[2, 13] = 0.0
+    floored = np.maximum(points, INPUT_FLOOR)
+    X, Y = floored[:2], floored[2:]
+    nondominated = dea._nondominated(X, Y)
+    assert 1 in nondominated and twin not in nondominated and 9 not in nondominated
+    assert nondominated.size < 60 // 2
+    dx, dy, _ = direction.resolve_at(X, Y)
+    # Small chunks: the batch crosses chunk edges.
+    monkeypatch.setattr(dea, "BATCH_BYTES", 4096)
+    batch = check_world(points, direction)
+    assert_relative(batch, all_columns(monkeypatch, X, Y, dx, dy))
+
+
+def test_interval_lower_bounds_match_a_swapped_copy_loop():
+    rng = np.random.default_rng(47)
+    super_efficient = 0
+    for n, mode in zip((2, 12, 40, 40), sorted(DIRECTIONS)):
+        lower = scenario_world(rng, n)
+        upper = lower * rng.uniform(1.0, 1.3, size=lower.shape)
+        upper[:, 0] = lower[:, 0]  # a DMU known exactly
+        direction = DIRECTIONS[mode]
+        d_low, _ = interval_dea_bounds(from_arrays(lower[:2], lower[2:]), lower[:2],
+                                       upper[:2], lower[2:], upper[2:], direction)
+        dx, dy, _ = direction.resolve_at(lower[:2], upper[2:])
+        loop = np.empty(n)
+        for k in range(n):
+            X, Y = upper[:2].copy(), lower[2:].copy()
+            X[:, k], Y[:, k] = lower[:2, k], upper[2:, k]
+            loop[k] = directional_distance(X, Y, X[:, k], Y[:, k], dx[:, k], dy[:, k], k)
+        super_efficient += int(np.sum(loop == 0.0))
+        assert_relative(d_low, loop)
+    assert super_efficient > 0
 
 
 def test_batch_rejects_anchor_that_does_not_dominate():

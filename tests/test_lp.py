@@ -161,6 +161,25 @@ def test_beale_batch_of_one_matches_serial():
     assert not unbounded[0]
 
 
+def test_batch_leaves_each_final_tableau_in_place():
+    # Beale's LP (past BLAND_AFTER), one already optimal, one that needs a
+    # pivot (max x6, bounded by the third row): each member ends on the
+    # tableau and basis of its serial run.
+    stack = [beale_tableau() for _ in range(3)]
+    stack[1][0][-1] = np.abs(stack[1][0][-1])
+    stack[2][0][-1] = [0.0, 0.0, -1.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+    serial = [(T.copy(), basis.copy()) for T, basis in stack]
+    for T, basis in serial:
+        simplex(T, basis, 7)
+    T = np.stack([T for T, _ in stack])
+    basis = np.stack([basis for _, basis in stack])
+    objective, unbounded = batch_simplex(T, basis, 7)
+    for b, (Ts, basis_s) in enumerate(serial):
+        assert np.array_equal(T[b], Ts) and np.array_equal(basis[b], basis_s)
+        assert objective[b] == Ts[-1, -1]
+    assert objective[2] == 1.0 and not unbounded.any()
+
+
 def test_beale_iteration_limit_raises(monkeypatch):
     monkeypatch.setattr(lp, "MAX_ITER", lp.BLAND_AFTER // 2)
     T, basis = beale_tableau()
