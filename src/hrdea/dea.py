@@ -11,19 +11,21 @@ lexicographically: the reported distance is always the optimum of the pure
 distance phase, and the non-Archimedean weight only enters the reported
 objective value.
 
-Every plain-model distance is warm-started at an anchor vertex:
-``directional_distances`` solves a stack of such LPs as one batch from
-tableaux already pivoted to that vertex (``_eq1_tableaux``), and
-``directional_distance`` is its batch of one.  Each member is solved over a
+Every distance is warm-started at an anchor vertex:
+``directional_distances`` and ``weak_disposability_distances`` solve a
+stack of such LPs as one batch from tableaux already pivoted to that vertex
+(``_eq1_tableaux``), and ``directional_distance`` and
+``weak_disposability_distance`` are their batches of one.  Each member's
+distance is read from its final basis.  A plain member is solved over a
 candidate set, the Pareto-nondominated reference columns (``_nondominated``)
 and its anchor; its final duals then price every column, and a member that
 some column would still improve is solved again over all columns by the
-same tableau builder.  The interval lower bounds are one such batch against
-the worst scenario, each anchored at its best version.  ``two_phase``
-solves the rest cold, one at a time, on one equality form
-(``_standard_form``): the weak model's distance phase and both models'
-slack phases.  The plain model is the weak model without undesirable rows
-and without the beta block.
+same tableau builder.  A weak member is solved over all its alpha and beta
+columns, its undesirable rows being equalities.  The interval lower bounds
+are one plain batch against the worst scenario, each anchored at its best
+version.  ``two_phase`` solves only the slack phases of both models, cold,
+one at a time, on one equality form (``_standard_form``).  The plain model
+is the weak model without undesirable rows and without the beta block.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import numpy as np
 
 from .dataset import DataSet, Direction
 from .errors import LpUnbounded, ValidationError
-from .lp import PIVOT_TOL, batch_simplex, two_phase
+from .lp import PIVOT_TOL, basic_solution, batch_simplex, drive_out, two_phase
 # Unused here; the tracer in perfbench/spans.py looks this name up.
 from .lp import simplex  # noqa: F401
 
@@ -71,15 +73,18 @@ def _nondominated(X, Y) -> np.ndarray:
 
 
 def _eq1_tableaux(Z, sign, p, d, a, cols):
-    """Warm-start tableaux of the plain model's distance phase, one per member.
+    """Warm-start tableaux of a distance phase, one per member.
 
-    ``Z`` stacks the reference inputs over the reference outputs and
-    ``sign`` is 1 on its input rows, -1 on its output rows.  Member b
-    evaluates the point p[:, b] along d[:, b] against reference columns
-    ``cols`` of Z and, last, its anchor a[:, b].  It starts at the vertex
-    with full weight on the anchor, feasible because the anchor weakly
-    dominates the point.  Variables are (mu, D, gx, gy).  Returns the
-    (batch, rows+1, ncols+1) stack and its (batch, rows) basis.
+    ``Z`` stacks the reference inputs over the reference outputs (and, for
+    the weak model, the undesirable outputs) and ``sign`` is 1 on its input
+    and undesirable rows, -1 on its output rows.  Member b evaluates the
+    point p[:, b] along d[:, b] against reference columns ``cols`` of Z and,
+    last, its anchor a[:, b].  It starts at the vertex with full weight on
+    the anchor, feasible because the anchor weakly dominates the point.
+    Variables are (mu, D, one slack per row); an undesirable row is an
+    equality, so its slack is an artificial, at level 0 when the anchor's
+    undesirable outputs are the point's.  Returns the (batch, rows+1,
+    ncols+1) stack and its (batch, rows) basis.
     """
     r, batch, w = sign.size, a.shape[1], cols.size + 1
     T = np.zeros((batch, r + 2, w + r + 2))
@@ -100,20 +105,32 @@ def _unit_scale(*parts) -> np.ndarray:
     return scale
 
 
-def _solve_over(Z, sign, p, d, a, cols):
+def _solve_over(Z, sign, p, d, a, cols, eq=0):
     """Distances of members laid out as in ``_eq1_tableaux``, solved in
     chunks of at most ``BATCH_BYTES`` of tableau, and a mask of those whose
-    final duals price some column of Z below tolerance."""
+    final duals price some column of Z below tolerance.
+
+    The last ``eq`` rows of Z are equalities: their artificials stay out of
+    pricing and are driven out before the simplex.  Each member's D is read
+    from its final basis by ``basic_solution``, which also checks it, once
+    for all chunks.
+    """
     r, n = Z.shape
     w = cols.size + 1
+    ncols = w + 1 + r - eq
     chunk = max(1, BATCH_BYTES // ((r + 2) * (w + r + 2) * 8))
-    out, short = np.empty(a.shape[1]), np.zeros(a.shape[1], dtype=bool)
+    short = np.zeros(a.shape[1], dtype=bool)
+    B, b, bases = [], [], []  # each chunk's unpivoted basis columns, RHS, basis
     for lo in range(0, a.shape[1], chunk):
         part = slice(lo, lo + chunk)
         T, basis = _eq1_tableaux(Z, sign, p[:, part], d[:, part], a[:, part], cols)
-        out[part], unbounded = batch_simplex(T, basis, w + 1 + r)
-        if unbounded.any():
+        A = T[:, :-1].copy()
+        drive_out(T, basis, range(r - eq, r), ncols)
+        if batch_simplex(T, basis, ncols)[1].any():
             raise LpUnbounded("distance unbounded; check the direction vector")
+        B.append(A[np.arange(len(A))[:, None, None], np.arange(r + 1)[:, None], basis[:, None, :]])
+        b.append(A[:, :, -1])
+        bases.append(basis)
         if cols.size < n:
             # Column j is sign * (Z_j - a) over a 1; its price at the duals
             # (the z-row at the slacks, and at the anchor for the convexity
@@ -125,7 +142,9 @@ def _solve_over(Z, sign, p, d, a, cols):
             price = (u[:, None] @ Z)[:, 0] + (conv - ua.sum(1))[:, None]
             size = (np.abs(u)[:, None] @ Z)[:, 0] + (np.abs(ua).sum(1) + np.abs(conv))[:, None]
             short[part] = (price < -PIVOT_TOL * (1.0 + size)).any(axis=1)
-    return out, short
+    basis = np.concatenate(bases)
+    x = basic_solution(np.concatenate(B), np.concatenate(b), basis < ncols)
+    return np.where(basis == w, x, 0.0).sum(axis=1), short
 
 
 def _warm_distances(X, Y, xk, yk, dx, dy, ax, ay) -> np.ndarray:
@@ -197,6 +216,28 @@ def _standard_form(X, Y, U, xk, yk, uk, dx, dy, du, dist=None):
     return A, np.concatenate([xk - dist * dx, yk + dist * dy, uk - dist * du, [1.0]])
 
 
+def weak_disposability_distances(X, Y, U, xk, yk, uk, dx, dy, du, anchors) -> np.ndarray:
+    """Weak-model distances of a stack of points, warm-started and batched.
+
+    Laid out as ``directional_distances``; reference column ``anchors[b]``
+    must weakly dominate point b in (X, Y) and have its undesirable outputs
+    uk[:, b] exactly.  The reference columns are alpha_j = (X_j, Y_j, U_j)
+    and beta_j = (X_j, 0, 0), all 2n of them: U is not freely disposable,
+    so no column is dominated away and no pricing pass follows.
+    """
+    ax, ay, au = X[:, anchors], Y[:, anchors], U[:, anchors]
+    if np.any(ax > xk) or np.any(ay < yk) or np.any(au != uk):
+        raise ValidationError("every anchor must weakly dominate its evaluated point "
+                              "and match its undesirable outputs")
+    scale = _unit_scale(dx, dy, du)
+    Z = np.block([[X, X], [Y, np.zeros_like(Y)], [U, np.zeros_like(U)]])
+    sign = np.repeat([1.0, -1.0, 1.0], [len(X), len(Y), len(U)])
+    out = _solve_over(Z, sign, np.concatenate([xk, yk, uk]),
+                      np.concatenate([dx, dy, du]) / scale, np.concatenate([ax, ay, au]),
+                      np.arange(Z.shape[1]), eq=len(U))[0]
+    return np.where(out < 0.0, 0.0, out) / scale
+
+
 def directional_distance(X, Y, xk, yk, dx, dy, anchor: int) -> float:
     """Optimal radial distance of (xk, yk) against the frontier of (X, Y):
     ``directional_distances`` for a batch of one, so reference column
@@ -263,7 +304,7 @@ def solve_weak_disposability(
         raise ValidationError(f"DMU index {k} out of range")
     dx, dy, du = direction.resolve(data, k)
     xk, yk, uk = data.X[:, k], data.Y[:, k], data.U[:, k]
-    dist = weak_disposability_distance(data.X, data.Y, data.U, xk, yk, uk, dx, dy, du)
+    dist = weak_disposability_distance(data.X, data.Y, data.U, xk, yk, uk, dx, dy, du, anchor=k)
     weights, gx, gy = _slack_phase(data.X, data.Y, data.U, xk, yk, uk, dx, dy, du, dist)
     alpha, beta = weights[: data.n], weights[data.n :]
     return DeaSolution(
@@ -280,18 +321,13 @@ def solve_weak_disposability(
     )
 
 
-def weak_disposability_distance(X, Y, U, xk, yk, uk, dx, dy, du) -> float:
-    """The weak model's distance phase, solved cold by ``two_phase``.
-
-    As in ``directional_distances``, the direction is scaled to unit
-    magnitude for the solve and D scaled back.
-    """
-    scale = float(_unit_scale(dx, dy, du))
-    A, b = _standard_form(X, Y, U, xk, yk, uk, dx / scale, dy / scale, du / scale)
-    c = np.zeros(A.shape[1])
-    c[A.shape[1] - X.shape[0] - Y.shape[0] - 1] = 1.0  # D, just before the slacks
-    _, obj = two_phase(A, b, c)
-    return max(float(obj), 0.0) / scale
+def weak_disposability_distance(X, Y, U, xk, yk, uk, dx, dy, du, anchor: int) -> float:
+    """The weak model's distance of (xk, yk, uk): ``weak_disposability_distances``
+    for a batch of one, so reference column ``anchor`` must weakly dominate
+    the point and share its undesirable outputs."""
+    return float(weak_disposability_distances(
+        X, Y, U, *(v[:, None] for v in (xk, yk, uk, dx, dy, du)), [anchor]
+    )[0])
 
 
 def interval_dea_bounds(

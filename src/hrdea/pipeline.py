@@ -23,9 +23,9 @@ from itertools import islice
 import numpy as np
 
 from .dataset import DataSet, Direction
-from .dea import directional_distances, weak_disposability_distance
-# Unused here; the tracer in perfbench/spans.py looks this name up.
-from .dea import directional_distance  # noqa: F401
+from .dea import directional_distances, weak_disposability_distances
+# Unused here; the tracer in perfbench/spans.py looks these names up.
+from .dea import directional_distance, weak_disposability_distance  # noqa: F401
 from .errors import ParseError, ValidationError
 from .geometry import UncertaintySet
 from .sampler import Walker
@@ -77,23 +77,18 @@ def _column_distances(points: np.ndarray, m: int, s: int, model: str, direction:
     Values are floored at a tiny positive constant before LP assembly:
     sampled points may sit exactly on the orthant boundary, and a zero
     value would make the proportional or one-sided directions degenerate.
-    The plain model solves the whole world as one warm-started batch, each
+    Either model solves the whole world as one warm-started batch, each
     DMU anchored at its own column.
     """
-    n = points.shape[1]
+    anchors = np.arange(points.shape[1])
     floored = np.maximum(points, INPUT_FLOOR)
     X = floored[:m]
     Y = floored[m : m + s]
     U = floored[m + s :]
     dx, dy, du = direction.resolve_at(X, Y, U)
     if model == "weak":
-        return np.array([
-            weak_disposability_distance(
-                X, Y, U, X[:, k], Y[:, k], U[:, k], dx[:, k], dy[:, k], du[:, k]
-            )
-            for k in range(n)
-        ])
-    return directional_distances(X, Y, X, Y, dx, dy, np.arange(n))
+        return weak_disposability_distances(X, Y, U, X, Y, U, dx, dy, du, anchors)
+    return directional_distances(X, Y, X, Y, dx, dy, anchors)
 
 
 def _worlds(walker: Walker, points: np.ndarray, seed: int, t: int):

@@ -18,6 +18,7 @@ from hrdea.dea import (
     solve_directional,
     solve_weak_disposability,
     weak_disposability_distance,
+    weak_disposability_distances,
 )
 from hrdea.errors import LpError, LpInfeasible, ValidationError
 from hrdea.pipeline import INPUT_FLOOR, _column_distances
@@ -381,23 +382,34 @@ CYCLING_WORLD = np.array([
 
 
 def test_batch_member_past_bland_after_finishes_serially(monkeypatch):
-    handovers = []
-    serial = lp.simplex
+    # Each run batch_simplex hands to the serial simplex (a member left open
+    # alone, or past BLAND_AFTER): its start and the pivots it makes there.
+    runs = []
+    serial, pivot = lp.simplex, lp._pivot
 
     def spy(T, basis, ncols, start=0):
-        handovers.append(start)
+        runs.append([start, 0])
         return serial(T, basis, ncols, start)
 
+    def counted(T, row, col):
+        runs[-1][1] += 1
+        pivot(T, row, col)
+
+    def past_bland_after():
+        return sum(start + pivots > lp.BLAND_AFTER for start, pivots in runs)
+
     monkeypatch.setattr(lp, "simplex", spy)
+    monkeypatch.setattr(lp, "_pivot", counted)
     # DMU 0 is dominated; over the other columns no member cycles.
     check_world(CYCLING_WORLD, Direction.proportional())
-    assert handovers == []
+    assert runs and past_bland_after() == 0
     # With no candidate columns, DMU 1's pricing fails and it is solved
     # again over all columns, where it cycles as before.
+    runs.clear()
     monkeypatch.setattr(dea, "_nondominated", lambda X, Y: np.arange(0))
     check_world(CYCLING_WORLD, Direction.proportional())
     # once in the world's batch, once in DMU 1's batch of one
-    assert handovers == [lp.BLAND_AFTER, lp.BLAND_AFTER]
+    assert past_bland_after() == 2
 
 
 def all_columns(monkeypatch, X, Y, dx, dy):
@@ -517,9 +529,9 @@ def test_single_distance_rejects_anchor_that_does_not_dominate():
 # A weak-model world at hospital magnitudes (beds and staff in the hundreds,
 # outputs in the thousands): a pooled 27 x 4 panel drawn like the
 # weak-panel-n108 benchmark workload with inputs x500, outputs x5000 and the
-# undesirable output x500 (seed 14), cut down to the 7 DMUs that keep DMU 3's
-# answer off Ax = b.  Without the residual check two_phase returned 0.1747
-# for DMU 3, where HiGHS gives 0.0746.
+# undesirable output x500 (seed 14), cut down to the 7 DMUs that keep the
+# cold solve of DMU 3's distance phase off Ax = b.  Without the residual
+# check two_phase returned 0.1747 for DMU 3, where HiGHS gives 0.0746.
 HOSPITAL_WORLD = np.array([
     [
         285.4511076408349, 125.70778015516682, 1845.816745284963, 644.0582561181857,
@@ -545,14 +557,38 @@ HOSPITAL_WORLD = np.array([
 
 
 def test_two_phase_answer_that_breaks_ax_eq_b_raises():
+    # DMU 3's distance phase in equality form, solved cold: the proportional
+    # direction scaled to unit magnitude, D maximized.
     X, Y, U = HOSPITAL_WORLD[:2], HOSPITAL_WORLD[2:4], HOSPITAL_WORLD[4:]
-    k = 3
+    p = HOSPITAL_WORLD[:, 3]
+    d = p / p.max()
+    A, b = dea._standard_form(X, Y, U, p[:2], p[2:4], p[4:], d[:2], d[2:4], d[4:])
+    c = np.zeros(A.shape[1])
+    c[2 * X.shape[1]] = 1.0  # D, after the alpha and beta blocks
     with pytest.raises(LpError, match="violates Ax = b") as info:
-        weak_disposability_distance(
-            X, Y, U, X[:, k], Y[:, k], U[:, k], X[:, k], Y[:, k], U[:, k]
-        )
+        lp.two_phase(A, b, c)
     # not LpInfeasible: the LP is feasible, its answer is what went wrong
     assert not isinstance(info.value, LpInfeasible)
+
+
+def test_warm_weak_distance_of_the_hospital_world_matches_highs():
+    X, Y, U = HOSPITAL_WORLD[:2], HOSPITAL_WORLD[2:4], HOSPITAL_WORLD[4:]
+    for k in range(X.shape[1]):
+        args = (X, Y, U, X[:, k], Y[:, k], U[:, k], X[:, k], Y[:, k], U[:, k])
+        assert_matches(weak_disposability_distance(*args, anchor=k), highs_model(*args))
+    args = (X, Y, U, X[:, 3], Y[:, 3], U[:, 3], X[:, 3], Y[:, 3], U[:, 3])
+    assert weak_disposability_distance(*args, anchor=3) == pytest.approx(0.0746407245185,
+                                                                         rel=1e-11)
+
+
+def test_weak_distance_rejects_anchor_that_does_not_dominate():
+    X, Y, U = np.array([[1.0, 2.0]]), np.array([[1.0, 1.0]]), np.array([[1.0, 1.0]])
+    d = np.ones(1)
+    with pytest.raises(ValidationError):  # more input than the point
+        weak_disposability_distance(X, Y, U, X[:, 0], Y[:, 0], U[:, 0], d, d, d, anchor=1)
+    with pytest.raises(ValidationError):  # other undesirable outputs
+        weak_disposability_distance(X, Y, U, X[:, 1], Y[:, 1], 0.5 * U[:, 1], d, d, d,
+                                    anchor=0)
 
 
 # --- the cold LPs against HiGHS -------------------------------------------
@@ -671,13 +707,115 @@ def test_weak_model_matches_highs(mode, n):
         dx, dy, du = direction.resolve(data, k)
         args = (data.X, data.Y, data.U, data.X[:, k], data.Y[:, k], data.U[:, k], dx, dy, du)
         oracle = highs_model(*args)
-        assert_matches(weak_disposability_distance(*args), oracle)
+        assert_matches(weak_disposability_distance(*args, anchor=k), oracle)
         sol = solve_weak_disposability(data, k, direction)
         assert_matches(sol.distance, oracle)
         assert_matches(sol.slacks_x.sum() + sol.slacks_y.sum(),
                        highs_model(*args, dist=sol.distance))
         assert_rows_hold(sol, data, k, direction)
         assert_matches(sol.alpha + sol.beta, sol.intensities)
+
+
+def check_weak_world(points, direction, m=2, s=1):
+    """The weak model's world batch against each member as a batch of one
+    (same bits) and against HiGHS; returns the batch."""
+    batch = _column_distances(points, m, s, "weak", direction)
+    floored = np.maximum(points, INPUT_FLOOR)
+    X, Y, U = floored[:m], floored[m : m + s], floored[m + s :]
+    dx, dy, du = direction.resolve_at(X, Y, U)
+    args = [(X, Y, U, X[:, k], Y[:, k], U[:, k], dx[:, k], dy[:, k], du[:, k])
+            for k in range(points.shape[1])]
+    single = [weak_disposability_distance(*a, anchor=k) for k, a in enumerate(args)]
+    assert np.array_equal(batch, single)
+    assert_matches(batch, [max(highs_model(*a), 0.0) for a in args])
+    return batch
+
+
+@pytest.mark.parametrize("n", [1, 2, 30])
+@pytest.mark.parametrize("mode", sorted(WEAK_DIRECTIONS))
+def test_weak_world_batch_matches_single_solves_and_highs(mode, n):
+    points = order_one_world(n)
+    if n == 30:  # a duplicate DMU and floored cells
+        points[:, 7] = points[:, 6]
+        points[0, 8] = points[3, 9] = 0.0
+    batch = check_weak_world(points, WEAK_DIRECTIONS[mode])
+    if n == 1:
+        assert batch[0] == 0.0
+
+
+def test_weak_world_with_a_repeated_undesirable_row(monkeypatch):
+    # The second row is the first again: once the first row's artificial is
+    # pivoted out, the second row is zero in every priced column, redundant,
+    # and keeps its artificial.
+    points = order_one_world(30)
+    once = check_weak_world(points, Direction.proportional())
+    kept = []
+    pivot = lp._pivot_lanes
+
+    def spy(T, basis, row, col):
+        kept.extend(col[col >= T.shape[2] - 3])  # the two artificials' columns
+        pivot(T, basis, row, col)
+
+    monkeypatch.setattr(lp, "_pivot_lanes", spy)
+    twice = check_weak_world(np.vstack([points, points[3:]]), Direction.proportional())
+    assert len(kept) == 2 * 30  # the world's batch and the batches of one
+    assert_matches(twice, once)
+
+
+def test_weak_batch_crosses_chunk_edges(monkeypatch):
+    points = order_one_world(30)
+    X, Y, U = points[:2], points[2:3], points[3:]
+    anchors = np.arange(30)
+    whole = weak_disposability_distances(X, Y, U, X, Y, U, X, Y, U, anchors)
+    monkeypatch.setattr(dea, "BATCH_BYTES", 4096)
+    assert np.array_equal(weak_disposability_distances(X, Y, U, X, Y, U, X, Y, U, anchors),
+                          whole)
+
+
+def test_weak_model_matches_highs_at_hospital_magnitudes():
+    """Each row of the data at its own magnitude, 1e-2 to 1e4."""
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(
+        n=st.integers(2, 12),
+        mode=st.sampled_from(sorted(WEAK_DIRECTIONS)),
+        data=st.data(),
+    )
+    def check(n, mode, data):
+        points = data.draw(arrays(float, (4, n), elements=st.floats(0.5, 2.0)))
+        exponents = data.draw(arrays(float, 4, elements=st.floats(-2.0, 4.0)))
+        check_weak_world(points * 10.0 ** exponents[:, None], WEAK_DIRECTIONS[mode])
+
+    check()
+
+
+def hospital_panel(seed, scale):
+    """The pooled 27 x 4 panel of the weak-panel-n108 benchmark workload
+    drawn at ``seed`` (2 inputs, 2 outputs, 1 undesirable output), its
+    inputs and undesirable output times ``scale``, its outputs times
+    10 * ``scale``."""
+    rng = np.random.default_rng(seed)
+    size = rng.lognormal(0.0, 0.5, size=27)
+    waves = []
+    for _ in range(4):
+        jitter = rng.uniform(0.9, 1.1, size=(5, 27))
+        eff = rng.uniform(0.6, 1.0, size=27)
+        u = size * eff * rng.uniform(0.5, 1.5, size=27) * jitter[4:]
+        waves.append(np.vstack([size * jitter[:2], size * eff * jitter[2:4], u]))
+    return np.hstack(waves) * (scale * np.array([1.0, 1.0, 10.0, 10.0, 1.0]))[:, None]
+
+
+# Hospital-magnitude panels, (seed, scale).  Over seeds 0-39 at scales 100,
+# 500 and 1000, the cold two_phase solve of the distance phase raised
+# LpError on a DMU of each of the first five; on the last four, drawn like
+# an earlier version of the workload, hrdea and HiGHS once disagreed.
+HOSPITAL_PANELS = [(2, 1000.0), (5, 500.0), (5, 1000.0), (14, 500.0), (14, 1000.0),
+                   (7, 500.0), (31, 500.0), (34, 500.0), (35, 500.0)]
+
+
+@pytest.mark.parametrize("seed, scale", HOSPITAL_PANELS)
+def test_weak_hospital_panels_match_highs(seed, scale):
+    check_weak_world(hospital_panel(seed, scale), Direction.proportional(), m=2, s=2)
 
 
 # --- interval bounds against HiGHS ----------------------------------------

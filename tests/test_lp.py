@@ -4,7 +4,7 @@ from scipy.optimize import linprog
 
 from hrdea import lp
 from hrdea.errors import LpError, LpInfeasible, LpUnbounded
-from hrdea.lp import batch_simplex, simplex, two_phase
+from hrdea.lp import basic_solution, batch_simplex, simplex, two_phase
 
 
 def with_slacks(c, a_ub, b_ub, a_eq=None, b_eq=None):
@@ -185,3 +185,25 @@ def test_beale_iteration_limit_raises(monkeypatch):
     T, basis = beale_tableau()
     with pytest.raises(LpError, match="iteration limit"):
         simplex(T, basis, 7)
+
+
+# --- reading the answer from the final basis -------------------------------
+
+
+def test_basic_solution_reads_and_checks_each_basis():
+    # x1 + x2 + s1 = 4 and x1 - x2 + s2 = 0, columns (x1, x2, s1, s2)
+    A = np.array([[1.0, 1.0, 1.0, 0.0], [1.0, -1.0, 0.0, 1.0]])
+    b = np.array([4.0, 0.0])
+
+    def read(basis, real=(True, True)):
+        return basic_solution(A[:, basis][None], b[None], np.array([real]))
+
+    x = basic_solution(np.stack([A[:, [0, 1]], A[:, [0, 2]]]), np.stack([b, b]),
+                       np.ones((2, 2), dtype=bool))
+    assert np.array_equal(x, [[2.0, 2.0], [0.0, 4.0]])
+    with pytest.raises(LpError, match="violates Ax = b"):  # s1 an artificial at 4
+        read([0, 2], real=(True, False))
+    with pytest.raises(LpError, match="violates Ax = b"):  # x1 = 4, s2 = -4
+        read([0, 3])
+    with pytest.raises(LpError, match="singular"):
+        read([0, 0])

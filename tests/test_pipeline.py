@@ -24,6 +24,12 @@ def random_instance(rng, n, m=2, s=1):
     return from_arrays(X, Y)
 
 
+def weak_instance(rng, n):
+    """Two inputs, one output and one undesirable output."""
+    X, Y, U = (rng.uniform(1.0, 10.0, size=(rows, n)) for rows in (2, 1, 1))
+    return from_arrays(X, Y, U)
+
+
 def point_sets(data):
     return [UncertaintySet.point(data.column(j)) for j in range(data.n)]
 
@@ -147,31 +153,32 @@ def test_box_sets_contained_in_interval_bounds():
 
 def test_prefix_property_and_width_growth():
     rng = np.random.default_rng(5)
-    data = random_instance(rng, 6)
-    sets = box_sets(data)
     d = Direction.proportional()
-    small = run_hr_dea(data, sets, d, t=50, seed=13)
-    large = run_hr_dea(data, sets, d, t=300, seed=13)
-    # same streams: a shorter run is a prefix of a longer one
-    np.testing.assert_array_equal(small.values, large.values[:, :50])
-    width_small = small.values.max(axis=1) - small.values.min(axis=1)
-    width_large = large.values.max(axis=1) - large.values.min(axis=1)
-    assert np.all(width_large >= width_small - 1e-12)
+    for data in (random_instance(rng, 6), weak_instance(rng, 6)):
+        sets = box_sets(data)
+        small = run_hr_dea(data, sets, d, t=50, seed=13)
+        large = run_hr_dea(data, sets, d, t=300, seed=13)
+        # same streams: a shorter run is a prefix of a longer one
+        np.testing.assert_array_equal(small.values, large.values[:, :50])
+        np.testing.assert_array_equal(small.baseline, large.baseline)
+        width_small = small.values.max(axis=1) - small.values.min(axis=1)
+        width_large = large.values.max(axis=1) - large.values.min(axis=1)
+        assert np.all(width_large >= width_small - 1e-12)
 
 
 def test_determinism_across_threads():
     rng = np.random.default_rng(6)
-    data = random_instance(rng, 6)
-    sets = box_sets(data)
     d = Direction.proportional()
-    # t = 1 and 3 give the pool fewer worlds than 4 * threads chunks
-    for t in (1, 3, 40):
-        serial = run_hr_dea(data, sets, d, t=t, seed=17, threads=1)
-        parallel = run_hr_dea(data, sets, d, t=t, seed=17, threads=2)
-        assert np.array_equal(serial.values, parallel.values)
-        assert np.array_equal(serial.baseline, parallel.baseline)
-    again = run_hr_dea(data, sets, d, t=40, seed=17, threads=1)
-    assert np.array_equal(serial.values, again.values)
+    for data in (random_instance(rng, 6), weak_instance(rng, 6)):
+        sets = box_sets(data)
+        # t = 1 and 3 give the pool fewer worlds than 4 * threads chunks
+        for t in (1, 3, 40):
+            serial = run_hr_dea(data, sets, d, t=t, seed=17, threads=1)
+            parallel = run_hr_dea(data, sets, d, t=t, seed=17, threads=2)
+            assert np.array_equal(serial.values, parallel.values)
+            assert np.array_equal(serial.baseline, parallel.baseline)
+        again = run_hr_dea(data, sets, d, t=40, seed=17, threads=1)
+        assert np.array_equal(serial.values, again.values)
 
 
 def test_serial_run_holds_one_world(monkeypatch):
