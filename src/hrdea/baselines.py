@@ -180,10 +180,6 @@ def sets_from_gaps(data: DataSet, gaps: GapSpec, shape: str) -> list[Uncertainty
     return sets
 
 
-def _complete_columns(stacked: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    return ~mask.any(axis=0)
-
-
 def impute_mean(data: DataSet) -> DataSet:
     """Replace each masked cell with the mean of its variable's known values."""
     stacked = data.stacked().copy()
@@ -207,7 +203,7 @@ def impute_hotdeck(data: DataSet, rng: RngStream) -> DataSet:
     """
     stacked = data.stacked().copy()
     mask = data.stacked_mask()
-    complete = _complete_columns(stacked, mask)
+    complete = ~mask.any(axis=0)
     if not complete.any():
         raise ValidationError("hot-deck imputation needs at least one complete DMU")
     donors = stacked[:, complete]
@@ -238,7 +234,7 @@ def impute_regression(data: DataSet) -> DataSet:
     """
     stacked = data.stacked().copy()
     mask = data.stacked_mask()
-    complete = _complete_columns(stacked, mask)
+    complete = ~mask.any(axis=0)
     n_complete = int(complete.sum())
     if n_complete < data.z + 1:
         raise ValidationError(

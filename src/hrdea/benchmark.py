@@ -8,6 +8,7 @@ with each alternative, and compare against the gap-free scores.
 from __future__ import annotations
 
 import csv
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -180,7 +181,8 @@ def run_benchmark(
         raise ValidationError("need at least one repetition")
     cases = [(sc, rep, n, gaps, t, seed) for rep in range(reps) for sc in scenarios]
     if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        workers = min(threads, os.cpu_count() or 1, len(cases))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_case_args, cases, chunksize=1))
     else:
         results = [run_case(*case) for case in cases]

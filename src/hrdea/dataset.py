@@ -314,13 +314,9 @@ def load_dataset(path, schema: dict[str, str]) -> DataSet:
         raise ValidationError(f"duplicate DMU ids: {dupes}")
 
     def matrix(role: str):
-        cells = [[cell for cell in r[role]] for r in rows]
-        values = np.array([[c[0] for c in row] for row in cells], dtype=float).T
-        mask = np.array([[c[1] for c in row] for row in cells], dtype=bool).T
-        if values.size == 0:
-            count = 0
-            values = values.reshape(count, len(rows))
-            mask = mask.reshape(count, len(rows))
+        # one list per DMU, so a role without columns gives shape (0, n)
+        values = np.array([[c[0] for c in r[role]] for r in rows], dtype=float).T
+        mask = np.array([[c[1] for c in r[role]] for r in rows], dtype=bool).T
         return values, mask
 
     X, mask_x = matrix("input")

@@ -24,8 +24,9 @@ same tableau builder.  A weak member is solved over all its alpha and beta
 columns, its undesirable rows being equalities.  The interval lower bounds
 are one plain batch against the worst scenario, each anchored at its best
 version.  ``two_phase`` solves only the slack phases of both models, cold,
-one at a time, on one equality form (``_standard_form``).  The plain model
-is the weak model without undesirable rows and without the beta block.
+one at a time, on one equality form (``_standard_form``) with D fixed at
+its optimum.  The plain model is the weak model without undesirable rows
+and without the beta block.
 """
 
 from __future__ import annotations
@@ -178,18 +179,18 @@ def directional_distances(X, Y, xk, yk, dx, dy, anchors) -> np.ndarray:
     return _warm_distances(X, Y, xk, yk, dx, dy, ax, ay)
 
 
-def _standard_form(X, Y, U, xk, yk, uk, dx, dy, du, dist=None):
-    """Equality form (A, b) of the directional model for the point (xk, yk, uk).
+def _standard_form(X, Y, U, xk, yk, uk, dx, dy, du, dist):
+    """Equality form (A, b) of the slack phase for the point (xk, yk, uk).
 
-    Rows are inputs, desirable outputs, undesirable outputs and convexity::
+    With D fixed at ``dist``, rows are inputs, desirable outputs,
+    undesirable outputs and convexity::
 
-        X (alpha + beta) + D dx + gx = xk,   Y alpha - D dy - gy = yk,
-        U alpha + D du = uk,                 sum(alpha + beta) = 1.
+        X (alpha + beta) + gx = xk - D dx,   Y alpha - gy = yk + D dy,
+        U alpha = uk - D du,                 sum(alpha + beta) = 1.
 
-    Columns are (alpha, beta, D, gx, gy).  With ``U`` None there are no
+    Columns are (alpha, beta, gx, gy).  With ``U`` None there are no
     undesirable rows and no beta block: the plain model, whose ``uk`` and
-    ``du`` are ignored.  With ``dist`` given, D is fixed there and moved
-    into b, as the slack phase needs.
+    ``du`` are ignored.
     """
     m, n = X.shape
     s = Y.shape[0]
@@ -198,21 +199,15 @@ def _standard_form(X, Y, U, xk, yk, uk, dx, dy, du, dist=None):
         U, uk, du = np.zeros((0, n)), np.zeros(0), np.zeros(0)
     v = U.shape[0]
     lam = 2 * n if weak else n
-    g = lam if dist is not None else lam + 1  # first slack column
-    A = np.zeros((m + s + v + 1, g + m + s))
+    A = np.zeros((m + s + v + 1, lam + m + s))
     A[:m, :n] = X
     if weak:
         A[:m, n:lam] = X
     A[m : m + s, :n] = Y
     A[m + s : m + s + v, :n] = U
     A[-1, :lam] = 1.0
-    A[np.arange(m), g + np.arange(m)] = 1.0
-    A[m + np.arange(s), g + m + np.arange(s)] = -1.0
-    if dist is None:
-        A[:m, lam] = dx
-        A[m : m + s, lam] = -dy
-        A[m + s : m + s + v, lam] = du
-        return A, np.concatenate([xk, yk, uk, [1.0]])
+    A[np.arange(m), lam + np.arange(m)] = 1.0
+    A[m + np.arange(s), lam + m + np.arange(s)] = -1.0
     return A, np.concatenate([xk - dist * dx, yk + dist * dy, uk - dist * du, [1.0]])
 
 

@@ -348,8 +348,7 @@ def robustness_report(
     rows = []
     for j, dmu in enumerate(dm.dmu_ids):
         samples = dm.values[j]
-        counts = erii_counts(samples, scheme)
-        probs = counts / counts.sum()
+        probs = erii(samples, scheme)
         e_d = expected_distance(probs, scheme)
         lb, ub = confidence_interval(samples, tau)
         sd = float(samples.std())

@@ -4,15 +4,16 @@ All variables are implicitly non-negative.  Problems are maximized and
 given in equality form; a ``<=`` row takes an explicit slack column.  Two
 entry points share one pivot rule:
 
-* ``two_phase`` solves one LP cold (phase 1 on artificials, then
-  the objective) and checks that its answer satisfies ``Ax = b`` to within
-  ``FEAS_TOL`` relative to ``b``.  It serves only the slack phases.
 * ``batch_simplex`` continues a stack of LPs that all start at a feasible
   basis, such as the warm-started DEA models of one sampled world.  It
   pivots every unfinished member at once and drops members as they finish.
   ``drive_out`` first pivots zero-level artificials out of the stack, and
   ``basic_solution`` then reads every member's answer from its final basis
-  and the unpivoted columns, with the same check as ``two_phase``.
+  and the unpivoted columns, and checks that it satisfies ``Ax = b`` to
+  within ``FEAS_TOL`` relative to ``b``.
+* ``two_phase`` solves one LP cold from the same pieces: ``simplex`` on
+  artificials (phase 1), ``drive_out``, ``simplex`` on the objective
+  (phase 2) and ``basic_solution``.  It serves only the slack phases.
 
 Dantzig pricing is used first and Bland's rule takes over after
 ``BLAND_AFTER`` pivots to rule out cycling; Bland's rule lives in the
@@ -118,10 +119,10 @@ def basic_solution(B: np.ndarray, b: np.ndarray, real: np.ndarray) -> np.ndarray
     ``b`` (batch, rows) its right-hand side, both as built, before any
     pivot; ``real`` marks the basic variables that are not artificials.
     One batched square solve gives every x_B, so a value depends on the
-    basis, not on the pivots that reached it.  As in ``two_phase``, x is
-    clipped at 0 and must satisfy ``Ax = b`` to within ``FEAS_TOL``
-    relative to b, an artificial counting as 0; a member that breaks it
-    raises ``LpError``.  Returns the clipped x_B, (batch, rows).
+    basis, not on the pivots that reached it.  x is clipped at 0 and must
+    satisfy ``Ax = b`` to within ``FEAS_TOL`` relative to b, an artificial
+    counting as 0; a member that breaks it raises ``LpError``.  Returns the
+    clipped x_B, (batch, rows).
     """
     try:
         x = np.linalg.solve(B, b[:, :, None])[:, :, 0]
@@ -185,74 +186,38 @@ def batch_simplex(T: np.ndarray, basis: np.ndarray, ncols: int):
     return final[:, -1, -1].copy(), unbounded
 
 
-def extract_solution(T: np.ndarray, basis: np.ndarray, nvar: int) -> np.ndarray:
-    x = np.zeros(nvar)
-    keep = basis < nvar
-    x[basis[keep]] = T[:-1, -1][keep]
-    np.clip(x, 0.0, None, out=x)
-    return x
-
-
-def _phase_one(A: np.ndarray, b: np.ndarray):
-    """Find a BFS via artificial variables; returns (tableau, basis) or None."""
-    rows, ncols = A.shape
-    T = np.zeros((rows + 1, ncols + rows + 1))
-    T[:-1, :ncols] = A
-    T[:-1, ncols : ncols + rows] = np.eye(rows)
-    T[:-1, -1] = b
-    basis = np.arange(ncols, ncols + rows)
-    # Phase-1 objective: max -sum(artificials); z-row = sum of constraint rows
-    # over the original columns (artificial reduced costs start at zero).
-    T[-1, :ncols] = -A.sum(axis=0)
-    T[-1, -1] = -b.sum()
-    status = simplex(T, basis, ncols + rows)
-    if status != "optimal" or T[-1, -1] < -1e-7:
-        return None
-    # Drive leftover artificials out of the basis; drop redundant rows.
-    keep_rows = np.ones(rows, dtype=bool)
-    for r in range(rows):
-        if basis[r] >= ncols:
-            pivots = np.nonzero(np.abs(T[r, :ncols]) > 1e-9)[0]
-            if pivots.size:
-                _pivot(T, r, int(pivots[0]))
-                basis[r] = int(pivots[0])
-            else:
-                keep_rows[r] = False
-    if not keep_rows.all():
-        rows_idx = np.concatenate([np.nonzero(keep_rows)[0], [rows]])
-        T = T[rows_idx]
-        basis = basis[keep_rows]
-    T2 = np.hstack([T[:, :ncols], T[:, -1:]])
-    return T2, basis
-
-
 def two_phase(A: np.ndarray, b: np.ndarray, c: np.ndarray):
-    """Solve max c'x, Ax = b, x >= 0 from scratch; returns (x, objective)."""
+    """Solve max c'x, Ax = b, x >= 0 from scratch; returns (x, objective).
+
+    Phase 1 runs ``simplex`` on ``[A | I | b]`` from the artificial basis,
+    ``drive_out`` then pivots leftover zero-level artificials out (a
+    redundant row keeps its own), and phase 2 prices only the columns of A.
+    x is read from the final basis by ``basic_solution``: a pivot on a tiny
+    element can leave a basis whose x breaks ``Ax = b``, and such an answer
+    raises ``LpError``, never a distance.
+    """
     A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float).copy()
+    b = np.asarray(b, dtype=float)
     c = np.asarray(c, dtype=float)
-    flip = b < 0
-    if flip.any():
-        A = A.copy()
-        A[flip] *= -1.0
-        b = np.abs(b)
-    first = _phase_one(A, b)
-    if first is None:
+    sign = np.where(b < 0, -1.0, 1.0)
+    rows, ncols = A.shape
+    AI = np.hstack([A * sign[:, None], np.eye(rows)])
+    b = b * sign
+    T = np.zeros((rows + 1, ncols + rows + 1))
+    T[:-1, :-1], T[:-1, -1] = AI, b
+    basis = np.arange(ncols, ncols + rows)
+    # Phase-1 objective: max -sum(artificials); z-row = minus the sum of
+    # the constraint rows over the original columns.
+    T[-1, :ncols], T[-1, -1] = -AI[:, :ncols].sum(axis=0), -b.sum()
+    if simplex(T, basis, ncols + rows) != "optimal" or T[-1, -1] < -1e-7:
         raise LpInfeasible("no feasible point")
-    T, basis = first
-    ncols = A.shape[1]
-    T[-1, :ncols] = -c
-    T[-1, -1] = 0.0
-    for r, col in enumerate(basis):
-        if abs(c[col]) > 0:
-            T[-1] += c[col] * T[r]
-    status = simplex(T, basis, ncols)
-    if status == "unbounded":
+    drive_out(T[None], basis[None], np.flatnonzero(basis >= ncols), ncols)
+    cost = np.r_[c, np.zeros(rows)]
+    T[-1] = cost[basis] @ T[:-1]
+    T[-1, :-1] -= cost
+    if simplex(T, basis, ncols) == "unbounded":
         raise LpUnbounded("objective unbounded above")
-    x = extract_solution(T, basis, ncols)
-    # A pivot on a tiny element can leave a basis whose x breaks Ax = b;
-    # such an answer is a solver failure, never a distance.
-    residual = np.abs(A @ x - b).max(initial=0.0)
-    if residual > FEAS_TOL * (1.0 + b.max(initial=0.0)):  # b >= 0 here
-        raise LpError(f"answer violates Ax = b by {residual:.3g}")
-    return x, float(T[-1, -1])
+    real = basis < ncols
+    x = np.zeros(ncols)
+    x[basis[real]] = basic_solution(AI[:, basis][None], b[None], real[None])[0, real]
+    return x, float(c @ x)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -110,13 +111,15 @@ def _score(worlds, *args):
 
 
 def _pooled(worlds, args, threads: int, t: int):
-    """Score the worlds on a process pool, in order.  A chunk holds at most
-    32 worlds and at most two chunks per worker are in flight, so the walk
-    runs only that far ahead of the scores: memory does not grow with t."""
-    chunk = min(math.ceil(t / (4 * threads)), 32)
+    """Score the worlds on a process pool, in order.  The pool has at most
+    one worker per CPU.  A chunk holds at most 32 worlds and at most two
+    chunks per worker are in flight, so the walk runs only that far ahead of
+    the scores: memory does not grow with t."""
+    workers = min(threads, os.cpu_count() or 1)
+    chunk = min(math.ceil(t / (4 * workers)), 32)
     blocks = iter(lambda: list(islice(worlds, chunk)), [])
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        pending = deque(pool.submit(_score, b, *args) for b in islice(blocks, 2 * threads))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        pending = deque(pool.submit(_score, b, *args) for b in islice(blocks, 2 * workers))
         while pending:
             yield from pending.popleft().result()
             pending.extend(pool.submit(_score, b, *args) for b in islice(blocks, 1))

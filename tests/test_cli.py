@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from hrdea.cli import main
+from hrdea.dataset import Direction, from_arrays
+from hrdea.dea import solve_weak_disposability
 
 
 @pytest.fixture
@@ -26,6 +28,29 @@ def test_solve_two_dmu_fixture(tmp_path, two_dmu_csv):
     rows = dict(line.split(",")[:2] for line in lines[1:])
     assert float(rows["A"]) == pytest.approx(0.0, abs=1e-9)
     assert float(rows["B"]) == pytest.approx(0.5, abs=1e-9)
+
+
+def test_solve_undesirable_writes_the_weak_model(tmp_path):
+    rng = np.random.default_rng(4)
+    cells = rng.uniform(1.0, 10.0, size=(8, 4))
+    path = tmp_path / "weak.csv"
+    path.write_text("dmu,x1,x2,y1,u1\n" + "".join(
+        f"D{j}," + ",".join(map(repr, row.tolist())) + "\n" for j, row in enumerate(cells)
+    ))
+    out = tmp_path / "distances.csv"
+    code = main(["solve", "--data", str(path), "--inputs", "x1,x2", "--outputs", "y1",
+                 "--undesirable-cols", "u1", "--undesirable", "--out", str(out)])
+    assert code == 0
+    lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+    assert lines[0] == "dmu,distance,objective"
+    data = from_arrays(cells[:, :2].T, cells[:, 2:3].T, cells[:, 3:].T,
+                       dmu_ids=[f"D{j}" for j in range(8)])
+    for k, line in enumerate(lines[1:]):
+        dmu, distance, objective = line.split(",")
+        sol = solve_weak_disposability(data, k, Direction.proportional())
+        assert dmu == f"D{k}"
+        assert (float(distance), float(objective)) == (sol.distance, sol.objective)
+    assert len(lines) == 9
 
 
 def test_run_is_deterministic(tmp_path, two_dmu_csv):

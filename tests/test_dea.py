@@ -562,9 +562,11 @@ def test_two_phase_answer_that_breaks_ax_eq_b_raises():
     X, Y, U = HOSPITAL_WORLD[:2], HOSPITAL_WORLD[2:4], HOSPITAL_WORLD[4:]
     p = HOSPITAL_WORLD[:, 3]
     d = p / p.max()
-    A, b = dea._standard_form(X, Y, U, p[:2], p[2:4], p[4:], d[:2], d[2:4], d[4:])
+    n = X.shape[1]
+    A, b = dea._standard_form(X, Y, U, p[:2], p[2:4], p[4:], d[:2], d[2:4], d[4:], dist=0.0)
+    A = np.insert(A, 2 * n, np.r_[d[:2], -d[2:4], d[4:], 0.0], axis=1)
     c = np.zeros(A.shape[1])
-    c[2 * X.shape[1]] = 1.0  # D, after the alpha and beta blocks
+    c[2 * n] = 1.0  # D, after the alpha and beta blocks
     with pytest.raises(LpError, match="violates Ax = b") as info:
         lp.two_phase(A, b, c)
     # not LpInfeasible: the LP is feasible, its answer is what went wrong

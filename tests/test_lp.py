@@ -105,6 +105,33 @@ def test_random_equality_instances_match_scipy():
     assert checked > 150
 
 
+def test_redundant_equality_rows_match_scipy(monkeypatch):
+    # A row that is a combination of the others leaves a zero-level
+    # artificial that no column can replace: it stays basic through phase 2.
+    kept = []
+
+    def spy(B, b, real):
+        kept.append(not real.all())
+        return basic_solution(B, b, real)
+
+    monkeypatch.setattr(lp, "basic_solution", spy)
+    rng = np.random.default_rng(31)
+    for trial in range(100):
+        nvar = int(rng.integers(3, 8))
+        a_eq = rng.normal(size=(2, nvar))
+        a_eq = np.vstack([a_eq, a_eq[0] if trial % 2 else a_eq[0] - 2.5 * a_eq[1]])
+        b_eq = a_eq @ rng.uniform(0.1, 2.0, size=nvar)
+        c = rng.normal(size=nvar)
+        a_box, b_box = np.eye(nvar), np.full(nvar, 6.0)
+        ref = linprog(-c, A_eq=a_eq, b_eq=b_eq, A_ub=a_box, b_ub=b_box,
+                      bounds=(0, None), method="highs")
+        assert ref.status == 0
+        x, obj = two_phase(*with_slacks(c=c, a_eq=a_eq, b_eq=b_eq, a_ub=a_box, b_ub=b_box))
+        assert obj == pytest.approx(-ref.fun, abs=1e-9), f"trial {trial}"
+        np.testing.assert_allclose(a_eq @ x[:nvar], b_eq, atol=1e-9)
+    assert len(kept) == 100 and all(kept)
+
+
 def test_two_phase_solution_is_feasible():
     rng = np.random.default_rng(99)
     for _ in range(50):

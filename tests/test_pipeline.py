@@ -1,11 +1,15 @@
 import importlib.util
+import os
 import tracemalloc
+from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hrdea.benchmark
 import hrdea.pipeline
+from hrdea.benchmark import run_benchmark
 from hrdea.dataset import Direction, from_arrays
 from hrdea.dea import interval_dea_bounds, solve_directional, solve_weak_disposability
 from hrdea.errors import ValidationError
@@ -225,6 +229,45 @@ def test_pooled_run_holds_a_window(monkeypatch):
             tracemalloc.stop()
     per_world = (peaks[2500] - peaks[500]) / 2000
     assert per_world < data.z * data.n * 8 / 2
+
+
+class _InlinePool:
+    """A stand-in process pool that runs each task at once, in the caller,
+    and records the worker count it was asked for."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+    def map(self, fn, iterable, chunksize=1):
+        return map(fn, iterable)
+
+
+def test_pool_has_at_most_one_worker_per_cpu_and_case(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(_InlinePool, "sizes", [])
+    for module in (hrdea.pipeline, hrdea.benchmark):
+        monkeypatch.setattr(module, "ProcessPoolExecutor", _InlinePool)
+    data = random_instance(np.random.default_rng(2), 6)
+    sets, d = box_sets(data), Direction.proportional()
+    serial = run_hr_dea(data, sets, d, t=20, seed=5)
+    pooled = run_hr_dea(data, sets, d, t=20, seed=5, threads=5000)
+    assert np.array_equal(serial.values, pooled.values)
+    kw = dict(scenarios=("I", "II"), reps=1, n=10, gaps=3, t=4, seed=2)
+    assert run_benchmark(**kw, threads=5000).table == run_benchmark(**kw).table
+    assert _InlinePool.sizes == [3, 2]  # the CPUs, then the two cases
 
 
 def test_masked_cells_need_set_centers():
