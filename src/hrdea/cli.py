@@ -17,7 +17,7 @@ from . import __version__
 from .baselines import SCENARIOS
 from .benchmark import run_benchmark, save_benchmark
 from .dataset import Direction, load_dataset
-from .dea import solve_directional, solve_weak_disposability
+from .dea import _solve_dmus
 from .errors import DegenerateFitError, HrdeaError
 from .inference import beta_density_points, erii, fit_beta, robustness_report, save_report
 from .pipeline import load_distance_matrix, run_hr_dea, save_distance_matrix, write_header
@@ -65,11 +65,8 @@ def _cmd_solve(args) -> int:
         write_header(fh, "distances", config)
         writer = csv.writer(fh)
         writer.writerow(["dmu", "distance", "objective"])
-        for k, dmu in enumerate(data.dmu_ids):
-            if use_weak:
-                sol = solve_weak_disposability(data, k, direction, eps=args.eps)
-            else:
-                sol = solve_directional(data, k, direction, eps=args.eps)
+        solutions = _solve_dmus(data, range(data.n), direction, use_weak, eps=args.eps)
+        for dmu, sol in zip(data.dmu_ids, solutions):
             writer.writerow([dmu, repr(float(sol.distance)), repr(float(sol.objective))])
     print(f"wrote {args.out}")
     return 0

@@ -11,7 +11,7 @@ lexicographically: the reported distance is always the optimum of the pure
 distance phase, and the non-Archimedean weight only enters the reported
 objective value.
 
-Every distance is warm-started at an anchor vertex:
+Every LP is warm-started at an anchor vertex:
 ``directional_distances`` and ``weak_disposability_distances`` solve a
 stack of such LPs as one batch from tableaux already pivoted to that vertex
 (``_eq1_tableaux``), and ``directional_distance`` and
@@ -23,10 +23,11 @@ some column would still improve is solved again over all columns by the
 same tableau builder.  A weak member is solved over all its alpha and beta
 columns, its undesirable rows being equalities.  The interval lower bounds
 are one plain batch against the worst scenario, each anchored at its best
-version.  ``two_phase`` solves only the slack phases of both models, cold,
-one at a time, on one equality form (``_standard_form``) with D fixed at
-its optimum.  The plain model is the weak model without undesirable rows
-and without the beta block.
+version.  ``solve_directional`` and ``solve_weak_disposability`` are
+batches of one of ``_solve_dmus``, whose slack phase continues each
+member's final distance tableau on its optimal face (``_max_slacks``), so
+every LP of both models runs on the one warm path.  The plain model is the
+weak model without undesirable rows and without the beta block.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import numpy as np
 
 from .dataset import DataSet, Direction
 from .errors import LpUnbounded, ValidationError
-from .lp import PIVOT_TOL, basic_solution, batch_simplex, drive_out, two_phase
+from .lp import PIVOT_TOL, basic_solution, batch_simplex, drive_out
 # Unused here; the tracer in perfbench/spans.py looks this name up.
 from .lp import simplex  # noqa: F401
 
@@ -98,30 +99,68 @@ def _eq1_tableaux(Z, sign, p, d, a, cols):
     return T, np.tile(np.r_[w + 1 : w + 1 + r, w - 1], (batch, 1))
 
 
-def _unit_scale(*parts) -> np.ndarray:
-    """Largest direction component of each member (columns of 2-D parts)."""
-    scale = np.max(np.concatenate(parts), axis=0, initial=0.0)
+def _unit_scale(d) -> np.ndarray:
+    """Largest direction component of each member (columns of d)."""
+    scale = np.max(d, axis=0, initial=0.0)
     if np.any(scale <= 0.0):
         raise ValidationError("direction must have a strictly positive component")
     return scale
 
 
-def _solve_over(Z, sign, p, d, a, cols, eq=0):
+def _max_slacks(T, basis, ncols, first):
+    """The slack phase: continue each member's optimal distance tableau to
+    the largest total slack on its optimal face.
+
+    Columns ``first`` to ``ncols`` are the real slacks.  A column whose
+    reduced cost exceeds ``PIVOT_TOL`` is zeroed: by complementary
+    slackness, the points left feasible are exactly the optimal face, so D
+    stays at its optimum.  The objective becomes the total of the real
+    slacks (a zeroed slack costs 0, so its z-row entry stays 0 and it never
+    prices), and ``batch_simplex`` continues over the same columns, which
+    leave the artificials out.  T and basis end holding each member's final
+    tableau and basis.
+    """
+    keep = T[:, -1, :ncols] <= PIVOT_TOL
+    T[:, :-1, :ncols] *= keep[:, None]
+    cost = np.zeros((len(T), T.shape[2] - 1))
+    cost[:, first:ncols] = keep[:, first:ncols]
+    T[:, -1] = (np.take_along_axis(cost, basis, axis=1)[:, None] @ T[:, :-1])[:, 0]
+    T[:, -1, :-1] -= cost
+    if batch_simplex(T, basis, ncols)[1].any():
+        raise LpUnbounded("slack phase unbounded")
+
+
+# The tracer in perfbench/spans.py looks this name up; the slack phase is
+# called through it, so the tracer's two_phase spans time the slack phase.
+two_phase = _max_slacks
+
+
+def _solve_over(Z, sign, p, d, a, cols, eq=0, slacks=False):
     """Distances of members laid out as in ``_eq1_tableaux``, solved in
-    chunks of at most ``BATCH_BYTES`` of tableau, and a mask of those whose
-    final duals price some column of Z below tolerance.
+    chunks of at most ``BATCH_BYTES`` of tableau, a mask of those whose
+    final duals price some column of Z below tolerance, and, with
+    ``slacks``, each member's slack-phase answer (else None).
 
     The last ``eq`` rows of Z are equalities: their artificials stay out of
-    pricing and are driven out before the simplex.  Each member's D is read
-    from its final basis by ``basic_solution``, which also checks it, once
-    for all chunks.
+    pricing and are driven out before the simplex.  With ``slacks``, each
+    member's optimal distance tableau goes on to the slack phase.  Every
+    answer is read from its final basis by ``basic_solution``, which also
+    checks it, once for all chunks: a member's D from the distance phase,
+    and from the slack phase its weights on the columns of Z, its anchor's
+    weight and its real slacks, in that order.
     """
     r, n = Z.shape
     w = cols.size + 1
     ncols = w + 1 + r - eq
     chunk = max(1, BATCH_BYTES // ((r + 2) * (w + r + 2) * 8))
     short = np.zeros(a.shape[1], dtype=bool)
-    B, b, bases = [], [], []  # each chunk's unpivoted basis columns, RHS, basis
+    rows = np.arange(r + 1)[:, None]
+    reads = ([], [])  # per phase, each chunk's unpivoted basis columns, RHS, basis
+
+    def record(phase, A, basis):
+        lanes = np.arange(len(A))[:, None, None]
+        reads[phase].append((A[lanes, rows, basis[:, None, :]], A[:, :, -1], basis.copy()))
+
     for lo in range(0, a.shape[1], chunk):
         part = slice(lo, lo + chunk)
         T, basis = _eq1_tableaux(Z, sign, p[:, part], d[:, part], a[:, part], cols)
@@ -129,9 +168,7 @@ def _solve_over(Z, sign, p, d, a, cols, eq=0):
         drive_out(T, basis, range(r - eq, r), ncols)
         if batch_simplex(T, basis, ncols)[1].any():
             raise LpUnbounded("distance unbounded; check the direction vector")
-        B.append(A[np.arange(len(A))[:, None, None], np.arange(r + 1)[:, None], basis[:, None, :]])
-        b.append(A[:, :, -1])
-        bases.append(basis)
+        record(0, A, basis)
         if cols.size < n:
             # Column j is sign * (Z_j - a) over a 1; its price at the duals
             # (the z-row at the slacks, and at the anchor for the convexity
@@ -143,27 +180,61 @@ def _solve_over(Z, sign, p, d, a, cols, eq=0):
             price = (u[:, None] @ Z)[:, 0] + (conv - ua.sum(1))[:, None]
             size = (np.abs(u)[:, None] @ Z)[:, 0] + (np.abs(ua).sum(1) + np.abs(conv))[:, None]
             short[part] = (price < -PIVOT_TOL * (1.0 + size)).any(axis=1)
-    basis = np.concatenate(bases)
-    x = basic_solution(np.concatenate(B), np.concatenate(b), basis < ncols)
-    return np.where(basis == w, x, 0.0).sum(axis=1), short
+        if slacks:
+            two_phase(T, basis, ncols, w + 1)
+            record(1, A, basis)
+
+    def read(phase):
+        B, b, basis = (np.concatenate(v) for v in zip(*reads[phase]))
+        return basis, basic_solution(B, b, basis < ncols)
+
+    basis, x = read(0)
+    dist = np.where(basis == w, x, 0.0).sum(axis=1)
+    if not slacks:
+        return dist, short, None
+    basis, xb = read(1)
+    x = np.zeros((len(basis), ncols + eq))
+    np.put_along_axis(x, basis, xb, axis=1)
+    sol = np.zeros((len(basis), n + 1 + r - eq))
+    sol[:, cols], sol[:, n], sol[:, n + 1 :] = x[:, : w - 1], x[:, w - 1], x[:, w + 1 : ncols]
+    return dist, short, sol
 
 
-def _warm_distances(X, Y, xk, yk, dx, dy, ax, ay) -> np.ndarray:
-    """Plain-model distances of points against the columns of (X, Y) plus
-    each member's anchor (ax[:, b], ay[:, b]), which weakly dominates point
-    b.  Each member is solved over the nondominated columns and its anchor,
-    then priced over all columns; if one would still improve it, it is
-    solved again over all of them."""
+def _frame(X, Y, U=None):
+    """Reference columns Z of a model, the sign of each row (1 on input and
+    undesirable rows, -1 on output rows) and the candidate columns.
+
+    The plain model (U None) stacks X over Y, and its candidates are the
+    nondominated columns.  The weak model's columns are alpha_j = (X_j, Y_j,
+    U_j) and beta_j = (X_j, 0, 0), all 2n of them candidates: U is not
+    freely disposable, so no column is dominated away and no pricing pass
+    follows.
+    """
+    if U is None:
+        Z = np.concatenate([X, Y])
+        return Z, np.repeat([1.0, -1.0], [len(X), len(Y)]), _nondominated(X, Y)
+    Z = np.block([[X, X], [Y, np.zeros_like(Y)], [U, np.zeros_like(U)]])
+    return Z, np.repeat([1.0, -1.0, 1.0], [len(X), len(Y), len(U)]), np.arange(Z.shape[1])
+
+
+def _distances(Z, sign, cols, p, d, a, eq=0, slacks=False):
+    """Distances of points p along d against the columns of Z, laid out as
+    in ``_solve_over``, and with ``slacks`` each member's slack-phase answer
+    (else None).  Each member is solved over ``cols`` and its anchor; one
+    whose final duals price some column of Z below tolerance is solved
+    again over all columns, and continues from there."""
     # Solve with the direction normalized to unit magnitude; D scales
     # inversely, and the tableau stays conditioned for tiny components.
-    scale = _unit_scale(dx, dy)
-    Z, sign = np.concatenate([X, Y]), np.repeat([1.0, -1.0], [X.shape[0], Y.shape[0]])
-    p, d, a = np.concatenate([xk, yk]), np.concatenate([dx, dy]) / scale, np.concatenate([ax, ay])
-    out, short = _solve_over(Z, sign, p, d, a, _nondominated(X, Y))
+    scale = _unit_scale(d)
+    d = d / scale
+    out, short, sol = _solve_over(Z, sign, p, d, a, cols, eq, slacks)
     if short.any():
-        out[short] = _solve_over(Z, sign, p[:, short], d[:, short], a[:, short],
-                                 np.arange(Z.shape[1]))[0]
-    return np.where(out < 0.0, 0.0, out) / scale
+        redo = _solve_over(Z, sign, p[:, short], d[:, short], a[:, short],
+                           np.arange(Z.shape[1]), eq, slacks)
+        out[short] = redo[0]
+        if slacks:
+            sol[short] = redo[2]
+    return np.where(out < 0.0, 0.0, out) / scale, sol
 
 
 def directional_distances(X, Y, xk, yk, dx, dy, anchors) -> np.ndarray:
@@ -176,39 +247,8 @@ def directional_distances(X, Y, xk, yk, dx, dy, anchors) -> np.ndarray:
     ax, ay = X[:, anchors], Y[:, anchors]
     if np.any(ax > xk) or np.any(ay < yk):
         raise ValidationError("every anchor must weakly dominate its evaluated point")
-    return _warm_distances(X, Y, xk, yk, dx, dy, ax, ay)
-
-
-def _standard_form(X, Y, U, xk, yk, uk, dx, dy, du, dist):
-    """Equality form (A, b) of the slack phase for the point (xk, yk, uk).
-
-    With D fixed at ``dist``, rows are inputs, desirable outputs,
-    undesirable outputs and convexity::
-
-        X (alpha + beta) + gx = xk - D dx,   Y alpha - gy = yk + D dy,
-        U alpha = uk - D du,                 sum(alpha + beta) = 1.
-
-    Columns are (alpha, beta, gx, gy).  With ``U`` None there are no
-    undesirable rows and no beta block: the plain model, whose ``uk`` and
-    ``du`` are ignored.
-    """
-    m, n = X.shape
-    s = Y.shape[0]
-    weak = U is not None
-    if not weak:
-        U, uk, du = np.zeros((0, n)), np.zeros(0), np.zeros(0)
-    v = U.shape[0]
-    lam = 2 * n if weak else n
-    A = np.zeros((m + s + v + 1, lam + m + s))
-    A[:m, :n] = X
-    if weak:
-        A[:m, n:lam] = X
-    A[m : m + s, :n] = Y
-    A[m + s : m + s + v, :n] = U
-    A[-1, :lam] = 1.0
-    A[np.arange(m), lam + np.arange(m)] = 1.0
-    A[m + np.arange(s), lam + m + np.arange(s)] = -1.0
-    return A, np.concatenate([xk - dist * dx, yk + dist * dy, uk - dist * du, [1.0]])
+    return _distances(*_frame(X, Y), np.concatenate([xk, yk]), np.concatenate([dx, dy]),
+                      np.concatenate([ax, ay]))[0]
 
 
 def weak_disposability_distances(X, Y, U, xk, yk, uk, dx, dy, du, anchors) -> np.ndarray:
@@ -216,21 +256,15 @@ def weak_disposability_distances(X, Y, U, xk, yk, uk, dx, dy, du, anchors) -> np
 
     Laid out as ``directional_distances``; reference column ``anchors[b]``
     must weakly dominate point b in (X, Y) and have its undesirable outputs
-    uk[:, b] exactly.  The reference columns are alpha_j = (X_j, Y_j, U_j)
-    and beta_j = (X_j, 0, 0), all 2n of them: U is not freely disposable,
-    so no column is dominated away and no pricing pass follows.
+    uk[:, b] exactly.
     """
     ax, ay, au = X[:, anchors], Y[:, anchors], U[:, anchors]
     if np.any(ax > xk) or np.any(ay < yk) or np.any(au != uk):
         raise ValidationError("every anchor must weakly dominate its evaluated point "
                               "and match its undesirable outputs")
-    scale = _unit_scale(dx, dy, du)
-    Z = np.block([[X, X], [Y, np.zeros_like(Y)], [U, np.zeros_like(U)]])
-    sign = np.repeat([1.0, -1.0, 1.0], [len(X), len(Y), len(U)])
-    out = _solve_over(Z, sign, np.concatenate([xk, yk, uk]),
-                      np.concatenate([dx, dy, du]) / scale, np.concatenate([ax, ay, au]),
-                      np.arange(Z.shape[1]), eq=len(U))[0]
-    return np.where(out < 0.0, 0.0, out) / scale
+    return _distances(*_frame(X, Y, U), np.concatenate([xk, yk, uk]),
+                      np.concatenate([dx, dy, du]), np.concatenate([ax, ay, au]),
+                      eq=len(U))[0]
 
 
 def directional_distance(X, Y, xk, yk, dx, dy, anchor: int) -> float:
@@ -242,80 +276,6 @@ def directional_distance(X, Y, xk, yk, dx, dy, anchor: int) -> float:
     )[0])
 
 
-def _slack_phase(X, Y, U, xk, yk, uk, dx, dy, du, dist):
-    """Maximize total slack at the fixed optimal distance.
-
-    Returns the intensities (alpha, then beta for the weak model) and the
-    slacks gx and gy.
-    """
-    A, b = _standard_form(X, Y, U, xk, yk, uk, dx, dy, du, dist)
-    m = X.shape[0]
-    lam = A.shape[1] - m - Y.shape[0]
-    c = np.zeros(A.shape[1])
-    c[lam:] = 1.0
-    x, _ = two_phase(A, b, c)
-    return x[:lam], x[lam : lam + m], x[lam + m :]
-
-
-def _check_unmasked(data: DataSet):
-    if data.has_missing:
-        raise ValidationError(
-            "dataset has imperfectly known cells; run the sampling pipeline "
-            "or an imputation baseline first"
-        )
-
-
-def solve_directional(
-    data: DataSet, k: int, direction: Direction, eps: float = DEFAULT_EPS
-) -> DeaSolution:
-    """Solve the plain directional model for DMU k against the full sample."""
-    _check_unmasked(data)
-    if not 0 <= k < data.n:
-        raise ValidationError(f"DMU index {k} out of range")
-    dx, dy, _ = direction.resolve(data, k)
-    xk, yk = data.X[:, k], data.Y[:, k]
-    dist = directional_distance(data.X, data.Y, xk, yk, dx, dy, anchor=k)
-    mu, gx, gy = _slack_phase(data.X, data.Y, None, xk, yk, None, dx, dy, None, dist)
-    return DeaSolution(
-        distance=dist,
-        intensities=mu,
-        slacks_x=gx,
-        slacks_y=gy,
-        targets_x=data.X @ mu,
-        targets_y=data.Y @ mu,
-        targets_u=np.zeros(0),
-        objective=dist + eps * (gx.sum() + gy.sum()),
-    )
-
-
-def solve_weak_disposability(
-    data: DataSet, k: int, direction: Direction, eps: float = DEFAULT_EPS
-) -> DeaSolution:
-    """Solve the weak-disposability model for DMU k (requires v >= 1)."""
-    _check_unmasked(data)
-    if data.v < 1:
-        raise ValidationError("no undesirable outputs; use solve_directional")
-    if not 0 <= k < data.n:
-        raise ValidationError(f"DMU index {k} out of range")
-    dx, dy, du = direction.resolve(data, k)
-    xk, yk, uk = data.X[:, k], data.Y[:, k], data.U[:, k]
-    dist = weak_disposability_distance(data.X, data.Y, data.U, xk, yk, uk, dx, dy, du, anchor=k)
-    weights, gx, gy = _slack_phase(data.X, data.Y, data.U, xk, yk, uk, dx, dy, du, dist)
-    alpha, beta = weights[: data.n], weights[data.n :]
-    return DeaSolution(
-        distance=dist,
-        intensities=alpha + beta,
-        slacks_x=gx,
-        slacks_y=gy,
-        targets_x=data.X @ (alpha + beta),
-        targets_y=data.Y @ alpha,
-        targets_u=data.U @ alpha,
-        objective=dist + eps * (gx.sum() + gy.sum()),
-        alpha=alpha,
-        beta=beta,
-    )
-
-
 def weak_disposability_distance(X, Y, U, xk, yk, uk, dx, dy, du, anchor: int) -> float:
     """The weak model's distance of (xk, yk, uk): ``weak_disposability_distances``
     for a batch of one, so reference column ``anchor`` must weakly dominate
@@ -323,6 +283,66 @@ def weak_disposability_distance(X, Y, U, xk, yk, uk, dx, dy, du, anchor: int) ->
     return float(weak_disposability_distances(
         X, Y, U, *(v[:, None] for v in (xk, yk, uk, dx, dy, du)), [anchor]
     )[0])
+
+
+def _solve_dmus(
+    data: DataSet, ks, direction: Direction, weak: bool, eps: float = DEFAULT_EPS
+) -> list[DeaSolution]:
+    """Solve DMUs ``ks`` against the full sample as one batch: the plain
+    model, or with ``weak`` the weak-disposability model (requires v >= 1).
+
+    Each DMU is anchored at its own column.  Its distance phase is solved
+    once, and its slack phase continues that tableau; the anchor's weight
+    is folded back into the DMU's own intensity.  A member's answer does not
+    depend on the batch it sits in.
+    """
+    if data.has_missing:
+        raise ValidationError("dataset has imperfectly known cells; run the sampling "
+                              "pipeline or an imputation baseline first")
+    if weak and data.v < 1:
+        raise ValidationError("no undesirable outputs; use solve_directional")
+    ks = np.asarray(ks, dtype=int)
+    bad = ks[(ks < 0) | (ks >= data.n)]
+    if bad.size:
+        raise ValidationError(f"DMU index {bad[0]} out of range")
+    X, Y, U = data.X, data.Y, data.U
+    dx, dy, du = direction.resolve_at(X[:, ks], Y[:, ks], U[:, ks])
+    Z, sign, cols = _frame(X, Y, U if weak else None)
+    p = Z[:, ks]  # each DMU, which is also its own anchor
+    d = np.concatenate([dx, dy, du] if weak else [dx, dy])
+    dist, sol = _distances(Z, sign, cols, p, d, p, eq=len(U) if weak else 0, slacks=True)
+    n, nz, m = data.n, Z.shape[1], data.m
+    weights = sol[:, :nz]
+    weights[np.arange(ks.size), ks] += sol[:, nz]
+    alpha, beta = weights[:, :n], weights[:, n:]
+    lam = alpha + beta if weak else alpha
+    gx, gy = sol[:, nz + 1 : nz + 1 + m], sol[:, nz + 1 + m :]
+    return [DeaSolution(
+        distance=float(dist[b]),
+        intensities=lam[b],
+        slacks_x=gx[b],
+        slacks_y=gy[b],
+        targets_x=X @ lam[b],
+        targets_y=Y @ alpha[b],
+        targets_u=U @ alpha[b] if weak else np.zeros(0),
+        objective=float(dist[b]) + eps * (gx[b].sum() + gy[b].sum()),
+        alpha=alpha[b] if weak else None,
+        beta=beta[b] if weak else None,
+    ) for b in range(ks.size)]
+
+
+def solve_directional(
+    data: DataSet, k: int, direction: Direction, eps: float = DEFAULT_EPS
+) -> DeaSolution:
+    """Solve the plain directional model for DMU k against the full sample."""
+    return _solve_dmus(data, [k], direction, weak=False, eps=eps)[0]
+
+
+def solve_weak_disposability(
+    data: DataSet, k: int, direction: Direction, eps: float = DEFAULT_EPS
+) -> DeaSolution:
+    """Solve the weak-disposability model for DMU k (requires v >= 1)."""
+    return _solve_dmus(data, [k], direction, weak=True, eps=eps)[0]
 
 
 def interval_dea_bounds(
@@ -380,5 +400,6 @@ def interval_dea_bounds(
     # So a best version the worst frontier envelops keeps its distance, and
     # a super-efficient one gets exactly 0.
     dxb, dyb, _ = direction.resolve_at(lower_x, upper_y)
-    d_low = _warm_distances(upper_x, lower_y, lower_x, upper_y, dxb, dyb, lower_x, upper_y)
+    best = np.concatenate([lower_x, upper_y])
+    d_low = _distances(*_frame(upper_x, lower_y), best, np.concatenate([dxb, dyb]), best)[0]
     return d_low, d_high

@@ -31,10 +31,6 @@ class LpUnbounded(LpError):
     """The LP is unbounded along the objective."""
 
 
-class LpInfeasible(LpError):
-    """The LP has no feasible point."""
-
-
 class DegenerateFitError(HrdeaError):
     """A distribution fit is impossible (e.g. zero-variance samples)."""
 

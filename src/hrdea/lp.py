@@ -1,19 +1,16 @@
 """Dense primal simplex for the small LPs generated by the DEA models.
 
 All variables are implicitly non-negative.  Problems are maximized and
-given in equality form; a ``<=`` row takes an explicit slack column.  Two
-entry points share one pivot rule:
-
-* ``batch_simplex`` continues a stack of LPs that all start at a feasible
-  basis, such as the warm-started DEA models of one sampled world.  It
-  pivots every unfinished member at once and drops members as they finish.
-  ``drive_out`` first pivots zero-level artificials out of the stack, and
-  ``basic_solution`` then reads every member's answer from its final basis
-  and the unpivoted columns, and checks that it satisfies ``Ax = b`` to
-  within ``FEAS_TOL`` relative to ``b``.
-* ``two_phase`` solves one LP cold from the same pieces: ``simplex`` on
-  artificials (phase 1), ``drive_out``, ``simplex`` on the objective
-  (phase 2) and ``basic_solution``.  It serves only the slack phases.
+given in equality form; a ``<=`` row takes an explicit slack column.  One
+entry point, ``batch_simplex``, continues a stack of LPs that all start at
+a feasible basis, such as the warm-started DEA models of one sampled world.
+It pivots every unfinished member at once and drops members as they finish;
+``simplex`` is its serial continuation.  ``drive_out`` first pivots
+zero-level artificials out of the stack (a redundant row keeps its own),
+and ``basic_solution`` then reads every member's answer from its final
+basis and the unpivoted columns, and checks that it satisfies ``Ax = b`` to
+within ``FEAS_TOL`` relative to ``b``.  A caller that swaps a member's
+objective row continues it with another ``batch_simplex`` run.
 
 Dantzig pricing is used first and Bland's rule takes over after
 ``BLAND_AFTER`` pivots to rule out cycling; Bland's rule lives in the
@@ -28,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import LpError, LpInfeasible, LpUnbounded
+from .errors import LpError
 
 PIVOT_TOL = 1e-10
 FEAS_TOL = 1e-9
@@ -185,39 +182,3 @@ def batch_simplex(T: np.ndarray, basis: np.ndarray, ncols: int):
         unbounded[member] = status == "unbounded"
     return final[:, -1, -1].copy(), unbounded
 
-
-def two_phase(A: np.ndarray, b: np.ndarray, c: np.ndarray):
-    """Solve max c'x, Ax = b, x >= 0 from scratch; returns (x, objective).
-
-    Phase 1 runs ``simplex`` on ``[A | I | b]`` from the artificial basis,
-    ``drive_out`` then pivots leftover zero-level artificials out (a
-    redundant row keeps its own), and phase 2 prices only the columns of A.
-    x is read from the final basis by ``basic_solution``: a pivot on a tiny
-    element can leave a basis whose x breaks ``Ax = b``, and such an answer
-    raises ``LpError``, never a distance.
-    """
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    c = np.asarray(c, dtype=float)
-    sign = np.where(b < 0, -1.0, 1.0)
-    rows, ncols = A.shape
-    AI = np.hstack([A * sign[:, None], np.eye(rows)])
-    b = b * sign
-    T = np.zeros((rows + 1, ncols + rows + 1))
-    T[:-1, :-1], T[:-1, -1] = AI, b
-    basis = np.arange(ncols, ncols + rows)
-    # Phase-1 objective: max -sum(artificials); z-row = minus the sum of
-    # the constraint rows over the original columns.
-    T[-1, :ncols], T[-1, -1] = -AI[:, :ncols].sum(axis=0), -b.sum()
-    if simplex(T, basis, ncols + rows) != "optimal" or T[-1, -1] < -1e-7:
-        raise LpInfeasible("no feasible point")
-    drive_out(T[None], basis[None], np.flatnonzero(basis >= ncols), ncols)
-    cost = np.r_[c, np.zeros(rows)]
-    T[-1] = cost[basis] @ T[:-1]
-    T[-1, :-1] -= cost
-    if simplex(T, basis, ncols) == "unbounded":
-        raise LpUnbounded("objective unbounded above")
-    real = basis < ncols
-    x = np.zeros(ncols)
-    x[basis[real]] = basic_solution(AI[:, basis][None], b[None], real[None])[0, real]
-    return x, float(c @ x)

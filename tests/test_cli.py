@@ -3,7 +3,7 @@ import pytest
 
 from hrdea.cli import main
 from hrdea.dataset import Direction, from_arrays
-from hrdea.dea import solve_weak_disposability
+from hrdea.dea import solve_directional, solve_weak_disposability
 
 
 @pytest.fixture
@@ -51,6 +51,52 @@ def test_solve_undesirable_writes_the_weak_model(tmp_path):
         assert dmu == f"D{k}"
         assert (float(distance), float(objective)) == (sol.distance, sol.objective)
     assert len(lines) == 9
+
+
+def solve_rows(path, out, model):
+    """``hrdea solve`` on a CSV with columns x1, x2, y1, u1 under ``model``
+    ("--undesirable" or "--no-undesirable"): {dmu: (distance, objective)},
+    as written."""
+    code = main(["solve", "--data", str(path), "--inputs", "x1,x2", "--outputs", "y1",
+                 "--undesirable-cols", "u1", model, "--out", str(out)])
+    assert code == 0
+    lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+    assert lines[0] == "dmu,distance,objective"
+    return {dmu: (distance, objective)
+            for dmu, distance, objective in (line.split(",") for line in lines[1:])}
+
+
+@pytest.mark.parametrize("model", ["--no-undesirable", "--undesirable"])
+def test_solve_batch_writes_the_per_dmu_solutions_bit_for_bit(tmp_path, model):
+    # One batch for all DMUs; each member's arithmetic is that of its
+    # batch of one.
+    rng = np.random.default_rng(12)
+    cells = rng.uniform(1.0, 10.0, size=(40, 4))
+    cells[5] = cells[4]  # a duplicate DMU
+    path = tmp_path / "data.csv"
+    path.write_text("dmu,x1,x2,y1,u1\n" + "".join(
+        f"D{j}," + ",".join(map(repr, row.tolist())) + "\n" for j, row in enumerate(cells)
+    ))
+    rows = solve_rows(path, tmp_path / "distances.csv", model)
+    data = from_arrays(cells[:, :2].T, cells[:, 2:3].T, cells[:, 3:].T,
+                       dmu_ids=[f"D{j}" for j in range(40)])
+    solve = solve_weak_disposability if model == "--undesirable" else solve_directional
+    expected = {}
+    for k in range(40):
+        sol = solve(data, k, Direction.proportional())
+        expected[f"D{k}"] = (repr(float(sol.distance)), repr(float(sol.objective)))
+    assert rows == expected
+
+
+@pytest.mark.parametrize("model", ["--no-undesirable", "--undesirable"])
+def test_solve_writes_zero_objective_for_efficient_dmus(tmp_path, model):
+    # The five DMUs of the CI step: B and D are efficient, with no slack,
+    # and their objectives read exactly 0.0.
+    path = tmp_path / "small.csv"
+    path.write_text("dmu,x1,x2,y1,u1\nA,2,3,5,1\nB,4,1,6,2\nC,3,3,4,1.5\nD,5,2,7,3\n"
+                    "E,1,4,3,0.5\n")
+    rows = solve_rows(path, tmp_path / "distances.csv", model)
+    assert rows["B"] == rows["D"] == ("0.0", "0.0")
 
 
 def test_run_is_deterministic(tmp_path, two_dmu_csv):

@@ -1,6 +1,8 @@
 """DEA model tests; the hand-solvable fixtures are checked against
 brute-force grid oracles before the simplex answer is trusted."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,7 +22,7 @@ from hrdea.dea import (
     weak_disposability_distance,
     weak_disposability_distances,
 )
-from hrdea.errors import LpError, LpInfeasible, ValidationError
+from hrdea.errors import LpError, ValidationError
 from hrdea.pipeline import INPUT_FLOOR, _column_distances
 
 
@@ -531,7 +533,7 @@ def test_single_distance_rejects_anchor_that_does_not_dominate():
 # weak-panel-n108 benchmark workload with inputs x500, outputs x5000 and the
 # undesirable output x500 (seed 14), cut down to the 7 DMUs that keep the
 # cold solve of DMU 3's distance phase off Ax = b.  Without the residual
-# check two_phase returned 0.1747 for DMU 3, where HiGHS gives 0.0746.
+# check, that cold solve returned 0.1747 for DMU 3, where HiGHS gives 0.0746.
 HOSPITAL_WORLD = np.array([
     [
         285.4511076408349, 125.70778015516682, 1845.816745284963, 644.0582561181857,
@@ -556,21 +558,29 @@ HOSPITAL_WORLD = np.array([
 ])
 
 
-def test_two_phase_answer_that_breaks_ax_eq_b_raises():
-    # DMU 3's distance phase in equality form, solved cold: the proportional
-    # direction scaled to unit magnitude, D maximized.
+# The final basis a cold two-phase solve of DMU 3's distance phase reached,
+# in the column order (alpha, beta, D, gx, gy) of the equality form below.
+# Solved from the unpivoted columns, its x_B has negative entries.
+HOSPITAL_COLD_BASIS = [15, 18, 14, 0, 2, 6]
+
+
+def test_basic_solution_of_the_cold_hospital_basis_raises():
+    # DMU 3's distance phase in equality form, the proportional direction
+    # scaled to unit magnitude.
     X, Y, U = HOSPITAL_WORLD[:2], HOSPITAL_WORLD[2:4], HOSPITAL_WORLD[4:]
     p = HOSPITAL_WORLD[:, 3]
     d = p / p.max()
     n = X.shape[1]
-    A, b = dea._standard_form(X, Y, U, p[:2], p[2:4], p[4:], d[:2], d[2:4], d[4:], dist=0.0)
-    A = np.insert(A, 2 * n, np.r_[d[:2], -d[2:4], d[4:], 0.0], axis=1)
-    c = np.zeros(A.shape[1])
-    c[2 * n] = 1.0  # D, after the alpha and beta blocks
-    with pytest.raises(LpError, match="violates Ax = b") as info:
-        lp.two_phase(A, b, c)
-    # not LpInfeasible: the LP is feasible, its answer is what went wrong
-    assert not isinstance(info.value, LpInfeasible)
+    A = np.block([
+        [X, X, d[:2, None], np.eye(2), np.zeros((2, 2))],
+        [Y, np.zeros_like(Y), -d[2:4, None], np.zeros((2, 2)), -np.eye(2)],
+        [U, np.zeros_like(U), d[4:, None], np.zeros((1, 4))],
+        [np.ones((1, 2 * n)), np.zeros((1, 5))],
+    ])
+    b = np.r_[p, 1.0]
+    real = np.ones((1, len(b)), dtype=bool)
+    with pytest.raises(LpError, match="violates Ax = b"):
+        lp.basic_solution(A[:, HOSPITAL_COLD_BASIS][None], b[None], real)
 
 
 def test_warm_weak_distance_of_the_hospital_world_matches_highs():
@@ -593,7 +603,7 @@ def test_weak_distance_rejects_anchor_that_does_not_dominate():
                                     anchor=0)
 
 
-# --- the cold LPs against HiGHS -------------------------------------------
+# --- the models against HiGHS ----------------------------------------------
 
 WEAK_DIRECTIONS = {**DIRECTIONS, "custom": Direction.custom([1.0, 0.5], [2.0], [1.5])}
 
@@ -718,6 +728,46 @@ def test_weak_model_matches_highs(mode, n):
         assert_matches(sol.alpha + sol.beta, sol.intensities)
 
 
+@pytest.mark.parametrize("n", [2, 5, 30])
+@pytest.mark.parametrize("mode", sorted(DIRECTIONS.keys() - {"custom"}))
+def test_weak_model_with_a_redundant_undesirable_row_matches_highs(mode, n):
+    # U stacked over 2 U: the second undesirable row is redundant, and its
+    # artificial stays basic through the distance and the slack phase.
+    points = order_one_world(n)
+    data = from_arrays(points[:2], points[2:3], np.vstack([points[3:], 2.0 * points[3:]]))
+    direction = DIRECTIONS[mode]
+    for k in range(n):
+        dx, dy, du = direction.resolve(data, k)
+        args = (data.X, data.Y, data.U, data.X[:, k], data.Y[:, k], data.U[:, k], dx, dy, du)
+        sol = solve_weak_disposability(data, k, direction)
+        assert_matches(sol.distance, highs_model(*args))
+        assert_matches(sol.slacks_x.sum() + sol.slacks_y.sum(),
+                       highs_model(*args, dist=sol.distance))
+        assert_rows_hold(sol, data, k, direction)
+
+
+@pytest.mark.parametrize("weak", [False, True])
+def test_batch_of_dmus_matches_batches_of_one(weak, monkeypatch):
+    # Small chunks, and a candidate set missing a frame DMU so that some
+    # members are solved again over all columns: every field of every
+    # member has the bits of its batch of one.
+    rng = np.random.default_rng(41)
+    points = np.vstack([scenario_world(rng, 30), rng.uniform(0.5, 2.0, size=(1, 30))])
+    data = from_arrays(points[:2], points[2:3], points[3:] if weak else None)
+    direction = Direction.proportional()
+    nondominated = dea._nondominated
+    monkeypatch.setattr(dea, "_nondominated", lambda X, Y: np.delete(nondominated(X, Y), 1))
+    monkeypatch.setattr(dea, "BATCH_BYTES", 4096)
+    batch = dea._solve_dmus(data, range(30), direction, weak)
+    solve = solve_weak_disposability if weak else solve_directional
+    for k, sol in enumerate(batch):
+        single = solve(data, k, direction)
+        for field in dataclasses.fields(sol):
+            a, b = getattr(sol, field.name), getattr(single, field.name)
+            assert (a is None and b is None) or np.array_equal(a, b), (k, field.name)
+        assert_rows_hold(sol, data, k, direction)
+
+
 def check_weak_world(points, direction, m=2, s=1):
     """The weak model's world batch against each member as a batch of one
     (same bits) and against HiGHS; returns the batch."""
@@ -808,7 +858,7 @@ def hospital_panel(seed, scale):
 
 
 # Hospital-magnitude panels, (seed, scale).  Over seeds 0-39 at scales 100,
-# 500 and 1000, the cold two_phase solve of the distance phase raised
+# 500 and 1000, a cold two-phase solve of the distance phase raised
 # LpError on a DMU of each of the first five; on the last four, drawn like
 # an earlier version of the workload, hrdea and HiGHS once disagreed.
 HOSPITAL_PANELS = [(2, 1000.0), (5, 500.0), (5, 1000.0), (14, 500.0), (14, 1000.0),

@@ -3,59 +3,74 @@ import pytest
 from scipy.optimize import linprog
 
 from hrdea import lp
-from hrdea.errors import LpError, LpInfeasible, LpUnbounded
-from hrdea.lp import basic_solution, batch_simplex, simplex, two_phase
+from hrdea.errors import LpError
+from hrdea.lp import basic_solution, batch_simplex, drive_out, simplex
 
 
-def with_slacks(c, a_ub, b_ub, a_eq=None, b_eq=None):
-    """(A, b, c) of max c'x s.t. a_eq x = b_eq, a_ub x <= b_ub, x >= 0 in
-    the equality form two_phase takes: one slack column per <= row."""
+def tableau(c, a_ub, b_ub, a_eq=None):
+    """max c'x s.t. a_eq x = 0, a_ub x <= b_ub, x >= 0, with b_ub >= 0, as a
+    tableau at a feasible basis: one slack column per <= row, basic at
+    b_ub, and one artificial per equality row, basic at level 0.  Columns
+    are x, the slacks, then the artificials, which stay out of pricing.
+    Returns (T, basis, ncols), ncols the number of priced columns."""
     c = np.asarray(c, dtype=float)
     a_ub = np.atleast_2d(np.asarray(a_ub, dtype=float))
-    nub = a_ub.shape[0]
-    rows = [np.hstack([a_ub, np.eye(nub)])]
-    rhs = [np.asarray(b_ub, dtype=float)]
-    if a_eq is not None:
-        a_eq = np.atleast_2d(np.asarray(a_eq, dtype=float))
-        rows.insert(0, np.hstack([a_eq, np.zeros((a_eq.shape[0], nub))]))
-        rhs.insert(0, np.asarray(b_eq, dtype=float))
-    return np.vstack(rows), np.concatenate(rhs), np.concatenate([c, np.zeros(nub)])
+    a_eq = np.zeros((0, c.size)) if a_eq is None else np.atleast_2d(a_eq)
+    (neq, nvar), nub = a_eq.shape, a_ub.shape[0]
+    ncols = nvar + nub
+    T = np.zeros((neq + nub + 1, ncols + neq + 1))
+    T[:neq, :nvar], T[:neq, ncols:-1] = a_eq, np.eye(neq)
+    T[neq:-1, :nvar], T[neq:-1, nvar:ncols], T[neq:-1, -1] = a_ub, np.eye(nub), b_ub
+    T[-1, :nvar] = -c
+    return T, np.r_[ncols:ncols + neq, nvar:ncols], ncols
+
+
+def solve(T, basis, ncols):
+    """Drive the artificials out, run the simplex and read x (over the
+    priced columns) from the final basis: (x, objective)."""
+    A = T[:-1].copy()
+    drive_out(T[None], basis[None], np.flatnonzero(basis >= ncols), ncols)
+    objective, unbounded = batch_simplex(T[None], basis[None], ncols)
+    assert not unbounded[0]
+    x = np.zeros(A.shape[1] - 1)
+    x[basis] = basic_solution(A[:, basis][None], A[:, -1][None], (basis < ncols)[None])[0]
+    return x[:ncols], objective[0]
+
+
+def null_rows(rng, rows, x0):
+    """Random equality rows that the positive point x0 satisfies with 0."""
+    a_eq = rng.normal(size=(rows, x0.size))
+    return a_eq - np.outer(a_eq @ x0, x0) / (x0 @ x0)
 
 
 def test_single_upper_bound():
-    x, obj = two_phase(*with_slacks(c=[1.0], a_ub=[[1.0]], b_ub=[5.0]))
+    x, obj = solve(*tableau(c=[1.0], a_ub=[[1.0]], b_ub=[5.0]))
     assert obj == pytest.approx(5.0, abs=1e-9)
     assert x[0] == pytest.approx(5.0, abs=1e-9)
 
 
 def test_binding_minimum_of_two_bounds():
-    _, obj = two_phase(*with_slacks(c=[1.0], a_ub=[[1.0], [1.0]], b_ub=[5.0, 3.0]))
+    _, obj = solve(*tableau(c=[1.0], a_ub=[[1.0], [1.0]], b_ub=[5.0, 3.0]))
     assert obj == pytest.approx(3.0, abs=1e-9)
 
 
 def test_unbounded_detected():
-    with pytest.raises(LpUnbounded):
-        two_phase(*with_slacks(c=[1.0], a_ub=[[-1.0]], b_ub=[0.0]))
-
-
-def test_infeasible_detected():
-    # x >= 0 and x <= -1 cannot hold together.
-    with pytest.raises(LpInfeasible):
-        two_phase(*with_slacks(c=[1.0], a_ub=[[1.0]], b_ub=[-1.0]))
+    T, basis, ncols = tableau(c=[1.0], a_ub=[[-1.0]], b_ub=[0.0])
+    _, unbounded = batch_simplex(T[None], basis[None], ncols)
+    assert unbounded[0]
 
 
 def test_equalities_and_inequalities_together():
-    # max x + y  s.t.  x + y = 1, x <= 0.25
-    _, obj = two_phase(
-        *with_slacks(c=[2.0, 1.0], a_eq=[[1.0, 1.0]], b_eq=[1.0], a_ub=[[1.0, 0.0]], b_ub=[0.25])
-    )
+    # max 2x + y  s.t.  x + y = t, x <= 0.25, t <= 1
+    _, obj = solve(*tableau(c=[2.0, 1.0, 0.0], a_eq=[[1.0, 1.0, -1.0]],
+                            a_ub=[[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]], b_ub=[0.25, 1.0]))
     assert obj == pytest.approx(2 * 0.25 + 0.75, abs=1e-9)
 
 
 def test_degenerate_rhs():
     # Degenerate vertex: several constraints active at the optimum.
-    _, obj = two_phase(
-        *with_slacks(
+    _, obj = solve(
+        *tableau(
             c=[1.0, 1.0],
             a_ub=[[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]],
             b_ub=[1.0, 1.0, 2.0],
@@ -79,73 +94,65 @@ def test_random_instances_match_scipy():
         b = np.concatenate([b_ub, b_box])
         ref = linprog(-c, A_ub=A, b_ub=b, bounds=(0, None), method="highs")
         assert ref.status == 0
-        _, obj = two_phase(*with_slacks(c=c, a_ub=A, b_ub=b))
+        _, obj = solve(*tableau(c=c, a_ub=A, b_ub=b))
         assert obj == pytest.approx(-ref.fun, abs=1e-7), f"trial {trial}"
 
 
 def test_random_equality_instances_match_scipy():
     rng = np.random.default_rng(7)
-    checked = 0
     for trial in range(200):
         nvar = int(rng.integers(3, 8))
         neq = int(rng.integers(1, 3))
         c = rng.normal(size=nvar)
-        a_eq = rng.normal(size=(neq, nvar))
-        x0 = rng.uniform(0.1, 2.0, size=nvar)  # a feasible interior point
-        b_eq = a_eq @ x0
-        a_box = np.eye(nvar)
-        b_box = np.full(nvar, 6.0)
-        ref = linprog(-c, A_eq=a_eq, b_eq=b_eq, A_ub=a_box, b_ub=b_box,
+        a_eq = null_rows(rng, neq, rng.uniform(0.1, 2.0, size=nvar))
+        a_box, b_box = np.eye(nvar), np.full(nvar, 6.0)
+        ref = linprog(-c, A_eq=a_eq, b_eq=np.zeros(neq), A_ub=a_box, b_ub=b_box,
                       bounds=(0, None), method="highs")
-        if ref.status != 0:
-            continue
-        _, obj = two_phase(*with_slacks(c=c, a_eq=a_eq, b_eq=b_eq, a_ub=a_box, b_ub=b_box))
+        assert ref.status == 0
+        _, obj = solve(*tableau(c=c, a_eq=a_eq, a_ub=a_box, b_ub=b_box))
         assert obj == pytest.approx(-ref.fun, abs=1e-7), f"trial {trial}"
-        checked += 1
-    assert checked > 150
 
 
 def test_redundant_equality_rows_match_scipy(monkeypatch):
-    # A row that is a combination of the others leaves a zero-level
-    # artificial that no column can replace: it stays basic through phase 2.
+    # A row that is a combination of the others is zero in every priced
+    # column once they are pivoted out: ``drive_out`` pivots it on its own
+    # artificial, which stays basic through the simplex.
     kept = []
+    pivot = lp._pivot_lanes
 
-    def spy(B, b, real):
-        kept.append(not real.all())
-        return basic_solution(B, b, real)
+    def spy(T, basis, row, col):
+        ncols = T.shape[2] - 4  # the three artificials and the RHS come last
+        kept.extend((int(i), int(j - ncols)) for i, j in zip(row, col) if j >= ncols)
+        pivot(T, basis, row, col)
 
-    monkeypatch.setattr(lp, "basic_solution", spy)
+    monkeypatch.setattr(lp, "_pivot_lanes", spy)
     rng = np.random.default_rng(31)
     for trial in range(100):
         nvar = int(rng.integers(3, 8))
-        a_eq = rng.normal(size=(2, nvar))
+        a_eq = null_rows(rng, 2, rng.uniform(0.1, 2.0, size=nvar))
         a_eq = np.vstack([a_eq, a_eq[0] if trial % 2 else a_eq[0] - 2.5 * a_eq[1]])
-        b_eq = a_eq @ rng.uniform(0.1, 2.0, size=nvar)
         c = rng.normal(size=nvar)
         a_box, b_box = np.eye(nvar), np.full(nvar, 6.0)
-        ref = linprog(-c, A_eq=a_eq, b_eq=b_eq, A_ub=a_box, b_ub=b_box,
+        ref = linprog(-c, A_eq=a_eq, b_eq=np.zeros(3), A_ub=a_box, b_ub=b_box,
                       bounds=(0, None), method="highs")
         assert ref.status == 0
-        x, obj = two_phase(*with_slacks(c=c, a_eq=a_eq, b_eq=b_eq, a_ub=a_box, b_ub=b_box))
+        x, obj = solve(*tableau(c=c, a_eq=a_eq, a_ub=a_box, b_ub=b_box))
         assert obj == pytest.approx(-ref.fun, abs=1e-9), f"trial {trial}"
-        np.testing.assert_allclose(a_eq @ x[:nvar], b_eq, atol=1e-9)
-    assert len(kept) == 100 and all(kept)
+        np.testing.assert_allclose(a_eq @ x[:nvar], 0.0, atol=1e-9)
+        assert kept == [(2, 2)], f"trial {trial}"  # row 2 on its own artificial
+        kept.clear()
 
 
-def test_two_phase_solution_is_feasible():
+def test_equality_solution_is_feasible():
     rng = np.random.default_rng(99)
     for _ in range(50):
         nvar = int(rng.integers(3, 6))
-        A = rng.normal(size=(2, nvar))
-        x0 = rng.uniform(0.1, 1.0, size=nvar)
-        b = A @ x0
+        A = null_rows(rng, 2, rng.uniform(0.1, 1.0, size=nvar))
         c = rng.normal(size=nvar)
-        x, _ = two_phase(
-            *with_slacks(c=c, a_eq=A, b_eq=b, a_ub=np.eye(nvar), b_ub=np.full(nvar, 5.0))
-        )
+        x, _ = solve(*tableau(c=c, a_eq=A, a_ub=np.eye(nvar), b_ub=np.full(nvar, 5.0)))
         x = x[:nvar]
-        assert np.all(x >= -1e-9)
-        np.testing.assert_allclose(A @ x, b, atol=1e-7)
+        assert np.all(x >= 0.0)
+        np.testing.assert_allclose(A @ x, 0.0, atol=1e-7)
 
 
 # --- Beale's cycling example ------------------------------------------------
