@@ -13,7 +13,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .baselines import (
     SCENARIOS,
@@ -68,6 +67,8 @@ def compare_metrics(base, est) -> ComparisonMetrics:
     The signed difference is estimated minus original, so negative values
     mean the alternative underestimates the distance.
     """
+    from scipy import stats
+
     base = np.asarray(base, dtype=float).ravel()
     est = np.asarray(est, dtype=float).ravel()
     if base.size != est.size or base.size < 2:

@@ -106,8 +106,8 @@ def _write_density(path, dm, dmu: str, fit) -> None:
         write_header(fh, "density", config)
         writer = csv.writer(fh)
         writer.writerow(["x", "y"])
-        for x, y in beta_density_points(fit):
-            writer.writerow([repr(float(x)), repr(float(y))])
+        xs, ys = beta_density_points(fit).T
+        writer.writerows(zip(map(repr, xs.tolist()), map(repr, ys.tolist())))
 
 
 def _analyze_matrix(matrix_path, outdir, tau, width) -> int:
@@ -117,7 +117,7 @@ def _analyze_matrix(matrix_path, outdir, tau, width) -> int:
     report_path = os.path.join(outdir, "report.csv")
     save_report(report, report_path, source_config=dm.config)
     scheme = report.scheme
-    mids = scheme.midpoints()
+    mids = scheme.midpoints().tolist()
     for j, dmu in enumerate(dm.dmu_ids):
         samples = dm.values[j]
         hist_path = os.path.join(outdir, f"hist_{dmu}.csv")
@@ -129,8 +129,7 @@ def _analyze_matrix(matrix_path, outdir, tau, width) -> int:
             )
             writer = csv.writer(fh)
             writer.writerow(["x", "y"])
-            for x, y in zip(mids, erii(samples, scheme)):
-                writer.writerow([repr(float(x)), repr(float(y))])
+            writer.writerows(zip(map(repr, mids), map(repr, erii(samples, scheme).tolist())))
         try:
             fit = fit_beta(samples)
         except (DegenerateFitError, HrdeaError):

@@ -4,6 +4,10 @@ Implements the robustness index over distance buckets, expected distance
 and efficiency, order-statistic confidence intervals, the four robustness
 categories, outperformance probabilities, the scenario comparison test,
 and beta/Gaussian summaries of distance distributions.
+
+scipy is imported only inside the functions that need it (the beta fit,
+the density curve and the Gaussian outperformance), so importing hrdea
+loads none of it.
 """
 
 from __future__ import annotations
@@ -15,7 +19,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .errors import DegenerateFitError, HrdeaError, ValidationError
 from .pipeline import DistanceMatrix, write_header
@@ -178,12 +181,14 @@ def gaussian_outperformance(
     rho_j: float, sigma_j: float, rho_k: float, sigma_k: float
 ) -> float:
     """Pr(D_j <= D_k) for independent Gaussian distances."""
+    from scipy.special import ndtr
+
     var = sigma_j**2 + sigma_k**2
     if var == 0.0:
         if rho_j == rho_k:
             return 0.5
         return 1.0 if rho_j < rho_k else 0.0
-    return float(stats.norm.cdf(-(rho_j - rho_k) / math.sqrt(var)))
+    return float(ndtr(-(rho_j - rho_k) / math.sqrt(var)))
 
 
 def outperformance_probability(samples_j, samples_k, method: str = "empirical") -> float:
@@ -258,8 +263,12 @@ def fit_beta(samples, support: tuple[float, float] | None = None) -> BetaFit:
 
     The support defaults to the sample range; pass ``support`` explicitly
     when the true domain is known (moment estimates on a truncated range
-    are biased for shapes with thin tails).
+    are biased for shapes with thin tails).  The KS statistic is
+    D = max(D+, D-) over the sorted sample (Massey 1951), the value
+    ``scipy.stats.kstest`` returns, without its p-value.
     """
+    from scipy.special import betainc
+
     x = np.asarray(samples, dtype=float).ravel()
     if x.size and x.std() == 0.0:
         raise DegenerateFitError("zero-variance samples; report the constant instead")
@@ -278,7 +287,11 @@ def fit_beta(samples, support: tuple[float, float] | None = None) -> BetaFit:
         raise DegenerateFitError("sample variance too large for a beta on this support")
     alpha = mean * factor
     beta = (1.0 - mean) * factor
-    ks = float(stats.kstest(z, stats.beta(alpha, beta).cdf).statistic)
+    cdf = betainc(alpha, beta, np.sort(z))
+    n = cdf.size
+    d_plus = (np.arange(1.0, n + 1) / n - cdf).max()
+    d_minus = (cdf - np.arange(0.0, n) / n).max()
+    ks = float(max(d_plus, d_minus))
     return BetaFit(alpha=alpha, beta=beta, q1=q1, q2=q2, ks_statistic=ks)
 
 
@@ -303,9 +316,11 @@ def beta_to_gaussian(alpha: float, beta: float) -> tuple[float, float]:
 
 def beta_density_points(fit: BetaFit, num: int = 200) -> np.ndarray:
     """(num, 2) array of (x, pdf) points of the fitted density."""
+    from scipy.stats import beta
+
     x = np.linspace(fit.q1, fit.q2, num)
     z = (x - fit.q1) / (fit.q2 - fit.q1)
-    y = stats.beta(fit.alpha, fit.beta).pdf(z) / (fit.q2 - fit.q1)
+    y = beta.pdf(z, fit.alpha, fit.beta) / (fit.q2 - fit.q1)
     return np.column_stack([x, y])
 
 

@@ -1,6 +1,12 @@
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import hrdea
 from hrdea.cli import main
 from hrdea.dataset import Direction, from_arrays
 from hrdea.dea import solve_directional, solve_weak_disposability
@@ -180,6 +186,33 @@ def test_bench_command(tmp_path):
     ])
     assert code == 0
     assert out.read_text().count("\n") >= 28
+
+
+# Run in a fresh interpreter: argv[1] is the directory holding the hrdea
+# package, argv[2] a data CSV and argv[3] the output path.
+IMPORT_PROBE = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import hrdea, hrdea.benchmark, hrdea.cli
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+code = hrdea.cli.main(["solve", "--data", sys.argv[2], "--inputs", "x1",
+                       "--outputs", "y1", "--out", sys.argv[3]])
+print(json.dumps([loaded, code, "scipy.stats" in sys.modules]))
+"""
+
+
+def test_import_and_solve_load_no_scipy_stats(tmp_path, two_dmu_csv):
+    # scipy is imported by the functions that use it, not at import time.
+    src = os.path.dirname(os.path.dirname(hrdea.__file__))
+    probe = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE, src, str(two_dmu_csv),
+         str(tmp_path / "distances.csv")],
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    loaded, code, stats_loaded = json.loads(probe.stdout.strip().splitlines()[-1])
+    assert loaded == []
+    assert code == 0
+    assert not stats_loaded
 
 
 def test_unknown_flag_exits_2(two_dmu_csv):

@@ -1,12 +1,16 @@
+import math
 import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from hrdea.errors import DegenerateFitError, ValidationError
 from hrdea.inference import (
+    BetaFit,
     BucketScheme,
+    beta_density_points,
     beta_expected_distance,
     beta_to_gaussian,
     ci_indices,
@@ -181,6 +185,20 @@ def test_outperformance_far_tail():
     assert gaussian_outperformance(0.5, 0.01, 0.1, 0.01) < 1e-6
 
 
+def test_outperformance_equals_norm_cdf_bit_for_bit():
+    # gaussian_outperformance calls scipy.special.ndtr, which is what
+    # stats.norm.cdf evaluates at loc 0 and scale 1.
+    cases = [(0.2550, 0.0066, 0.2916, 0.0086)]
+    for rho_j in np.linspace(0.0, 1.0, 11):
+        for rho_k in (0.0, 0.05, 0.3, 0.9):
+            for sigma_j, sigma_k in ((0.0, 0.01), (0.02, 0.03), (0.3, 0.0), (1e-9, 2e-9)):
+                cases.append((rho_j, sigma_j, rho_k, sigma_k))
+    for rho_j, sigma_j, rho_k, sigma_k in cases:
+        arg = -(rho_j - rho_k) / math.sqrt(sigma_j**2 + sigma_k**2)
+        expected = float(stats.norm.cdf(arg))
+        assert gaussian_outperformance(rho_j, sigma_j, rho_k, sigma_k) == expected
+
+
 def test_outperformance_empirical_matches_gaussian():
     rng = np.random.default_rng(12)
     a = rng.normal(0.30, 0.02, size=50000).clip(0)
@@ -246,6 +264,44 @@ def test_fit_beta_default_support_is_sample_range():
     fit = fit_beta(samples)
     assert fit.q1 == samples.min() and fit.q2 == samples.max()
     assert fit.alpha > 0 and fit.beta > 0
+
+
+def beta_samples():
+    """Seeded samples of several shapes and sizes, with ties and t = 10."""
+    rng = np.random.default_rng(77)
+    for t in (10, 11, 40, 100, 1000):
+        for a, b in ((0.5, 2.0), (2.0, 0.5), (1.0, 1.0), (3.5, 7.2), (40.0, 90.0)):
+            yield rng.beta(a, b, size=t)
+            yield 0.3 + 0.2 * rng.beta(a, b, size=t)
+            yield np.round(rng.beta(a, b, size=t), 2)  # ties
+
+
+def test_fit_beta_ks_statistic_equals_kstest_bit_for_bit():
+    fitted = 0
+    for samples in beta_samples():
+        for support in (None, (0.0, 1.0)):
+            try:
+                fit = fit_beta(samples, support=support)
+            except (DegenerateFitError, ValidationError):
+                continue
+            z = (samples - fit.q1) / (fit.q2 - fit.q1)
+            expected = stats.kstest(z, stats.beta(fit.alpha, fit.beta).cdf).statistic
+            assert fit.ks_statistic == float(expected)
+            fitted += 1
+    assert fitted > 100
+
+
+@pytest.mark.parametrize(
+    "alpha,beta", [(0.5, 2.0), (2.0, 0.5), (1.0, 1.0), (3.5, 7.2), (1095.5, 3201.2)]
+)
+def test_beta_density_points_equal_the_frozen_pdf(alpha, beta):
+    # The shapes cover an infinite density at either end point and, at the
+    # paper's (1095.5, 3201.2), densities that underflow to 0.
+    fit = BetaFit(alpha=alpha, beta=beta, q1=0.12, q2=0.47, ks_statistic=0.0)
+    points = beta_density_points(fit)
+    z = (points[:, 0] - fit.q1) / (fit.q2 - fit.q1)
+    expected = stats.beta(alpha, beta).pdf(z) / (fit.q2 - fit.q1)
+    assert points[:, 1].tobytes() == expected.tobytes()
 
 
 def test_beta_expected_distance_formulas():
