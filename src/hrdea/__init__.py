@@ -16,7 +16,7 @@ from .dea import (
     solve_directional,
     solve_weak_disposability,
 )
-from .geometry import UncertaintySet, chord_length, contains, superellipsoid_boundary_point
+from .geometry import UncertaintySet, chord_length, contains
 from .inference import (
     BetaFit,
     BucketScheme,
@@ -35,7 +35,7 @@ from .inference import (
     scenario_p_value,
 )
 from .pipeline import DistanceMatrix, load_distance_matrix, run_hr_dea, save_distance_matrix
-from .sampler import RngStream, WalkState, hr_sample, hr_step, superellipsoid_step
+from .sampler import RngStream, WalkState, hr_sample, hr_step
 
 __all__ = [
     "DataSet",
@@ -74,6 +74,4 @@ __all__ = [
     "scenario_p_value",
     "solve_directional",
     "solve_weak_disposability",
-    "superellipsoid_boundary_point",
-    "superellipsoid_step",
 ]

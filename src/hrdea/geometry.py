@@ -65,8 +65,9 @@ class UncertaintySet:
                 raise UnsupportedDimensionError(
                     "superellipsoid sets support exactly 3 dimensions"
                 )
-            if self.orders is None or len(self.orders) != 2 or min(self.orders) <= 0:
-                raise ValidationError("superellipsoid orders must be two positive numbers")
+            orders = np.asarray(() if self.orders is None else self.orders, dtype=float)
+            if orders.shape != (2,) or not ((orders >= 1) & (orders < np.inf)).all():
+                raise ValidationError("superellipsoid orders must be two finite numbers >= 1")
             if np.any(self.semi_axes <= 0):
                 raise ValidationError("superellipsoid semi-axes must be strictly positive")
         if self.shape == "rhombus" and int(np.count_nonzero(self.semi_axes)) > RHOMBUS_MAX_DIM:
@@ -183,6 +184,13 @@ def _products(a: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (a @ v[:, :, None])[:, :, 0]
 
 
+def _gauge(stack: SetStack, t: np.ndarray) -> np.ndarray:
+    """The superellipsoid's g(t) = (|t_x|^o1 + |t_y|^o1)^(o2/o1) + |t_u|^o2 of each row
+    of t, the deviation from the center in semi-axis units; the set is g <= 1."""
+    (o1, o2), (tx, ty, tu) = stack.orders, np.abs(t).T
+    return (tx**o1 + ty**o1) ** (o2 / o1) + tu**o2
+
+
 def contains_many(stack: SetStack, P: np.ndarray, tol: float = CONTAIN_TOL) -> np.ndarray:
     """Membership of each row of P in its member set, with a small outward slack."""
     inside = ~(P < -tol).any(axis=1)
@@ -196,8 +204,7 @@ def contains_many(stack: SetStack, P: np.ndarray, tol: float = CONTAIN_TOL) -> n
     if stack.shape == "rhombus":
         return inside & (np.abs(t).sum(axis=1) <= 1 + tol)
     if stack.shape == "superellipsoid":
-        (o1, o2), (tx, ty, tu) = stack.orders, np.abs(t).T
-        return inside & ((tx**o1 + ty**o1) ** (o2 / o1) + tu**o2 <= 1 + tol)
+        return inside & (_gauge(stack, t) <= 1 + tol)
     return inside & (np.abs(t) <= 1 + tol).all(axis=1)  # box; a point set has no t
 
 
@@ -285,15 +292,29 @@ def _rhombus_chords(stack: SetStack, P: np.ndarray, D: np.ndarray) -> np.ndarray
     return np.where(still, 0.0, lam)
 
 
+def _superellipsoid_chords(stack: SetStack, P: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """Bisection for the root of g = 1 along D, bracketed by the box chord.
+
+    Orders >= 1 make g convex, so from an inside point g = 1 has one root
+    along the ray, and the set lies inside its box, whose chord is already
+    orthant-capped.  53 halvings shrink the bracket to one ulp of the box
+    chord; the lower end kept is always inside the set.
+    """
+    lo, hi = np.zeros(len(P)), _box_chords(stack, P, D)
+    dev, da = (stack.take(P) - stack.mid) / stack.semi, stack.take(D) / stack.semi
+    for _ in range(53):
+        mid = 0.5 * (lo + hi)
+        inside = _gauge(stack, dev + mid[:, None] * da) <= 1.0
+        lo, hi = np.where(inside, mid, lo), np.where(inside, hi, mid)
+    return lo
+
+
 def chord_lengths(stack: SetStack, P: np.ndarray, D: np.ndarray) -> np.ndarray:
     """Shape-appropriate chord length from each row of P along the unit row of D."""
     if stack.shape == "point":
         return np.zeros(len(P))
-    if stack.shape == "superellipsoid":
-        raise ValidationError("superellipsoid sets are sampled through their spherical "
-                              "parametrization")
     rules = {"box": _box_chords, "ellipsoid": _ellipsoid_chords, "rhombus": _rhombus_chords,
-             "polytope": _polytope_chords}
+             "polytope": _polytope_chords, "superellipsoid": _superellipsoid_chords}
     return rules[stack.shape](stack, P, D)
 
 
@@ -325,23 +346,3 @@ def chord_length(uset: UncertaintySet, p, d, checked: bool = True) -> float:
     """
     return _chord_of_one(chord_lengths, uset, p, d, checked)
 
-
-def _signed_power(value: float, exponent: float) -> float:
-    return np.sign(value) * np.abs(value) ** exponent
-
-
-def superellipsoid_boundary_point(uset: UncertaintySet, psi: float, phi: float) -> np.ndarray:
-    """Boundary point of a 3-d superellipsoid at spherical angles (psi, phi)."""
-    if uset.shape != "superellipsoid":
-        raise ValidationError("boundary parametrization requires a superellipsoid set")
-    o1, o2 = uset.orders
-    w = uset.semi_axes
-    c = uset.center
-    g_phi = _signed_power(np.cos(phi), 2.0 / o2)
-    return np.array(
-        [
-            c[0] + w[0] * g_phi * _signed_power(np.cos(psi), 2.0 / o1),
-            c[1] + w[1] * g_phi * _signed_power(np.sin(psi), 2.0 / o1),
-            c[2] + w[2] * _signed_power(np.sin(phi), 2.0 / o2),
-        ]
-    )

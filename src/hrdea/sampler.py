@@ -16,15 +16,14 @@ stream id and never on execution order or thread count.  ``Walker`` steps
 many walks at once.  One vectorized Philox draws all members' words (key
 ``[seed, stream]`` masked to 64 bits, blocks from counter 1, each word mapped
 to ``(raw >> 11) * 2**-53``) in ``RngStream.generator``'s order: a word per
-free coordinate for the direction, then xi (psi, phi, xi for a
-superellipsoid), the fifth word on from the next block.  Membership and both
-chords then run once per layout of sets, with every dot product a stacked
-``matmul`` over compacted rows (``d[:, None, :] @ d[:, :, None]``, ``A @
-P[:, :, None]``): it calls the BLAS routine of the scalar ``u @ v``, ``A @ p``
-or ``np.linalg.norm`` with the same length, where ``einsum`` or ``(d *
-d).sum(1)`` would change last bits.  So each member walks bit for bit as it
-would alone.  A direction of norm 0 (the all-zero draw) sends its member to
-the serial generator path.
+free coordinate for the direction, then xi, the fifth word on from the next
+block.  Membership and both chords then run once per layout of sets, with
+every dot product a stacked ``matmul`` over compacted rows (``d[:, None, :] @
+d[:, :, None]``, ``A @ P[:, :, None]``): it calls the BLAS routine of the
+scalar ``u @ v``, ``A @ p`` or ``np.linalg.norm`` with the same length, where
+``einsum`` or ``(d * d).sum(1)`` would change last bits.  So each member walks
+bit for bit as it would alone.  A direction of norm 0 (the all-zero draw)
+sends its member to the serial generator path.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .geometry import SetStack, UncertaintySet, chord_length, chord_lengths, contains
-from .geometry import contains_many, superellipsoid_boundary_point
+from .geometry import contains_many
 
 _MASK64 = (1 << 64) - 1
 # Philox4x64 round multipliers and key increments (Salmon et al. 2011).
@@ -136,7 +135,7 @@ class Walker:
         for law in xi_laws:
             if law not in XI_LAWS:
                 raise ValidationError(f"unknown xi law {law!r}; expected one of {XI_LAWS}")
-        self.sets, self.xi_laws = sets, list(xi_laws)
+        self.xi_laws = list(xi_laws)
         self.triangular = np.array([law == "triangular" for law in self.xi_laws])
         layouts: dict[tuple, list[int]] = {}
         for i, uset in enumerate(sets):
@@ -166,14 +165,9 @@ class Walker:
 
     def _move(self, twice, members, P, seed, streams, u):
         """The next points P of one layout's members, from their unit doubles u."""
-        za = 2 if twice.shape == "superellipsoid" else twice.flat.shape[1]
+        za = twice.flat.shape[1]
         xi, tri = u[:, za].copy(), self.triangular[members]
         xi[tri] = _triangular(xi[tri])
-        if twice.shape == "superellipsoid":  # Generator.uniform's low + (high - low) * u
-            psi, phi = -np.pi + 2 * np.pi * u[:, 0], -np.pi / 2 + np.pi * u[:, 1]
-            return np.array([superellipsoid_step(self.sets[i], WalkState(point=p), psi=float(a),
-                                                 phi=float(b), xi=float(x)).point
-                             for i, p, a, b, x in zip(members, P, psi, phi, xi)])
         d = -1.0 + 2.0 * u[:, :za]
         norm = np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
         D = np.zeros_like(P)
@@ -205,8 +199,6 @@ def hr_step(
     p = np.asarray(state.point, dtype=float)
     if uset.is_point:
         return replace(state, iteration=state.iteration + 1)
-    if uset.shape == "superellipsoid":
-        raise ValidationError("superellipsoid sets are sampled through superellipsoid_step")
     if (direction is None or xi is None) and rng is None:
         raise ValidationError("provide an RngStream or force direction and xi")
     if direction is None and xi is None:
@@ -227,56 +219,13 @@ def hr_step(
     return WalkState(point=new_point, iteration=state.iteration + 1)
 
 
-def superellipsoid_step(
-    uset: UncertaintySet,
-    state: WalkState,
-    rng: RngStream | None = None,
-    *,
-    psi: float | None = None,
-    phi: float | None = None,
-    xi: float | None = None,
-    xi_law: str = "uniform",
-) -> WalkState:
-    """One walk step through the spherical parametrization of the boundary.
-
-    Draws psi ~ uniform(-pi, pi) and phi ~ uniform(-pi/2, pi/2), hits the
-    boundary point for those angles, and jumps a xi fraction of the segment
-    from the current point to it.  The jump is rescaled so the new point
-    stays inside the non-negative orthant.
-    """
-    if uset.shape != "superellipsoid":
-        raise ValidationError("superellipsoid_step requires a superellipsoid set")
-    p = np.asarray(state.point, dtype=float)
-    gen = rng.generator() if rng is not None else None
-    if (psi is None or phi is None or xi is None) and gen is None:
-        raise ValidationError("provide an RngStream or force psi, phi and xi")
-    if psi is None:
-        psi = float(gen.uniform(-np.pi, np.pi))
-    if phi is None:
-        phi = float(gen.uniform(-np.pi / 2, np.pi / 2))
-    boundary = superellipsoid_boundary_point(uset, psi, phi)
-    grad = boundary - p
-    step_xi = draw_xi(gen, xi_law) if xi is None else float(xi)
-    # Clip the chord at the orthant before applying the fraction.
-    scale = 1.0
-    inward = grad < 0
-    if inward.any():
-        caps = p[inward] / -grad[inward]
-        scale = min(1.0, float(np.min(caps)))
-        scale = max(scale, 0.0)
-    new_point = p + step_xi * scale * grad
-    return WalkState(point=new_point, iteration=state.iteration + 1)
-
-
 def step(
     uset: UncertaintySet,
     state: WalkState,
     rng: RngStream | None = None,
     xi_law: str = "uniform",
 ) -> WalkState:
-    """One drawn step of a single walk, dispatched by shape."""
-    if uset.shape == "superellipsoid":
-        return superellipsoid_step(uset, state, rng, xi_law=xi_law)
+    """One drawn step of a single walk."""
     return hr_step(uset, state, rng, xi_law=xi_law)
 
 

@@ -6,9 +6,10 @@ One record per line::
              [w=<v|v1,v2,...>] [center=<v1,v2,...>] [orders=<o1,o2>]
              [xi=<uniform|triangular>] [rows=<a1,..,az:b;...>]
 
-Blank lines and '#' comments are ignored.  DMUs absent from the file get a
-degenerate point set at their observed values.  The center defaults to the
-observed values, so DMUs with masked cells must override it.
+Superellipsoid orders must be two finite numbers >= 1, which keeps the set
+convex.  Blank lines and '#' comments are ignored.  DMUs absent from the
+file get a degenerate point set at their observed values.  The center
+defaults to the observed values, so DMUs with masked cells must override it.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dataset import DataSet
-from .errors import ParseError, ValidationError
+from .errors import ParseError, UnsupportedDimensionError, ValidationError
 from .geometry import UncertaintySet
 from .sampler import XI_LAWS
 
@@ -90,46 +91,38 @@ def build_sets(data: DataSet, records: dict[str, dict]):
     stacked = data.stacked()
     sets, xi_laws = [], []
     for j, dmu in enumerate(data.dmu_ids):
-        fields = records.get(dmu)
-        observed = stacked[:, j]
-        center = fields.get("center") if fields else None
-        if center is None:
-            if mask[:, j].any():
-                raise ValidationError(
-                    f"DMU {dmu!r} has masked cells; its set spec must provide a center"
-                )
-            center = observed
-        center = np.asarray(center, dtype=float)
-        if center.size != data.z:
-            raise ValidationError(
-                f"center for DMU {dmu!r} has {center.size} values, expected {data.z}"
-            )
-        if fields is None:
-            sets.append(UncertaintySet.point(center))
-            xi_laws.append("uniform")
-            continue
-        shape = fields["shape"]
+        fields = records.get(dmu, {"shape": "point"})
         xi_laws.append(fields.get("xi", "uniform"))
-        if shape == "point":
-            sets.append(UncertaintySet.point(center))
-            continue
-        if shape == "polytope":
-            if "rows_a" not in fields:
-                raise ValidationError(f"polytope for DMU {dmu!r} needs rows=")
-            sets.append(
-                UncertaintySet.polytope(fields["rows_a"], fields["rows_b"], center)
-            )
-            continue
-        if "w" not in fields:
-            raise ValidationError(f"shape {shape!r} for DMU {dmu!r} needs w=")
-        w = fields["w"]
-        if w.size == 1:
-            w = np.full(data.z, float(w[0]))
-        if shape == "superellipsoid":
-            orders = fields.get("orders")
-            if orders is None:
-                raise ValidationError(f"superellipsoid for DMU {dmu!r} needs orders=")
-            sets.append(UncertaintySet.superellipsoid(center, w, orders))
-        else:
-            sets.append(UncertaintySet(shape, center, w))
+        try:
+            sets.append(_build_set(fields, stacked[:, j], mask[:, j].any()))
+        except (ValidationError, UnsupportedDimensionError) as exc:
+            raise type(exc)(f"DMU {dmu!r}: {exc}") from exc
     return sets, xi_laws
+
+
+def _build_set(fields: dict, observed: np.ndarray, masked: bool) -> UncertaintySet:
+    center = fields.get("center")
+    if center is None:
+        if masked:
+            raise ValidationError("has masked cells, so its set spec must provide a center")
+        center = observed
+    center = np.asarray(center, dtype=float)
+    if center.size != observed.size:
+        raise ValidationError(f"center has {center.size} values, expected {observed.size}")
+    shape = fields["shape"]
+    if shape == "point":
+        return UncertaintySet.point(center)
+    if shape == "polytope":
+        if "rows_a" not in fields:
+            raise ValidationError("polytope needs rows=")
+        return UncertaintySet.polytope(fields["rows_a"], fields["rows_b"], center)
+    if "w" not in fields:
+        raise ValidationError(f"shape {shape!r} needs w=")
+    w = fields["w"]
+    if w.size == 1:
+        w = np.full(center.size, float(w[0]))
+    if shape == "superellipsoid":
+        if "orders" not in fields:
+            raise ValidationError("superellipsoid needs orders=")
+        return UncertaintySet.superellipsoid(center, w, fields["orders"])
+    return UncertaintySet(shape, center, w)

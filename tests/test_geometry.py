@@ -1,16 +1,20 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from hrdea.errors import HrdeaError, UnsupportedDimensionError, ValidationError
 from hrdea.geometry import (
+    SetStack,
     UncertaintySet,
     chord_length,
     chord_length_box,
     chord_length_ellipsoid,
     chord_length_polytope,
     chord_length_rhombus,
+    chord_lengths,
     contains,
-    superellipsoid_boundary_point,
+    contains_many,
 )
 
 PENTAGON_A = np.array([[1.0, 1.0], [5.0, -1.0], [-2.0, 1.0]])
@@ -164,6 +168,7 @@ def test_boundary_bracketing_all_shapes():
         UncertaintySet.box(c, w),
         UncertaintySet.ellipsoid(c, w),
         UncertaintySet.rhombus(c, w),
+        UncertaintySet.superellipsoid(c, w, (1.5, 2.5)),
     ]
     for uset in shapes:
         for _ in range(1000):
@@ -206,29 +211,51 @@ def test_unbounded_polytope_direction_detected():
 
 def test_superellipsoid_boundary_points():
     se = UncertaintySet.superellipsoid([5.0, 5.0, 5.0], [3.0, 2.0, 4.0], (2.0, 2.0))
-    np.testing.assert_allclose(
-        superellipsoid_boundary_point(se, 0.0, 0.0), [8.0, 5.0, 5.0], atol=1e-12
-    )
-    np.testing.assert_allclose(
-        superellipsoid_boundary_point(se, np.pi / 2, 0.0), [5.0, 7.0, 5.0], atol=1e-12
-    )
-    np.testing.assert_allclose(
-        superellipsoid_boundary_point(se, 0.0, np.pi / 2), [5.0, 5.0, 9.0], atol=1e-12
-    )
+    for d, end in [([1.0, 0.0, 0.0], [8.0, 5.0, 5.0]), ([0.0, -1.0, 0.0], [5.0, 3.0, 5.0]),
+                   ([0.0, 0.0, 1.0], [5.0, 5.0, 9.0])]:
+        hit = se.center + chord_length(se, se.center, d) * np.array(d)
+        np.testing.assert_allclose(hit, end, atol=1e-12)
 
 
-@pytest.mark.parametrize("orders", [(2.0, 2.0), (1.0, 1.0), (4.0, 4.0), (2.0, 3.0), (1.5, 4.0)])
+def superellipsoid_chords(se, count, seed):
+    """count chords of se from random inside points along random unit directions."""
+    rng = np.random.default_rng(seed)
+    P = se.center + se.semi_axes * rng.uniform(-1.0, 1.0, (10 * count, 3))
+    P = P[contains_many(SetStack([se] * len(P)), P) & (P >= 0.0).all(axis=1)][:count]
+    assert len(P) == count
+    D = rng.normal(size=(count, 3))
+    D /= np.linalg.norm(D, axis=1)[:, None]
+    return P, D, chord_lengths(SetStack([se] * count), P, D)
+
+
+@pytest.mark.parametrize(
+    "orders", [(2.0, 2.0), (1.0, 1.0), (4.0, 4.0), (2.0, 3.0), (1.5, 4.0), (1.5, 2.5)]
+)
 def test_superellipsoid_boundary_satisfies_set_equation(orders):
-    se = UncertaintySet.superellipsoid([5.0, 5.0, 5.0], [3.0, 2.0, 4.0], orders)
+    """Chord ends lie on g = 1, except where the orthant caps the chord first;
+    the set reaches past the orthant along x."""
+    se = UncertaintySet.superellipsoid([2.0, 5.0, 5.0], [3.0, 2.0, 4.0], orders)
     o1, o2 = orders
-    rng = np.random.default_rng(17)
-    for _ in range(200):
-        psi = rng.uniform(-np.pi, np.pi)
-        phi = rng.uniform(-np.pi / 2, np.pi / 2)
-        p = superellipsoid_boundary_point(se, psi, phi)
-        t = np.abs(p - se.center) / se.semi_axes
-        value = (t[0] ** o1 + t[1] ** o1) ** (o2 / o1) + t[2] ** o2
-        assert value == pytest.approx(1.0, abs=1e-9)
+    P, D, lam = superellipsoid_chords(se, 200, 17)
+    ends = P + lam[:, None] * D
+    t = np.abs(ends - se.center) / se.semi_axes
+    value = (t[:, 0] ** o1 + t[:, 1] ** o1) ** (o2 / o1) + t[:, 2] ** o2
+    capped = ends.min(axis=1) < 1e-12
+    assert 0 < capped.sum() < len(P)
+    np.testing.assert_allclose(value[~capped], 1.0, rtol=0, atol=1e-9)
+    assert np.all(value[capped] <= 1.0 + 1e-9) and np.all(ends >= -1e-12)
+
+
+@pytest.mark.parametrize("orders, shape", [((2.0, 2.0), "ellipsoid"), ((1.0, 1.0), "rhombus")])
+def test_superellipsoid_chord_matches_its_closed_form_twin(orders, shape):
+    """Equal within 1e-12 relative.  The bisection and the gauge it evaluates
+    resolve the root to about one ulp of the box chord (at most 8 here), so a
+    start point within ~1e-4 of the boundary agrees only to the 1e-14 floor."""
+    c, w = [2.0, 5.0, 5.0], [3.0, 2.0, 4.0]
+    P, D, lam = superellipsoid_chords(UncertaintySet.superellipsoid(c, w, orders), 3000, 5)
+    twin = getattr(UncertaintySet, shape)(c, w)
+    np.testing.assert_allclose(lam, chord_lengths(SetStack([twin] * 3000), P, D),
+                               rtol=1e-12, atol=1e-14)
 
 
 def test_superellipsoid_validation():
@@ -236,6 +263,14 @@ def test_superellipsoid_validation():
         UncertaintySet.superellipsoid([5.0, 5.0, 5.0], [3.0, 2.0, 4.0], (0.0, 2.0))
     with pytest.raises(UnsupportedDimensionError):
         UncertaintySet.superellipsoid([5.0, 5.0], [3.0, 2.0], (2.0, 2.0))
+
+
+@pytest.mark.parametrize("orders", [(np.nan, 2.0), (2.0, np.inf), (0.5, 0.5), (0.0, 2.0)])
+def test_superellipsoid_orders_must_be_finite_and_at_least_one(orders):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="two finite numbers >= 1"):
+            UncertaintySet.superellipsoid([5.0, 5.0, 5.0], [3.0, 2.0, 4.0], orders)
 
 
 def test_center_must_be_inside_and_nonnegative():

@@ -93,3 +93,17 @@ def test_wrong_width_count_rejected(tmp_path):
     path = write(tmp_path, "a shape=box w=0.5,0.5,0.5\n")
     with pytest.raises(ValidationError):
         build_sets(data, parse_set_spec(path))
+
+
+@pytest.mark.parametrize("line, message", [
+    ("b shape=box w=1,-1,1", "DMU 'b': semi-axes must be finite and >= 0"),
+    ("b shape=superellipsoid w=1 orders=0.5,2", "DMU 'b': superellipsoid orders must be two"),
+    ("b shape=superellipsoid w=1,1", "DMU 'b': superellipsoid needs orders="),
+    ("b shape=ellipsoid w=1 center=1,2", "DMU 'b': center has 2 values, expected 3"),
+])
+def test_set_errors_name_the_dmu(tmp_path, line, message):
+    data = from_arrays(X=[[2.0, 3.0]], Y=[[1.0, 1.0]], U=[[1.0, 2.0]], dmu_ids=["a", "b"])
+    path = write(tmp_path, f"a shape=box w=0.5\n{line}\n")
+    with pytest.raises(ValidationError) as err:
+        build_sets(data, parse_set_spec(path))
+    assert str(err.value).startswith(message)
