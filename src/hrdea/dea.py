@@ -16,18 +16,22 @@ Every LP is warm-started at an anchor vertex:
 stack of such LPs as one batch from tableaux already pivoted to that vertex
 (``_eq1_tableaux``), and ``directional_distance`` and
 ``weak_disposability_distance`` are their batches of one.  Each member's
-distance is read from its final basis.  A plain member is solved over a
-candidate set, the Pareto-nondominated reference columns (``_nondominated``)
-and its anchor; its final duals then price every column, and a member that
-some column would still improve is solved again over all columns by the
-same tableau builder.  A weak member is solved over all its alpha and beta
-columns, its undesirable rows being equalities.  The interval lower bounds
-are one plain batch against the worst scenario, each anchored at its best
-version.  ``solve_directional`` and ``solve_weak_disposability`` are
-batches of one of ``_solve_dmus``, whose slack phase continues each
-member's final distance tableau on its optimal face (``_max_slacks``), so
-every LP of both models runs on the one warm path.  The plain model is the
-weak model without undesirable rows and without the beta block.
+distance is read from its final basis.  A member is solved over a
+candidate set and its anchor: for the plain model the Pareto-nondominated
+reference columns (``_nondominated``), for the weak model, whose
+undesirable rows are equalities, every alpha column and the beta columns
+whose inputs no other beta column covers (``_frame``).  Its final duals
+then price every column, and a member that some column would still
+improve is solved again over all columns by the same tableau builder.
+Dropping a dominated column is exact for both phases: its weight can move
+to a column that covers it, at the same distance and no less slack.  The
+interval lower bounds are one plain batch against the worst scenario, each
+anchored at its best version.  ``solve_directional`` and
+``solve_weak_disposability`` are batches of one of ``_solve_dmus``, whose
+slack phase continues each member's final distance tableau on its optimal
+face (``_max_slacks``), so every LP of both models runs on the one warm
+path.  The plain model is the weak model without undesirable rows and
+without the beta block.
 """
 
 from __future__ import annotations
@@ -107,20 +111,20 @@ def _unit_scale(d) -> np.ndarray:
     return scale
 
 
-def _max_slacks(T, basis, ncols, first):
+def _max_slacks(T, basis, ncols, first, tol):
     """The slack phase: continue each member's optimal distance tableau to
     the largest total slack on its optimal face.
 
     Columns ``first`` to ``ncols`` are the real slacks.  A column whose
-    reduced cost exceeds ``PIVOT_TOL`` is zeroed: by complementary
-    slackness, the points left feasible are exactly the optimal face, so D
-    stays at its optimum.  The objective becomes the total of the real
-    slacks (a zeroed slack costs 0, so its z-row entry stays 0 and it never
-    prices), and ``batch_simplex`` continues over the same columns, which
-    leave the artificials out.  T and basis end holding each member's final
-    tableau and basis.
+    reduced cost exceeds its bound in ``tol`` (batch, ncols) is zeroed: by
+    complementary slackness, the points left feasible are exactly the
+    optimal face, so D stays at its optimum.  The objective becomes the
+    total of the real slacks (a zeroed slack costs 0, so its z-row entry
+    stays 0 and it never prices), and ``batch_simplex`` continues over the
+    same columns, which leave the artificials out.  T and basis end holding
+    each member's final tableau and basis.
     """
-    keep = T[:, -1, :ncols] <= PIVOT_TOL
+    keep = T[:, -1, :ncols] <= tol
     T[:, :-1, :ncols] *= keep[:, None]
     cost = np.zeros((len(T), T.shape[2] - 1))
     cost[:, first:ncols] = keep[:, first:ncols]
@@ -169,19 +173,25 @@ def _solve_over(Z, sign, p, d, a, cols, eq=0, slacks=False):
         if batch_simplex(T, basis, ncols)[1].any():
             raise LpUnbounded("distance unbounded; check the direction vector")
         record(0, A, basis)
+        # The duals: the z-row at the slacks, and at the anchor for the
+        # convexity row.
+        u, conv = T[:, -1, w + 1 : w + 1 + r] * sign, T[:, -1, w - 1]
         if cols.size < n:
             # Column j is sign * (Z_j - a) over a 1; its price at the duals
-            # (the z-row at the slacks, and at the anchor for the convexity
-            # row) is u.Z_j + y_conv - u.a with u = sign * y, and the terms
-            # are bounded by |u|.Z_j + |u.a| + |y_conv| (for Z >= 0).  Each
+            # is u.Z_j + y_conv - u.a with u = sign * y, and the terms are
+            # bounded by |u|.Z_j + |u.a| + |y_conv| (for Z >= 0).  Each
             # member's stacked matmul gives the same bits in any batch.
-            u, conv = T[:, -1, w + 1 : w + 1 + r] * sign, T[:, -1, w - 1]
             ua = u * a[:, part].T
             price = (u[:, None] @ Z)[:, 0] + (conv - ua.sum(1))[:, None]
             size = (np.abs(u)[:, None] @ Z)[:, 0] + (np.abs(ua).sum(1) + np.abs(conv))[:, None]
             short[part] = (price < -PIVOT_TOL * (1.0 + size)).any(axis=1)
         if slacks:
-            two_phase(T, basis, ncols, w + 1)
+            # A reduced cost is zero to within PIVOT_TOL of the size of its
+            # terms, |y|.|A_j| + 1: at hospital magnitudes a column on the
+            # optimal face reads up to 2e-9, above PIVOT_TOL itself.
+            y = np.abs(np.concatenate([u, conv[:, None]], axis=1))
+            size = (y[:, None] @ np.abs(A[:, :, :ncols]))[:, 0]
+            two_phase(T, basis, ncols, w + 1, PIVOT_TOL * (1.0 + size))
             record(1, A, basis)
 
     def read(phase):
@@ -206,15 +216,21 @@ def _frame(X, Y, U=None):
 
     The plain model (U None) stacks X over Y, and its candidates are the
     nondominated columns.  The weak model's columns are alpha_j = (X_j, Y_j,
-    U_j) and beta_j = (X_j, 0, 0), all 2n of them candidates: U is not
-    freely disposable, so no column is dominated away and no pricing pass
-    follows.
+    U_j) and beta_j = (X_j, 0, 0).  Its candidates are every alpha column
+    (under the U equalities one alpha column covers another only where
+    their U are equal) and the beta columns whose inputs no other beta
+    column covers, the first of identical ones.  A beta column carries no
+    outputs, so a dropped one's weight moves to the beta column covering
+    it and only adds input slack: the same distance, and no less total
+    slack.
     """
     if U is None:
         Z = np.concatenate([X, Y])
         return Z, np.repeat([1.0, -1.0], [len(X), len(Y)]), _nondominated(X, Y)
     Z = np.block([[X, X], [Y, np.zeros_like(Y)], [U, np.zeros_like(U)]])
-    return Z, np.repeat([1.0, -1.0, 1.0], [len(X), len(Y), len(U)]), np.arange(Z.shape[1])
+    n = X.shape[1]
+    cols = np.r_[np.arange(n), n + _nondominated(X, Y[:0])]
+    return Z, np.repeat([1.0, -1.0, 1.0], [len(X), len(Y), len(U)]), cols
 
 
 def _distances(Z, sign, cols, p, d, a, eq=0, slacks=False):

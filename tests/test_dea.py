@@ -434,6 +434,20 @@ def test_nondominated_keeps_the_first_of_duplicates():
     assert dea._nondominated(X[:, :1], Y[:, :1]).tolist() == [0]
 
 
+def spy_candidate_sets(monkeypatch):
+    """A list that records (candidate columns, members) of every batch
+    ``_eq1_tableaux`` builds from now on."""
+    solved = []
+    build = dea._eq1_tableaux
+
+    def spy(Z, sign, p, d, a, cols):
+        solved.append((cols.size, a.shape[1]))
+        return build(Z, sign, p, d, a, cols)
+
+    monkeypatch.setattr(dea, "_eq1_tableaux", spy)
+    return solved
+
+
 def frame_dmu(X, Y, direction):
     """The DMU carrying the most weight in the projections of the others."""
     data = from_arrays(X, Y)
@@ -457,14 +471,7 @@ def test_pricing_sends_a_member_missing_a_frame_dmu_to_all_columns(mode, monkeyp
     assert drop in nondominated(X, Y)
     monkeypatch.setattr(dea, "_nondominated",
                         lambda X, Y: np.setdiff1d(nondominated(X, Y), [drop]))
-    solved = []
-    build = dea._eq1_tableaux
-
-    def spy(Z, sign, p, d, a, cols):
-        solved.append((cols.size, a.shape[1]))
-        return build(Z, sign, p, d, a, cols)
-
-    monkeypatch.setattr(dea, "_eq1_tableaux", spy)
+    solved = spy_candidate_sets(monkeypatch)
     batch = check_world(points, direction)
     fallback = sum(members for size, members in solved if size == 30)
     assert fallback > 0
@@ -647,10 +654,11 @@ def highs_model(X, Y, U, xk, yk, uk, dx, dy, du, dist=None) -> float:
     return float(-res.fun) + const
 
 
-def assert_matches(value, oracle):
-    """Agreement as in check_world: 1e-9 relative to max(1, |oracle|)."""
+def assert_matches(value, oracle, rtol=1e-9):
+    """Agreement within rtol (1e-9, as in check_world) relative to
+    max(1, |oracle|)."""
     value, oracle = np.asarray(value, dtype=float), np.asarray(oracle, dtype=float)
-    np.testing.assert_array_less(np.abs(value - oracle), 1e-9 * np.maximum(1.0, np.abs(oracle)))
+    np.testing.assert_array_less(np.abs(value - oracle), rtol * np.maximum(1.0, np.abs(oracle)))
 
 
 def assert_rows_hold(sol, data, k, direction):
@@ -748,7 +756,8 @@ def test_weak_model_with_a_redundant_undesirable_row_matches_highs(mode, n):
 
 @pytest.mark.parametrize("weak", [False, True])
 def test_batch_of_dmus_matches_batches_of_one(weak, monkeypatch):
-    # Small chunks, and a candidate set missing a frame DMU so that some
+    # Small chunks, and a candidate set missing a frame DMU (for the weak
+    # model, the second of its input-nondominated beta columns) so that some
     # members are solved again over all columns: every field of every
     # member has the bits of its batch of one.
     rng = np.random.default_rng(41)
@@ -758,7 +767,9 @@ def test_batch_of_dmus_matches_batches_of_one(weak, monkeypatch):
     nondominated = dea._nondominated
     monkeypatch.setattr(dea, "_nondominated", lambda X, Y: np.delete(nondominated(X, Y), 1))
     monkeypatch.setattr(dea, "BATCH_BYTES", 4096)
+    solved = spy_candidate_sets(monkeypatch)
     batch = dea._solve_dmus(data, range(30), direction, weak)
+    assert any(size == (2 if weak else 1) * 30 for size, _ in solved)
     solve = solve_weak_disposability if weak else solve_directional
     for k, sol in enumerate(batch):
         single = solve(data, k, direction)
@@ -824,6 +835,77 @@ def test_weak_batch_crosses_chunk_edges(monkeypatch):
                           whole)
 
 
+def every_weak_column(patch):
+    """Make every alpha and beta column a candidate of the weak model."""
+    frame = dea._frame
+
+    def every(X, Y, U=None):
+        Z, sign, cols = frame(X, Y, U)
+        return Z, sign, cols if U is None else np.arange(Z.shape[1])
+
+    patch.setattr(dea, "_frame", every)
+
+
+def weak_all_columns(monkeypatch, X, Y, U, dx, dy, du):
+    """The world's weak distances, every member solved over all columns."""
+    with monkeypatch.context() as patch:
+        every_weak_column(patch)
+        return weak_disposability_distances(X, Y, U, X, Y, U, dx, dy, du,
+                                            np.arange(X.shape[1]))
+
+
+def weak_frame_column(data, direction, block):
+    """The alpha or the beta column (its index among the 2n) carrying the
+    most weight in the projections of the other DMUs."""
+    weight = np.zeros(2 * data.n)
+    for k, sol in enumerate(dea._solve_dmus(data, range(data.n), direction, weak=True)):
+        mu = np.concatenate([sol.alpha, sol.beta])
+        mu[k] = 0.0  # the anchor's weight
+        weight += mu
+    first = 0 if block == "alpha" else data.n
+    return first + int(np.argmax(weight[first : first + data.n]))
+
+
+@pytest.mark.parametrize("block", ["alpha", "beta"])
+@pytest.mark.parametrize("mode", sorted(WEAK_DIRECTIONS))
+def test_weak_pricing_sends_a_member_missing_a_frame_column_to_all_columns(
+    mode, block, monkeypatch
+):
+    direction = WEAK_DIRECTIONS[mode]
+    points = order_one_world(30)
+    data = from_arrays(points[:2], points[2:3], points[3:])
+    X, Y, U = data.X, data.Y, data.U
+    dx, dy, du = direction.resolve_at(X, Y, U)
+    reference = weak_all_columns(monkeypatch, X, Y, U, dx, dy, du)
+    drop = weak_frame_column(data, direction, block)
+    frame = dea._frame
+
+    def without(X, Y, U=None):
+        Z, sign, cols = frame(X, Y, U)
+        assert drop in cols
+        return Z, sign, cols[cols != drop]
+
+    monkeypatch.setattr(dea, "_frame", without)
+    solved = spy_candidate_sets(monkeypatch)
+    # The undesirable-row duals (the z-row at the artificials) of every
+    # member solved over the candidate set: free in sign, so the pricing
+    # bound must take their magnitude.
+    duals = []
+    run = dea.batch_simplex
+
+    def spy(T, basis, ncols):
+        out = run(T, basis, ncols)
+        if solved[-1][0] < 2 * data.n:
+            duals.append(T[:, -1, ncols:-1].copy())
+        return out
+
+    monkeypatch.setattr(dea, "batch_simplex", spy)
+    batch = check_weak_world(points, direction)
+    assert sum(members for size, members in solved if size == 2 * data.n) > 0
+    assert (np.concatenate(duals) < -lp.PIVOT_TOL).any()
+    assert_relative(batch, reference)
+
+
 def test_weak_model_matches_highs_at_hospital_magnitudes():
     """Each row of the data at its own magnitude, 1e-2 to 1e4."""
 
@@ -867,7 +949,62 @@ HOSPITAL_PANELS = [(2, 1000.0), (5, 500.0), (5, 1000.0), (14, 500.0), (14, 1000.
 
 @pytest.mark.parametrize("seed, scale", HOSPITAL_PANELS)
 def test_weak_hospital_panels_match_highs(seed, scale):
-    check_weak_world(hospital_panel(seed, scale), Direction.proportional(), m=2, s=2)
+    points = hospital_panel(seed, scale)
+    direction = Direction.proportional()
+    check_weak_world(points, direction, m=2, s=2)
+    # The slack phase: here a column on the optimal face can read a reduced
+    # cost of 2e-9, which an absolute PIVOT_TOL would take off the face.
+    # HiGHS runs at its default tolerances (1e-7).
+    data = from_arrays(points[:2], points[2:4], points[4:])
+    for k, sol in enumerate(dea._solve_dmus(data, range(data.n), direction, weak=True)):
+        dx, dy, du = direction.resolve(data, k)
+        args = (data.X, data.Y, data.U, data.X[:, k], data.Y[:, k], data.U[:, k], dx, dy, du)
+        assert_matches(sol.slacks_x.sum() + sol.slacks_y.sum(),
+                       highs_model(*args, dist=sol.distance), rtol=1e-7)
+
+
+def input_nondominated(X):
+    """Columns that no other column's inputs cover, the first of identical
+    ones: a loop over pairs."""
+    n = X.shape[1]
+    return [j for j in range(n)
+            if not any(np.all(X[:, i] <= X[:, j]) and (np.any(X[:, i] < X[:, j]) or i < j)
+                       for i in range(n) if i != j)]
+
+
+@pytest.mark.parametrize("mode", sorted(DIRECTIONS.keys() - {"custom"}))
+@pytest.mark.parametrize("seed, scale", HOSPITAL_PANELS)
+def test_weak_candidate_set_is_exact_for_both_phases(seed, scale, mode, monkeypatch):
+    points = hospital_panel(seed, scale)
+    data = from_arrays(points[:2], points[2:4], points[4:])
+    X, Y, U, n = data.X, data.Y, data.U, data.n
+    # The candidates: every alpha column and the input-nondominated beta
+    # columns.  A copy of the first one's inputs, later in the panel, is
+    # not one.
+    beta = input_nondominated(X)
+    twin = X.copy()
+    twin[:, -1] = X[:, beta[0]]
+    cols = dea._frame(twin, Y, U)[2]
+    assert cols.tolist() == [*range(n), *(n + j for j in input_nondominated(twin))]
+    assert beta[0] != n - 1 and 2 * n - 1 not in cols
+    cols = dea._frame(X, Y, U)[2]
+    assert cols.tolist() == [*range(n), *(n + j for j in beta)]
+    assert cols.size < 2 * n
+
+    direction = DIRECTIONS[mode]
+    dx, dy, du = direction.resolve_at(X, Y, U)
+    everyone = np.arange(n)
+    dist = weak_disposability_distances(X, Y, U, X, Y, U, dx, dy, du, everyone)
+    assert_matches(dist, weak_all_columns(monkeypatch, X, Y, U, dx, dy, du), rtol=1e-12)
+    sols = [solve_weak_disposability(data, k, direction) for k in range(n)]
+    with monkeypatch.context() as patch:
+        every_weak_column(patch)
+        reference = dea._solve_dmus(data, everyone, direction, weak=True)
+    for field in ("distance", "objective"):
+        assert_matches([getattr(sol, field) for sol in sols],
+                       [getattr(sol, field) for sol in reference], rtol=1e-12)
+    assert_matches([sol.slacks_x.sum() + sol.slacks_y.sum() for sol in sols],
+                   [sol.slacks_x.sum() + sol.slacks_y.sum() for sol in reference], rtol=1e-12)
 
 
 # --- interval bounds against HiGHS ----------------------------------------
