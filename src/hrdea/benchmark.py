@@ -61,27 +61,65 @@ class ComparisonMetrics:
         return (self.pearson, self.kendall, self.mae, self.msd)
 
 
+def _pearson(x: np.ndarray, y: np.ndarray) -> float:
+    """Pearson's r, computed as ``scipy.stats.pearsonr`` computes it: NaN
+    when either vector is constant, each centred vector scaled by its
+    largest magnitude before its norm is taken, and exactly +-1 at n = 2."""
+    if np.all(x == x[0]) or np.all(y == y[0]):
+        return np.nan
+    xm, ym = x - x.mean(), y - y.mean()
+    xmax, ymax = np.abs(xm).max(), np.abs(ym).max()
+    with np.errstate(invalid="ignore", divide="ignore"):
+        normxm = xmax * np.linalg.norm(xm / xmax, axis=-1)
+        normym = ymax * np.linalg.norm(ym / ymax, axis=-1)
+        r = float(np.clip(np.dot(xm / normxm, ym / normym), -1.0, 1.0))
+    return float(np.round(r)) if x.size == 2 else r
+
+
+# Elements of one block of the pairwise sign matrices in _kendall_tau_b.
+_PAIR_BLOCK = 1 << 20
+
+
+def _kendall_tau_b(x: np.ndarray, y: np.ndarray) -> float:
+    """Kendall's tau-b: (concordant - discordant) pairs over the square
+    roots of the pairs untied in x and untied in y, counted exactly, with
+    the final float arithmetic of ``scipy.stats.kendalltau``.  NaN when an
+    input holds NaN or either vector is constant.  The pairs are counted
+    from sign products over blocks of rows: O(n^2) time, at most about
+    ``_PAIR_BLOCK`` elements of memory at once."""
+    if np.isnan(x).any() or np.isnan(y).any():
+        return np.nan
+    step = max(1, _PAIR_BLOCK // x.size)
+    both = untied_x = untied_y = 0
+    for i in range(0, x.size, step):
+        xi, yi = x[i : i + step, None], y[i : i + step, None]
+        sx = (xi > x).view(np.int8) - (xi < x).view(np.int8)
+        sy = (yi > y).view(np.int8) - (yi < y).view(np.int8)
+        both += int((sx * sy).sum(dtype=np.int64))
+        untied_x += int(np.count_nonzero(sx))
+        untied_y += int(np.count_nonzero(sy))
+    # Every unordered pair was counted twice, as (i, j) and as (j, i).
+    both, untied_x, untied_y = both // 2, untied_x // 2, untied_y // 2
+    if untied_x == 0 or untied_y == 0:
+        return np.nan
+    tau = both / np.sqrt(untied_x) / np.sqrt(untied_y)
+    return float(min(1.0, max(-1.0, tau)))
+
+
 def compare_metrics(base, est) -> ComparisonMetrics:
     """Agreement between re-estimated and original distances.
 
     The signed difference is estimated minus original, so negative values
     mean the alternative underestimates the distance.
     """
-    from scipy import stats
-
     base = np.asarray(base, dtype=float).ravel()
     est = np.asarray(est, dtype=float).ravel()
     if base.size != est.size or base.size < 2:
         raise ValidationError("need two same-length vectors with at least 2 entries")
-    if base.std() == 0.0 or est.std() == 0.0:
-        pearson = np.nan
-    else:
-        pearson = float(stats.pearsonr(base, est).statistic)
-    kendall = float(stats.kendalltau(base, est).statistic)
     diff = est - base
     return ComparisonMetrics(
-        pearson=pearson,
-        kendall=kendall,
+        pearson=_pearson(base, est),
+        kendall=_kendall_tau_b(base, est),
         mae=float(np.abs(diff).mean()),
         msd=float(diff.mean()),
     )

@@ -18,8 +18,16 @@ from .baselines import SCENARIOS
 from .benchmark import run_benchmark, save_benchmark
 from .dataset import Direction, load_dataset
 from .dea import _solve_dmus
-from .errors import DegenerateFitError, HrdeaError
-from .inference import beta_density_points, erii, fit_beta, robustness_report, save_report
+from .errors import HrdeaError
+from .inference import (
+    beta_densities,
+    beta_density_points,
+    erii,
+    fit_beta,
+    fit_beta_rows,
+    robustness_report,
+    save_report,
+)
 from .pipeline import load_distance_matrix, run_hr_dea, save_distance_matrix, write_header
 from .setspec import build_sets, parse_set_spec
 
@@ -90,8 +98,15 @@ def _run_matrix(args):
     )
 
 
-def _write_density(path, dm, dmu: str, fit) -> None:
-    """Beta density curve of one DMU of ``dm``, with the fit in the header."""
+def _write_xy(fh, xs, ys) -> None:
+    """An x,y table of floats: the bytes csv.writer's excel dialect writes
+    for these rows, since a float's repr needs no quoting."""
+    fh.write("x,y\r\n" + "".join([f"{x!r},{y!r}\r\n" for x, y in zip(xs, ys)]))
+
+
+def _write_density(path, dm, dmu: str, fit, xs, ys) -> None:
+    """Beta density curve (xs, ys) of one DMU of ``dm``, with the fit in the
+    header."""
     config = {
         "dmu": dmu,
         "alpha": fit.alpha,
@@ -104,10 +119,7 @@ def _write_density(path, dm, dmu: str, fit) -> None:
     }
     with open(path, "w", newline="", encoding="utf-8") as fh:
         write_header(fh, "density", config)
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y"])
-        xs, ys = beta_density_points(fit).T
-        writer.writerows(zip(map(repr, xs.tolist()), map(repr, ys.tolist())))
+        _write_xy(fh, xs.tolist(), ys.tolist())
 
 
 def _analyze_matrix(matrix_path, outdir, tau, width) -> int:
@@ -118,8 +130,9 @@ def _analyze_matrix(matrix_path, outdir, tau, width) -> int:
     save_report(report, report_path, source_config=dm.config)
     scheme = report.scheme
     mids = scheme.midpoints().tolist()
+    fits = fit_beta_rows(dm.values)
+    xs, ys = beta_densities(fits)
     for j, dmu in enumerate(dm.dmu_ids):
-        samples = dm.values[j]
         hist_path = os.path.join(outdir, f"hist_{dmu}.csv")
         with open(hist_path, "w", newline="", encoding="utf-8") as fh:
             write_header(
@@ -127,14 +140,11 @@ def _analyze_matrix(matrix_path, outdir, tau, width) -> int:
                 "histogram",
                 {"dmu": dmu, "bucket_width": width, "seed": dm.seed, "source": dm.config},
             )
-            writer = csv.writer(fh)
-            writer.writerow(["x", "y"])
-            writer.writerows(zip(map(repr, mids), map(repr, erii(samples, scheme).tolist())))
-        try:
-            fit = fit_beta(samples)
-        except (DegenerateFitError, HrdeaError):
-            continue
-        _write_density(os.path.join(outdir, f"density_{dmu}.csv"), dm, dmu, fit)
+            _write_xy(fh, mids, erii(dm.values[j], scheme).tolist())
+        if not fits.skip[j]:
+            _write_density(
+                os.path.join(outdir, f"density_{dmu}.csv"), dm, dmu, fits.fit(j), xs[j], ys[j]
+            )
     print(f"wrote {report_path}")
     return 0
 
@@ -173,7 +183,7 @@ def _cmd_density(args) -> int:
     dm = load_distance_matrix(args.matrix)
     samples = dm.row(args.dmu)
     fit = fit_beta(samples)
-    _write_density(args.out, dm, args.dmu, fit)
+    _write_density(args.out, dm, args.dmu, fit, *beta_density_points(fit).T)
     print(
         f"beta fit for {args.dmu}: alpha={fit.alpha:.4f} beta={fit.beta:.4f} "
         f"support=[{fit.q1:.6f}, {fit.q2:.6f}] ks={fit.ks_statistic:.4f}"

@@ -5,9 +5,12 @@ and efficiency, order-statistic confidence intervals, the four robustness
 categories, outperformance probabilities, the scenario comparison test,
 and beta/Gaussian summaries of distance distributions.
 
-scipy is imported only inside the functions that need it (the beta fit,
-the density curve and the Gaussian outperformance), so importing hrdea
-loads none of it.
+Beta fits and density curves are batched over the rows of a matrix
+(``fit_beta_rows``, ``beta_densities``); ``fit_beta`` and
+``beta_density_points`` are their batches of one.  scipy is imported only
+inside the functions that need it (the beta fit, the density curve and the
+Gaussian outperformance), so importing hrdea loads none of it, and they
+use ``scipy.special`` alone: no path loads ``scipy.stats``.
 """
 
 from __future__ import annotations
@@ -258,41 +261,119 @@ class BetaFit:
             raise ValidationError("support bounds are crossed")
 
 
-def fit_beta(samples, support: tuple[float, float] | None = None) -> BetaFit:
-    """Moment-matching beta fit.
+# The reasons a row gets no beta fit, in the order the checks are made.
+FIT_FAILURES = (
+    (DegenerateFitError, "zero-variance samples; report the constant instead"),
+    (ValidationError, "need at least 10 distinct samples for a beta fit"),
+    (ValidationError, "support must have positive length"),
+    (DegenerateFitError, "samples degenerate on the chosen support"),
+    (DegenerateFitError, "sample variance too large for a beta on this support"),
+    (ValidationError, "beta shape parameters must be finite and positive"),
+)
 
-    The support defaults to the sample range; pass ``support`` explicitly
+
+@dataclass(frozen=True)
+class BetaFits:
+    """Beta fits of the rows of a matrix, one entry per row.
+
+    ``failure`` is 0 where the row was fitted, else the 1-based index in
+    ``FIT_FAILURES`` of the reason it was not; the other fields are NaN on
+    those rows.
+    """
+
+    alpha: np.ndarray
+    beta: np.ndarray
+    q1: np.ndarray
+    q2: np.ndarray
+    ks_statistic: np.ndarray
+    failure: np.ndarray
+
+    @property
+    def skip(self) -> np.ndarray:
+        """Rows without a fit: those where ``fit_beta`` raises."""
+        return self.failure != 0
+
+    def fit(self, j: int) -> BetaFit:
+        """Row j's fit; raises what ``fit_beta`` raises on that row."""
+        if self.failure[j]:
+            error, message = FIT_FAILURES[self.failure[j] - 1]
+            raise error(message)
+        return BetaFit(
+            alpha=float(self.alpha[j]),
+            beta=float(self.beta[j]),
+            q1=float(self.q1[j]),
+            q2=float(self.q2[j]),
+            ks_statistic=float(self.ks_statistic[j]),
+        )
+
+
+def fit_beta_rows(values, support: tuple[float, float] | None = None) -> BetaFits:
+    """Moment-matching beta fit of every row of an n-by-t matrix.
+
+    The support defaults to each row's range; pass ``support`` explicitly
     when the true domain is known (moment estimates on a truncated range
     are biased for shapes with thin tails).  The KS statistic is
     D = max(D+, D-) over the sorted sample (Massey 1951), the value
-    ``scipy.stats.kstest`` returns, without its p-value.
+    ``scipy.stats.kstest`` returns, without its p-value; one ``betainc``
+    call covers every fitted row.  Each row's arithmetic is that of a
+    single row, so ``fit_beta`` is the batch of one.
     """
     from scipy.special import betainc
 
-    x = np.asarray(samples, dtype=float).ravel()
-    if x.size and x.std() == 0.0:
-        raise DegenerateFitError("zero-variance samples; report the constant instead")
-    if np.unique(x).size < 10:
-        raise ValidationError("need at least 10 distinct samples for a beta fit")
-    q1, q2 = (float(x.min()), float(x.max())) if support is None else map(float, support)
-    if not q1 < q2:
-        raise ValidationError("support must have positive length")
-    z = (x - q1) / (q2 - q1)
-    mean = float(z.mean())
-    var = float(z.var())
-    if not 0.0 < mean < 1.0 or var == 0.0:
-        raise DegenerateFitError("samples degenerate on the chosen support")
-    factor = mean * (1.0 - mean) / var - 1.0
-    if factor <= 0.0:
-        raise DegenerateFitError("sample variance too large for a beta on this support")
-    alpha = mean * factor
-    beta = (1.0 - mean) * factor
-    cdf = betainc(alpha, beta, np.sort(z))
-    n = cdf.size
-    d_plus = (np.arange(1.0, n + 1) / n - cdf).max()
-    d_minus = (cdf - np.arange(0.0, n) / n).max()
-    ks = float(max(d_plus, d_minus))
-    return BetaFit(alpha=alpha, beta=beta, q1=q1, q2=q2, ks_statistic=ks)
+    values = np.asarray(values, dtype=float)
+    n, t = values.shape
+    failure = np.zeros(n, dtype=np.int8)
+    alpha, beta, ks = (np.full(n, np.nan) for _ in range(3))
+
+    def fail(rows, mask, code):
+        """Record ``code`` for the masked ``rows`` that have no failure yet."""
+        rows = rows[mask]
+        failure[rows[failure[rows] == 0]] = code
+
+    if t == 0:  # no samples, so fewer than 10 distinct ones
+        failure[:] = 2
+        return BetaFits(alpha, beta, alpha.copy(), alpha.copy(), ks, failure)
+    every = np.arange(n)
+    fail(every, values.std(axis=1) == 0.0, 1)
+    xs = np.sort(values, axis=1)
+    distinct = np.count_nonzero(xs[:, 1:] != xs[:, :-1], axis=1) + 1
+    # np.unique, which the count follows, keeps one of the NaNs sorted last.
+    distinct -= np.maximum(np.count_nonzero(np.isnan(xs), axis=1) - 1, 0)
+    fail(every, distinct < 10, 2)
+    if support is None:
+        q1, q2 = values.min(axis=1), values.max(axis=1)
+    else:
+        q1, q2 = (np.full(n, float(bound)) for bound in support)
+    fail(every, ~(q1 < q2), 3)
+
+    rows = np.flatnonzero(failure == 0)
+    low, width = q1[rows, None], (q2 - q1)[rows, None]
+    z = (values[rows] - low) / width
+    mean, var = z.mean(axis=1), z.var(axis=1)
+    fail(rows, ~((0.0 < mean) & (mean < 1.0)) | (var == 0.0), 4)
+    with np.errstate(all="ignore"):  # on rows that failed already
+        factor = mean * (1.0 - mean) / var - 1.0
+        a, b = mean * factor, (1.0 - mean) * factor
+        shapes_ok = (a > 0) & (b > 0) & np.isfinite(a + b)
+    fail(rows, factor <= 0.0, 5)
+    fail(rows, ~shapes_ok, 6)
+
+    fitted = failure[rows] == 0
+    rows, a, b = rows[fitted], a[fitted, None], b[fitted, None]
+    cdf = betainc(a, b, (xs[rows] - low[fitted]) / width[fitted])
+    d_plus = (np.arange(1.0, t + 1) / t - cdf).max(axis=1)
+    d_minus = (cdf - np.arange(0.0, t) / t).max(axis=1)
+    alpha[rows], beta[rows] = a[:, 0], b[:, 0]
+    ks[rows] = np.maximum(d_plus, d_minus)
+    q1[failure != 0] = q2[failure != 0] = np.nan
+    return BetaFits(alpha, beta, q1, q2, ks, failure)
+
+
+def fit_beta(samples, support: tuple[float, float] | None = None) -> BetaFit:
+    """Moment-matching beta fit of one sample: ``fit_beta_rows`` on a
+    matrix of one row."""
+    x = np.asarray(samples, dtype=float).reshape(1, -1)
+    return fit_beta_rows(x, support).fit(0)
 
 
 def beta_expected_distance(fit: BetaFit) -> float:
@@ -314,14 +395,46 @@ def beta_to_gaussian(alpha: float, beta: float) -> tuple[float, float]:
     return rho, sigma
 
 
-def beta_density_points(fit: BetaFit, num: int = 200) -> np.ndarray:
-    """(num, 2) array of (x, pdf) points of the fitted density."""
-    from scipy.stats import beta
+def _beta_pdf():
+    """The beta density ufunc that ``scipy.stats.beta.pdf`` evaluates.
 
-    x = np.linspace(fit.q1, fit.q2, num)
-    z = (x - fit.q1) / (fit.q2 - fit.q1)
-    y = beta.pdf(z, fit.alpha, fit.beta) / (fit.q2 - fit.q1)
-    return np.column_stack([x, y])
+    Its name is private to scipy, so ``scipy.stats`` (about 0.7 s and 20 MB
+    to import) is the fallback if it goes away.
+    """
+    try:
+        from scipy.special._ufuncs import _beta_pdf
+    except ImportError:
+        from scipy.stats import beta
+
+        return beta.pdf
+    return _beta_pdf
+
+
+def beta_densities(fits: BetaFits, num: int = 200) -> tuple[np.ndarray, np.ndarray]:
+    """(x, pdf) arrays of shape (n, num): each fitted row's density at num
+    evenly spaced points of its support, in one call of the density ufunc.
+    Rows in ``fits.skip`` are NaN."""
+    rows = np.flatnonzero(~fits.skip)
+    q1, q2 = fits.q1[rows], fits.q2[rows]
+    x = np.full((fits.failure.size, num), np.nan)
+    y = x.copy()
+    x[rows] = np.linspace(q1, q2, num, axis=1)
+    width = (q2 - q1)[:, None]
+    z = (x[rows] - q1[:, None]) / width
+    with np.errstate(over="ignore"):
+        y[rows] = _beta_pdf()(z, fits.alpha[rows, None], fits.beta[rows, None]) / width
+    return x, y
+
+
+def beta_density_points(fit: BetaFit, num: int = 200) -> np.ndarray:
+    """(num, 2) array of (x, pdf) points of the fitted density:
+    ``beta_densities`` on a batch of one."""
+    fits = BetaFits(
+        *(np.array([v]) for v in (fit.alpha, fit.beta, fit.q1, fit.q2, fit.ks_statistic)),
+        failure=np.zeros(1, dtype=np.int8),
+    )
+    x, y = beta_densities(fits, num)
+    return np.column_stack([x[0], y[0]])
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
 
+import hrdea.benchmark
 from hrdea.benchmark import (
     ALTERNATIVES,
     METRICS,
+    ComparisonMetrics,
     compare_metrics,
     run_benchmark,
     save_benchmark,
@@ -42,6 +46,66 @@ def test_compare_metrics_validation():
         compare_metrics([1.0], [1.0])
     with pytest.raises(ValidationError):
         compare_metrics([1.0, 2.0], [1.0, 2.0, 3.0])
+
+
+def scipy_compare_metrics(base, est) -> ComparisonMetrics:
+    """compare_metrics with Pearson and Kendall tau-b from scipy.stats."""
+    from scipy import stats
+
+    base = np.asarray(base, dtype=float).ravel()
+    est = np.asarray(est, dtype=float).ravel()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # constant input
+        pearson = float(stats.pearsonr(base, est).statistic)
+        kendall = float(stats.kendalltau(base, est).statistic)
+    diff = est - base
+    return ComparisonMetrics(pearson=pearson, kendall=kendall,
+                             mae=float(np.abs(diff).mean()), msd=float(diff.mean()))
+
+
+def metric_pairs():
+    """Random, heavily tied, constant and NaN-holding vector pairs."""
+    rng = np.random.default_rng(40)
+    for n in (2, 3, 7, 50, 300, 1500):  # 1500 spans several row blocks
+        x = rng.normal(size=n)
+        yield x, 0.6 * x + rng.normal(size=n)
+        yield x, -x
+        yield rng.integers(0, 3, size=n).astype(float), rng.integers(0, 2, size=n) * 0.1
+        yield np.round(x), np.round(2.0 * x + rng.normal(size=n))
+        yield x * 1e200, x**3 * 1e-200
+        yield np.full(n, 0.1), x
+        yield x, np.full(n, 2.5)
+        yield np.full(n, 1.0), np.full(n, 3.0)
+    x = rng.normal(size=20)
+    y = x.copy()
+    y[4] = np.nan
+    yield x, y
+
+
+def test_pearson_and_kendall_match_scipy():
+    checked = nan = 0
+    for base, est in metric_pairs():
+        ours, theirs = compare_metrics(base, est), scipy_compare_metrics(base, est)
+        for got, want in ((ours.pearson, theirs.pearson), (ours.kendall, theirs.kendall)):
+            if np.isnan(want):
+                assert np.isnan(got)
+                nan += 1
+            else:
+                assert abs(got - want) <= 1e-12
+            checked += 1
+    assert nan >= 20 and checked > 90
+
+
+def test_benchmark_table_equals_the_scipy_metrics(monkeypatch):
+    kw = dict(scenarios=("I", "II"), reps=1, n=12, gaps=3, t=5, seed=8)
+    ours = run_benchmark(**kw).table
+    monkeypatch.setattr(hrdea.benchmark, "compare_metrics", scipy_compare_metrics)
+    theirs = run_benchmark(**kw).table
+    for alt in ALTERNATIVES:
+        for metric in METRICS:
+            for sc in ("I", "II", "mean"):
+                assert ours[alt][metric][sc] == pytest.approx(theirs[alt][metric][sc],
+                                                              rel=0, abs=1e-12)
 
 
 def test_gapless_run_reproduces_base_exactly():

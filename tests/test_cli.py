@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import subprocess
@@ -10,6 +12,8 @@ import hrdea
 from hrdea.cli import main
 from hrdea.dataset import Direction, from_arrays
 from hrdea.dea import solve_directional, solve_weak_disposability
+from hrdea.inference import BucketScheme, beta_density_points, erii, fit_beta
+from hrdea.pipeline import DistanceMatrix, save_distance_matrix
 
 
 @pytest.fixture
@@ -178,6 +182,73 @@ def test_density_command(tmp_path):
         assert code == 1
 
 
+def shaped_matrix(path):
+    """A stored matrix whose rows fit betas with an infinite density at q1
+    (alpha < 1) and at q2 (beta < 1), an ordinary beta, and two rows with no
+    fit: all zero and five distinct values."""
+    rng = np.random.default_rng(21)
+    t = 80
+    values = np.vstack([
+        0.1 + 0.3 * rng.beta(0.4, 3.0, size=t),
+        0.2 * rng.beta(3.0, 0.5, size=t),
+        rng.beta(2.0, 5.0, size=t),
+        np.zeros(t),
+        rng.choice([0.1, 0.2, 0.3, 0.4, 0.5], size=t),
+    ])
+    dm = DistanceMatrix(dmu_ids=("L", "R", "M", "Z", "F"), values=values,
+                        baseline=values[:, 0], seed=4, config={"seed": 4, "t": t})
+    save_distance_matrix(dm, path)
+    return dm
+
+
+def csv_rows(header: str, rows) -> bytes:
+    """The comment header followed by an x,y table written by csv.writer."""
+    fh = io.StringIO(newline="")
+    fh.write(header)
+    writer = csv.writer(fh)
+    writer.writerow(["x", "y"])
+    writer.writerows(zip(map(repr, rows[0]), map(repr, rows[1])))
+    return fh.getvalue().encode("utf-8")
+
+
+def comment_lines(path) -> str:
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    return "".join(line for line in lines if line.startswith("#"))
+
+
+def test_analyze_and_density_files_are_csv_writer_bytes(tmp_path):
+    dm = shaped_matrix(tmp_path / "matrix.csv")
+    outdir = tmp_path / "rep"
+    assert main(["analyze", "--matrix", str(tmp_path / "matrix.csv"),
+                 "--outdir", str(outdir)]) == 0
+    scheme = BucketScheme.for_values(dm.values, width=0.01)
+    for j, dmu in enumerate(dm.dmu_ids):
+        hist = outdir / f"hist_{dmu}.csv"
+        expected = (scheme.midpoints().tolist(), erii(dm.values[j], scheme).tolist())
+        assert hist.read_bytes() == csv_rows(comment_lines(hist), expected)
+
+    fitted = ("L", "R", "M")
+    assert sorted(p.name for p in outdir.glob("density_*.csv")) == sorted(
+        f"density_{dmu}.csv" for dmu in fitted)
+    for dmu in fitted:
+        density = outdir / f"density_{dmu}.csv"
+        fit = fit_beta(dm.row(dmu))
+        config = json.loads(comment_lines(density).splitlines()[1][len("# config: "):])
+        assert (config["alpha"], config["beta"], config["q1"], config["q2"], config["ks"]) == (
+            fit.alpha, fit.beta, fit.q1, fit.q2, fit.ks_statistic)
+        points = beta_density_points(fit)
+        expected = csv_rows(comment_lines(density), (points[:, 0].tolist(),
+                                                     points[:, 1].tolist()))
+        assert density.read_bytes() == expected
+        # The batch of one (hrdea density) writes what the batch of n wrote.
+        single = tmp_path / f"single_{dmu}.csv"
+        assert main(["density", "--matrix", str(tmp_path / "matrix.csv"), "--dmu", dmu,
+                     "--out", str(single)]) == 0
+        assert single.read_bytes() == density.read_bytes()
+    assert (outdir / "density_L.csv").read_text().splitlines()[3].endswith(",inf")
+    assert (outdir / "density_R.csv").read_text().splitlines()[-1].endswith(",inf")
+
+
 def test_bench_command(tmp_path):
     out = tmp_path / "bench.csv"
     code = main([
@@ -189,30 +260,44 @@ def test_bench_command(tmp_path):
 
 
 # Run in a fresh interpreter: argv[1] is the directory holding the hrdea
-# package, argv[2] a data CSV and argv[3] the output path.
+# package, argv[2] a data CSV, argv[3] a stored distance matrix with a row
+# "L" that has a beta fit and argv[4] an output directory.
 IMPORT_PROBE = """
-import json, sys
+import json, os, sys
 sys.path.insert(0, sys.argv[1])
 import hrdea, hrdea.benchmark, hrdea.cli
 loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-code = hrdea.cli.main(["solve", "--data", sys.argv[2], "--inputs", "x1",
-                       "--outputs", "y1", "--out", sys.argv[3]])
-print(json.dumps([loaded, code, "scipy.stats" in sys.modules]))
+out = sys.argv[4]
+commands = {
+    "solve": ["solve", "--data", sys.argv[2], "--inputs", "x1", "--outputs", "y1",
+              "--out", os.path.join(out, "distances.csv")],
+    "analyze": ["analyze", "--matrix", sys.argv[3], "--outdir", os.path.join(out, "rep")],
+    "density": ["density", "--matrix", sys.argv[3], "--dmu", "L",
+                "--out", os.path.join(out, "density.csv")],
+    "bench": ["bench", "--scenarios", "I", "--reps", "1", "--n", "10", "--gaps", "2",
+              "--t", "5", "--seed", "2", "--out", os.path.join(out, "bench.csv")],
+}
+ran = [[name, hrdea.cli.main(argv), "scipy.stats" in sys.modules]
+       for name, argv in commands.items()]
+print(json.dumps([loaded, ran]))
 """
 
 
 def test_import_and_solve_load_no_scipy_stats(tmp_path, two_dmu_csv):
-    # scipy is imported by the functions that use it, not at import time.
+    # scipy is imported by the functions that use it, not at import time,
+    # and no command loads scipy.stats: solve, analyze, density and bench.
     src = os.path.dirname(os.path.dirname(hrdea.__file__))
+    shaped_matrix(tmp_path / "matrix.csv")
     probe = subprocess.run(
         [sys.executable, "-c", IMPORT_PROBE, src, str(two_dmu_csv),
-         str(tmp_path / "distances.csv")],
+         str(tmp_path / "matrix.csv"), str(tmp_path)],
         capture_output=True, text=True, check=True, timeout=120,
     )
-    loaded, code, stats_loaded = json.loads(probe.stdout.strip().splitlines()[-1])
+    loaded, ran = json.loads(probe.stdout.strip().splitlines()[-1])
     assert loaded == []
-    assert code == 0
-    assert not stats_loaded
+    assert ran == [[name, 0, False] for name in ("solve", "analyze", "density", "bench")]
+    assert (tmp_path / "density.csv").read_bytes() == (
+        tmp_path / "rep" / "density_L.csv").read_bytes()
 
 
 def test_unknown_flag_exits_2(two_dmu_csv):

@@ -10,6 +10,7 @@ from hrdea.errors import DegenerateFitError, ValidationError
 from hrdea.inference import (
     BetaFit,
     BucketScheme,
+    beta_densities,
     beta_density_points,
     beta_expected_distance,
     beta_to_gaussian,
@@ -22,6 +23,7 @@ from hrdea.inference import (
     expected_distance,
     expected_efficiency,
     fit_beta,
+    fit_beta_rows,
     gaussian_outperformance,
     outperformance_probability,
     robustness_report,
@@ -302,6 +304,62 @@ def test_beta_density_points_equal_the_frozen_pdf(alpha, beta):
     z = (points[:, 0] - fit.q1) / (fit.q2 - fit.q1)
     expected = stats.beta(alpha, beta).pdf(z) / (fit.q2 - fit.q1)
     assert points[:, 1].tobytes() == expected.tobytes()
+
+
+def bits(value) -> bytes:
+    return np.float64(value).tobytes()
+
+
+def test_fit_beta_rows_equal_fit_beta_row_by_row():
+    rng = np.random.default_rng(18)
+    t = 60
+    values = rng.beta(2.0, 5.0, size=(9, t))
+    values[0] = 0.37  # constant
+    values[1] = 0.0  # all zero
+    values[2] = rng.choice(np.arange(9) / 10.0, size=t)  # 9 distinct values
+    # Mass at both ends of the range: the moment factor rounds to <= 0.
+    values[3] = np.concatenate([np.zeros(25), np.ones(24), np.arange(1, 12) * 1e-300])
+    values[4] = np.round(values[4], 2)  # ties
+    values[5] = rng.beta(0.4, 3.0, size=t)  # alpha < 1: infinite density at q1
+    values[6] = rng.beta(3.0, 0.4, size=t)  # beta < 1: infinite density at q2
+    values[7] = rng.uniform(-2.0, 3.0, size=t)  # too wide for the support (0, 1)
+    reasons = set()
+    for support in (None, (0.0, 1.0)):
+        fits = fit_beta_rows(values, support)
+        xs, ys = beta_densities(fits)
+        raised = []
+        for j, row in enumerate(values):
+            try:
+                fit = fit_beta(row, support)
+            except (DegenerateFitError, ValidationError) as exc:
+                raised.append(j)
+                reasons.add(str(exc))
+                with pytest.raises(type(exc)) as again:
+                    fits.fit(j)
+                assert str(again.value) == str(exc)
+                assert np.isnan(xs[j]).all() and np.isnan(ys[j]).all()
+                continue
+            for name in ("alpha", "beta", "q1", "q2", "ks_statistic"):
+                assert bits(getattr(fits, name)[j]) == bits(getattr(fit, name))
+            assert fits.fit(j) == fit
+            points = beta_density_points(fit)
+            assert points[:, 0].tobytes() == xs[j].tobytes()
+            assert points[:, 1].tobytes() == ys[j].tobytes()
+        assert np.flatnonzero(fits.skip).tolist() == raised
+        if support is None:
+            assert raised == [0, 1, 2, 3]
+            assert np.isinf(ys[5, 0]) and np.isinf(ys[6, -1])
+    assert reasons == {
+        "zero-variance samples; report the constant instead",
+        "need at least 10 distinct samples for a beta fit",
+        "sample variance too large for a beta on this support",
+    }
+    for short in (0, 5):  # too few samples for any fit
+        fits = fit_beta_rows(np.full((3, short), 0.5), None)
+        assert fits.skip.all()
+        for j in range(3):
+            with pytest.raises((DegenerateFitError, ValidationError)):
+                fit_beta(np.full(short, 0.5))
 
 
 def test_beta_expected_distance_formulas():
