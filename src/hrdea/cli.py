@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import json
 import os
 import sys
 
@@ -22,7 +23,6 @@ from .errors import HrdeaError
 from .inference import (
     beta_densities,
     beta_density_points,
-    erii,
     fit_beta,
     fit_beta_rows,
     robustness_report,
@@ -104,9 +104,9 @@ def _write_xy(fh, xs, ys) -> None:
     fh.write("x,y\r\n" + "".join([f"{x!r},{y!r}\r\n" for x, y in zip(xs, ys)]))
 
 
-def _write_density(path, dm, dmu: str, fit, xs, ys) -> None:
+def _write_density(path, dm, dmu: str, fit, xs, ys, source: str) -> None:
     """Beta density curve (xs, ys) of one DMU of ``dm``, with the fit in the
-    header."""
+    header; ``source`` is the JSON of ``dm.config``."""
     config = {
         "dmu": dmu,
         "alpha": fit.alpha,
@@ -115,10 +115,9 @@ def _write_density(path, dm, dmu: str, fit, xs, ys) -> None:
         "q2": fit.q2,
         "ks": fit.ks_statistic,
         "seed": dm.seed,
-        "source": dm.config,
     }
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        write_header(fh, "density", config)
+        write_header(fh, "density", config, source)
         _write_xy(fh, xs.tolist(), ys.tolist())
 
 
@@ -128,23 +127,19 @@ def _analyze_matrix(matrix_path, outdir, tau, width) -> int:
     os.makedirs(outdir, exist_ok=True)
     report_path = os.path.join(outdir, "report.csv")
     save_report(report, report_path, source_config=dm.config)
-    scheme = report.scheme
-    mids = scheme.midpoints().tolist()
+    mids = report.scheme.midpoints().tolist()
     fits = fit_beta_rows(dm.values)
     xs, ys = beta_densities(fits)
+    source = json.dumps(dm.config, sort_keys=True)
     for j, dmu in enumerate(dm.dmu_ids):
         hist_path = os.path.join(outdir, f"hist_{dmu}.csv")
         with open(hist_path, "w", newline="", encoding="utf-8") as fh:
-            write_header(
-                fh,
-                "histogram",
-                {"dmu": dmu, "bucket_width": width, "seed": dm.seed, "source": dm.config},
-            )
-            _write_xy(fh, mids, erii(dm.values[j], scheme).tolist())
+            write_header(fh, "histogram",
+                         {"dmu": dmu, "bucket_width": width, "seed": dm.seed}, source)
+            _write_xy(fh, mids, report.erii[j].tolist())
         if not fits.skip[j]:
-            _write_density(
-                os.path.join(outdir, f"density_{dmu}.csv"), dm, dmu, fits.fit(j), xs[j], ys[j]
-            )
+            _write_density(os.path.join(outdir, f"density_{dmu}.csv"), dm, dmu, fits.fit(j),
+                           xs[j], ys[j], source)
     print(f"wrote {report_path}")
     return 0
 
@@ -183,7 +178,8 @@ def _cmd_density(args) -> int:
     dm = load_distance_matrix(args.matrix)
     samples = dm.row(args.dmu)
     fit = fit_beta(samples)
-    _write_density(args.out, dm, args.dmu, fit, *beta_density_points(fit).T)
+    _write_density(args.out, dm, args.dmu, fit, *beta_density_points(fit).T,
+                   json.dumps(dm.config, sort_keys=True))
     print(
         f"beta fit for {args.dmu}: alpha={fit.alpha:.4f} beta={fit.beta:.4f} "
         f"support=[{fit.q1:.6f}, {fit.q2:.6f}] ks={fit.ks_statistic:.4f}"

@@ -32,6 +32,15 @@ slack phase continues each member's final distance tableau on its optimal
 face (``_max_slacks``), so every LP of both models runs on the one warm
 path.  The plain model is the weak model without undesirable rows and
 without the beta block.
+
+A plain world scored against its own columns (``world_distances``) whose n
+members over the nondominated columns do not fit one ``BATCH_BYTES`` chunk
+is solved over its frame in two passes: the nondominated members as above,
+then every dominated member over the nondominated columns at distance 0
+plus its anchor, priced over all columns the same way.  Below that size
+the second pass's simplex rounds cost more than its narrower tableau saves
+(at two inputs, one output and 40 nondominated columns the rule picks the
+frame from n = 143 on), so a smaller world keeps the single pass.
 """
 
 from __future__ import annotations
@@ -139,6 +148,28 @@ def _max_slacks(T, basis, ncols, first, tol):
 two_phase = _max_slacks
 
 
+def _chunk(r, w) -> int:
+    """Members per chunk of a batched solve with r rows and w columns
+    (the anchor's included): at most ``BATCH_BYTES`` of tableau."""
+    return max(1, BATCH_BYTES // ((r + 2) * (w + r + 2) * 8))
+
+
+def _prices_short(u, conv, a, Z) -> np.ndarray:
+    """Mask of the members whose final duals price some column of Z below
+    tolerance.
+
+    Column j is sign * (Z_j - a) over a 1; its price at the duals is u.Z_j +
+    y_conv - u.a with u = sign * y, and the terms are bounded by |u|.Z_j +
+    sum|u_i a_i| + |y_conv| (for Z >= 0).  The test price < -PIVOT_TOL (1 +
+    bound) is rearranged to (u + PIVOT_TOL |u|).Z_j + c < 0, with c = y_conv -
+    u.a + PIVOT_TOL (sum|u_i a_i| + |y_conv| + 1), so one stacked matmul per
+    member prices every column, and gives the same bits in any batch.
+    """
+    ua = u * a.T
+    c = conv - ua.sum(1) + PIVOT_TOL * (np.abs(ua).sum(1) + np.abs(conv) + 1.0)
+    return ((u + PIVOT_TOL * np.abs(u))[:, None] @ Z)[:, 0].min(axis=1) + c < 0.0
+
+
 def _solve_over(Z, sign, p, d, a, cols, eq=0, slacks=False):
     """Distances of members laid out as in ``_eq1_tableaux``, solved in
     chunks of at most ``BATCH_BYTES`` of tableau, a mask of those whose
@@ -156,7 +187,7 @@ def _solve_over(Z, sign, p, d, a, cols, eq=0, slacks=False):
     r, n = Z.shape
     w = cols.size + 1
     ncols = w + 1 + r - eq
-    chunk = max(1, BATCH_BYTES // ((r + 2) * (w + r + 2) * 8))
+    chunk = _chunk(r, w)
     short = np.zeros(a.shape[1], dtype=bool)
     rows = np.arange(r + 1)[:, None]
     reads = ([], [])  # per phase, each chunk's unpivoted basis columns, RHS, basis
@@ -177,14 +208,7 @@ def _solve_over(Z, sign, p, d, a, cols, eq=0, slacks=False):
         # convexity row.
         u, conv = T[:, -1, w + 1 : w + 1 + r] * sign, T[:, -1, w - 1]
         if cols.size < n:
-            # Column j is sign * (Z_j - a) over a 1; its price at the duals
-            # is u.Z_j + y_conv - u.a with u = sign * y, and the terms are
-            # bounded by |u|.Z_j + |u.a| + |y_conv| (for Z >= 0).  Each
-            # member's stacked matmul gives the same bits in any batch.
-            ua = u * a[:, part].T
-            price = (u[:, None] @ Z)[:, 0] + (conv - ua.sum(1))[:, None]
-            size = (np.abs(u)[:, None] @ Z)[:, 0] + (np.abs(ua).sum(1) + np.abs(conv))[:, None]
-            short[part] = (price < -PIVOT_TOL * (1.0 + size)).any(axis=1)
+            short[part] = _prices_short(u, conv, a[:, part], Z)
         if slacks:
             # A reduced cost is zero to within PIVOT_TOL of the size of its
             # terms, |y|.|A_j| + 1: at hospital magnitudes a column on the
@@ -265,6 +289,35 @@ def directional_distances(X, Y, xk, yk, dx, dy, anchors) -> np.ndarray:
         raise ValidationError("every anchor must weakly dominate its evaluated point")
     return _distances(*_frame(X, Y), np.concatenate([xk, yk]), np.concatenate([dx, dy]),
                       np.concatenate([ax, ay]))[0]
+
+
+def world_distances(X, Y, dx, dy) -> np.ndarray:
+    """Plain-model distances of every column of a world against the world
+    itself, each anchored at its own column: ``directional_distances(X, Y,
+    X, Y, dx, dy, range(n))``.
+
+    A world whose members, over the nondominated columns, fit one chunk is
+    solved in that single pass.  A larger one is solved over its frame in
+    two passes.  The nondominated members are solved as in the single pass,
+    so their answers keep their bits, and those at distance 0 form the
+    frame.  Every vertex of the hull plus disposal cone is in it: a column
+    at D > 0 is a point of that set plus a non-zero disposal, so no vertex.
+    Each dominated member is then solved over the frame and its anchor, and
+    the pricing over all columns still sends a short one, say from a D of
+    1e-17 read as positive, back to all of them.
+    """
+    Z, sign, cols = _frame(X, Y)
+    d = np.concatenate([dx, dy])
+    n = Z.shape[1]
+    if n <= _chunk(len(Z), cols.size + 1):
+        return _distances(Z, sign, cols, Z, d, Z)[0]
+    out = np.empty(n)
+    out[cols] = _distances(Z, sign, cols, Z[:, cols], d[:, cols], Z[:, cols])[0]
+    rest = np.setdiff1d(np.arange(n), cols)
+    if rest.size:
+        out[rest] = _distances(Z, sign, cols[out[cols] <= 0.0], Z[:, rest], d[:, rest],
+                               Z[:, rest])[0]
+    return out
 
 
 def weak_disposability_distances(X, Y, U, xk, yk, uk, dx, dy, du, anchors) -> np.ndarray:

@@ -76,7 +76,9 @@ class UncertaintySet:
             )
         if self.shape == "point" and np.any(self.semi_axes != 0):
             raise ValidationError("a point set cannot carry semi-axes")
-        if not contains(self, self.center):
+        # Every other shape holds its center: the deviation is 0, and the
+        # center is finite and in the orthant.
+        if self.shape == "polytope" and not contains(self, self.center):
             raise ValidationError("set center must belong to the set")
 
     @property

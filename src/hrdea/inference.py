@@ -19,7 +19,7 @@ import csv
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -455,6 +455,8 @@ class RobustnessReport:
     tau: float
     bucket_width: float
     scheme: BucketScheme
+    # Row j: the robustness index of DMU j over the scheme's buckets.
+    erii: np.ndarray = field(repr=False, compare=False)
 
     def categories(self) -> dict[str, int]:
         out = {c: 0 for c in CATEGORIES}
@@ -473,10 +475,10 @@ def robustness_report(
     that value together with the plain sample standard deviation.
     """
     scheme = BucketScheme.for_values(dm.values, width=bucket_width)
-    rows = []
+    rows, indices = [], np.empty((dm.n, scheme.count + 1))
     for j, dmu in enumerate(dm.dmu_ids):
         samples = dm.values[j]
-        probs = erii(samples, scheme)
+        probs = indices[j] = erii(samples, scheme)
         e_d = expected_distance(probs, scheme)
         lb, ub = confidence_interval(samples, tau)
         sd = float(samples.std())
@@ -495,7 +497,7 @@ def robustness_report(
             )
         )
     return RobustnessReport(
-        rows=tuple(rows), tau=tau, bucket_width=bucket_width, scheme=scheme
+        rows=tuple(rows), tau=tau, bucket_width=bucket_width, scheme=scheme, erii=indices
     )
 
 

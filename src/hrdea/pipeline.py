@@ -24,7 +24,7 @@ from itertools import islice
 import numpy as np
 
 from .dataset import DataSet, Direction
-from .dea import directional_distances, weak_disposability_distances
+from .dea import weak_disposability_distances, world_distances
 # Unused here; the tracer in perfbench/spans.py looks these names up.
 from .dea import directional_distance, weak_disposability_distance  # noqa: F401
 from .errors import ParseError, ValidationError
@@ -34,6 +34,8 @@ from .sampler import Walker
 from .sampler import step  # noqa: F401
 
 INPUT_FLOOR = 1e-12
+# Worlds per pooled chunk, and per Philox draw of the walk.
+_CHUNK_WORLDS = 32
 
 
 @dataclass(frozen=True)
@@ -79,17 +81,18 @@ def _column_distances(points: np.ndarray, m: int, s: int, model: str, direction:
     sampled points may sit exactly on the orthant boundary, and a zero
     value would make the proportional or one-sided directions degenerate.
     Either model solves the whole world as one warm-started batch, each
-    DMU anchored at its own column.
+    DMU anchored at its own column; a large plain world is solved over its
+    frame (``world_distances``).
     """
-    anchors = np.arange(points.shape[1])
     floored = np.maximum(points, INPUT_FLOOR)
     X = floored[:m]
     Y = floored[m : m + s]
     U = floored[m + s :]
     dx, dy, du = direction.resolve_at(X, Y, U)
     if model == "weak":
-        return weak_disposability_distances(X, Y, U, X, Y, U, dx, dy, du, anchors)
-    return directional_distances(X, Y, X, Y, dx, dy, anchors)
+        return weak_disposability_distances(X, Y, U, X, Y, U, dx, dy, du,
+                                            np.arange(points.shape[1]))
+    return world_distances(X, Y, dx, dy)
 
 
 def _worlds(walker: Walker, points: np.ndarray, seed: int, t: int):
@@ -97,12 +100,18 @@ def _worlds(walker: Walker, points: np.ndarray, seed: int, t: int):
 
     Each world is one ``Walker.step`` over the n DMUs' (n, z) points; DMU j
     draws from its own (seed, ell*n + j) stream in world ell, so the walk is
-    the serial recurrence, bit for bit.
+    the serial recurrence, bit for bit.  The unit doubles of up to
+    ``_CHUNK_WORLDS`` worlds are drawn in one Philox call, so memory does
+    not grow with t.
     """
-    n = len(points)
-    for ell in range(1, t + 1):
-        points = walker.step(points, seed, range(ell * n, ell * n + n))
-        yield np.ascontiguousarray(points.T)
+    n, live = len(points), walker.live
+    for first in range(1, t + 1, _CHUNK_WORLDS):
+        ells = range(first, min(first + _CHUNK_WORLDS, t + 1))
+        u = walker.uniforms(seed, [ell * n + j for ell in ells for j in live])
+        u = u.reshape(len(ells), len(live), 4 * walker.blocks)
+        for ell, drawn in zip(ells, u):
+            points = walker.step(points, seed, range(ell * n, ell * n + n), drawn)
+            yield np.ascontiguousarray(points.T)
 
 
 def _score(worlds, *args):
@@ -112,11 +121,11 @@ def _score(worlds, *args):
 
 def _pooled(worlds, args, threads: int, t: int):
     """Score the worlds on a process pool, in order.  The pool has at most
-    one worker per CPU.  A chunk holds at most 32 worlds and at most two
-    chunks per worker are in flight, so the walk runs only that far ahead of
-    the scores: memory does not grow with t."""
+    one worker per CPU.  A chunk holds at most ``_CHUNK_WORLDS`` worlds and
+    at most two chunks per worker are in flight, so the walk runs only that
+    far ahead of the scores: memory does not grow with t."""
     workers = min(threads, os.cpu_count() or 1)
-    chunk = min(math.ceil(t / (4 * workers)), 32)
+    chunk = min(math.ceil(t / (4 * workers)), _CHUNK_WORLDS)
     blocks = iter(lambda: list(islice(worlds, chunk)), [])
     with ProcessPoolExecutor(max_workers=workers) as pool:
         pending = deque(pool.submit(_score, b, *args) for b in islice(blocks, 2 * workers))
@@ -196,11 +205,16 @@ def run_hr_dea(
     )
 
 
-def write_header(fh, name: str, config: dict) -> None:
+def write_header(fh, name: str, config: dict, source: str | None = None) -> None:
     """The comment lines that open every hrdea artifact: format name and
-    version, then the config as sorted JSON."""
+    version, then the config as sorted JSON.  ``source``, the sorted JSON of
+    a config encoded once for many artifacts, is written as the value of
+    the key "source", after ``config``'s keys, which must sort before it."""
+    text = json.dumps(config, sort_keys=True)
+    if source is not None:
+        text = f'{text[:-1]}, "source": {source}}}'
     fh.write(f"# hrdea {name} v1\n")
-    fh.write(f"# config: {json.dumps(config, sort_keys=True)}\n")
+    fh.write(f"# config: {text}\n")
 
 
 def save_distance_matrix(dm: DistanceMatrix, path) -> None:

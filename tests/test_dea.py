@@ -11,6 +11,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.optimize import linprog
 
 from hrdea import dea, lp
+from hrdea.baselines import generate_scenario
 from hrdea.dataset import Direction, from_arrays
 from hrdea.dea import (
     BATCH_BYTES,
@@ -24,6 +25,7 @@ from hrdea.dea import (
 )
 from hrdea.errors import LpError, ValidationError
 from hrdea.pipeline import INPUT_FLOOR, _column_distances
+from hrdea.sampler import RngStream
 
 
 def brute_force_directional(X, Y, xk, yk, dx, dy, grid=None):
@@ -498,6 +500,132 @@ def test_dominated_and_duplicate_anchors_match_all_columns(mode, monkeypatch):
     monkeypatch.setattr(dea, "BATCH_BYTES", 4096)
     batch = check_world(points, direction)
     assert_relative(batch, all_columns(monkeypatch, X, Y, dx, dy))
+
+
+# --- the frame path of a large world ------------------------------------
+
+@pytest.mark.parametrize("mode", sorted(DIRECTIONS))
+def test_world_tests_through_the_frame_path(mode, monkeypatch):
+    """The world tests above with chunks of one member, so that every world
+    of two or more DMUs takes the frame path."""
+    monkeypatch.setattr(dea, "BATCH_BYTES", 1)
+    assert dea._chunk(3, 2) == 1
+    for n in (1, 2, 30, 80):
+        test_world_batch_matches_single_solves_and_highs(mode, n)
+    test_world_batch_duplicates_ties_and_floored_cells(mode)
+
+
+def spy_passes(monkeypatch):
+    """A list that records the candidate columns and member count of every
+    ``_distances`` call from now on."""
+    passes = []
+    distances = dea._distances
+
+    def spy(Z, sign, cols, p, *args, **kwargs):
+        passes.append((cols.copy(), p.shape[1]))
+        return distances(Z, sign, cols, p, *args, **kwargs)
+
+    monkeypatch.setattr(dea, "_distances", spy)
+    return passes
+
+
+def large_world(scenario, seed):
+    """A Scenario I-III world of 300 DMUs with two duplicated DMUs, one of
+    them on the frontier, and zero cells floored to INPUT_FLOOR, among them
+    two zero outputs."""
+    points = generate_scenario(scenario, 300, RngStream(seed)).stacked()
+    efficient = dea._nondominated(points[:2], points[2:])[0]
+    points[:, 5] = points[:, efficient]
+    points[:, 9] = points[:, 8]
+    points[2, [20, 21]] = 0.0
+    points[0, 22] = 0.0
+    floored = np.maximum(points, INPUT_FLOOR)
+    return floored[:2], floored[2:]
+
+
+@pytest.mark.parametrize("mode", ["output", "proportional"])
+@pytest.mark.parametrize("scenario", ["I", "II", "III"])
+def test_frame_path_matches_the_single_pass(scenario, mode, monkeypatch):
+    X, Y = large_world(scenario, 70 + len(scenario))
+    dx, dy, _ = DIRECTIONS[mode].resolve_at(X, Y)
+    passes = spy_passes(monkeypatch)
+    frame = dea.world_distances(X, Y, dx, dy)
+    nondominated = dea._nondominated(X, Y)
+    # Two passes: the nondominated members over the nondominated columns,
+    # then the other members over the columns at distance 0.
+    (first, members), (second, rest) = passes
+    assert np.array_equal(first, nondominated) and members == nondominated.size
+    assert np.array_equal(second, nondominated[frame[nondominated] == 0.0])
+    assert rest == 300 - nondominated.size and second.size < first.size
+    passes.clear()
+    monkeypatch.setattr(dea, "BATCH_BYTES", 1 << 40)
+    single = dea.world_distances(X, Y, dx, dy)
+    assert len(passes) == 1
+    assert np.array_equal(frame[nondominated], single[nondominated])
+    assert np.abs(frame - single).max() <= 1e-12 * np.abs(single).max(initial=1.0)
+    assert_relative(frame[single > 0], single[single > 0])
+    assert np.array_equal(frame == 0.0, single == 0.0)
+    if mode == "output":  # a floored output lies 1e12 times its direction away
+        assert single[20] > 1e10
+
+
+@pytest.mark.parametrize("mode", sorted(DIRECTIONS))
+def test_frame_missing_a_column_is_priced_back_to_all_columns(mode, monkeypatch):
+    direction = DIRECTIONS[mode]
+    X, Y = large_world("I", 73)
+    dx, dy, _ = direction.resolve_at(X, Y)
+    reference = all_columns(monkeypatch, X, Y, dx, dy)
+    drop = frame_dmu(X, Y, direction)
+    distances, calls = dea._distances, []
+
+    def lose_one(Z, sign, cols, p, *args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:  # the second pass, over the frame
+            assert drop in cols
+            cols = cols[cols != drop]
+        return distances(Z, sign, cols, p, *args, **kwargs)
+
+    monkeypatch.setattr(dea, "_distances", lose_one)
+    solved = spy_candidate_sets(monkeypatch)
+    batch = dea.world_distances(X, Y, dx, dy)
+    assert sum(members for size, members in solved if size == 300) > 0
+    assert_relative(batch, reference)
+
+
+def old_short_mask(u, conv, a, Z):
+    """The pricing test as first written: price < -PIVOT_TOL (1 + size)."""
+    ua = u * a.T
+    price = (u[:, None] @ Z)[:, 0] + (conv - ua.sum(1))[:, None]
+    size = (np.abs(u)[:, None] @ Z)[:, 0] + (np.abs(ua).sum(1) + np.abs(conv))[:, None]
+    return (price < -lp.PIVOT_TOL * (1.0 + size)).any(axis=1)
+
+
+def test_rearranged_pricing_gives_the_old_short_mask():
+    rng = np.random.default_rng(5)
+    r, n, b = 3, 300, 4000
+    Z = rng.lognormal(2.0, 1.5, size=(r, n))
+    a = Z[:, rng.integers(0, n, size=b)]
+    u = rng.normal(size=(b, r)) * rng.lognormal(0.0, 3.0, size=(b, 1))
+    # Random duals: some members price short, some do not.
+    conv = rng.normal(size=b) * np.abs(u).sum(1) * 30.0
+    mask = dea._prices_short(u, conv, a, Z)
+    assert np.array_equal(mask, old_short_mask(u, conv, a, Z))
+    assert 0 < mask.sum() < b
+    # Near-boundary duals: the y_conv at which the most negative column
+    # meets the tolerance exactly, moved by 1e-12 of the size of its terms,
+    # far above rounding and far below PIVOT_TOL.
+    tol, ua = lp.PIVOT_TOL, u * a.T
+    A = (u[:, None] @ Z)[:, 0] - ua.sum(1)[:, None]
+    B = 1.0 + (np.abs(u)[:, None] @ Z)[:, 0] + np.abs(ua).sum(1)[:, None]
+    root = -(A + tol * B)
+    root = np.where(root >= 0.0, root / (1.0 + tol), root / (1.0 - tol))
+    at = root.argmax(axis=1)
+    edge = root[np.arange(b), at]
+    step = np.where(rng.uniform(size=b) < 0.5, -1e-12, 1e-12) * B[np.arange(b), at]
+    conv = edge + step
+    mask = dea._prices_short(u, conv, a, Z)
+    assert np.array_equal(mask, old_short_mask(u, conv, a, Z))
+    assert np.array_equal(mask, step < 0.0)
 
 
 def test_interval_lower_bounds_match_a_swapped_copy_loop():

@@ -273,6 +273,13 @@ def test_superellipsoid_orders_must_be_finite_and_at_least_one(orders):
             UncertaintySet.superellipsoid([5.0, 5.0, 5.0], [3.0, 2.0, 4.0], orders)
 
 
+def test_polytope_with_its_interior_point_outside_raises():
+    # The point is finite and in the orthant, so only the membership test
+    # can reject it.
+    with pytest.raises(ValidationError, match="set center must belong to the set"):
+        UncertaintySet.polytope(PENTAGON_A, PENTAGON_B, interior_point=[20.0, 6.0])
+
+
 def test_center_must_be_inside_and_nonnegative():
     with pytest.raises(ValidationError):
         UncertaintySet.box([-1.0, 5.0], [1.0, 1.0])

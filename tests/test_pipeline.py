@@ -1,4 +1,6 @@
 import importlib.util
+import io
+import json
 import os
 import tracemalloc
 from concurrent.futures import Future
@@ -14,6 +16,7 @@ from hrdea.dataset import Direction, from_arrays
 from hrdea.dea import interval_dea_bounds, solve_directional, solve_weak_disposability
 from hrdea.errors import ValidationError
 from hrdea.geometry import UncertaintySet
+from hrdea.sampler import Walker
 from hrdea.pipeline import (
     DistanceMatrix,
     load_distance_matrix,
@@ -185,6 +188,26 @@ def test_determinism_across_threads():
         assert np.array_equal(serial.values, again.values)
 
 
+def test_worlds_drawn_ahead_equal_undrawn_steps():
+    """``_worlds`` draws the Philox words of a block of worlds at once; each
+    world equals a ``Walker.step`` that draws its own, across a block edge."""
+    rng = np.random.default_rng(12)
+    data = random_instance(rng, 7)
+    stacked = data.stacked()
+    sets = box_sets(data)
+    sets[2] = UncertaintySet.point(stacked[:, 2])  # a point set draws nothing
+    sets[4] = UncertaintySet.ellipsoid(stacked[:, 4], 0.2 * stacked[:, 4])
+    walker = Walker(sets, ["uniform"] * 6 + ["triangular"])
+    points = np.column_stack([u.center for u in sets]).T
+    t = hrdea.pipeline._CHUNK_WORLDS + 3
+    drawn = list(hrdea.pipeline._worlds(walker, points, 11, t))
+    assert len(drawn) == t
+    n = data.n
+    for ell in range(1, t + 1):
+        points = walker.step(points, 11, range(ell * n, ell * n + n))
+        assert np.array_equal(drawn[ell - 1], points.T)
+
+
 def test_serial_run_holds_one_world(monkeypatch):
     """A serial run scores each world as soon as it is walked, so peak memory
     grows with t by the matrix column alone, not by the world's z x n points.
@@ -302,6 +325,18 @@ def test_validation_errors():
         run_hr_dea(data, bad_dim, d, t=5)
     with pytest.raises(ValidationError):
         run_hr_dea(data, sets, d, t=5, xi_laws=["uniform"])
+
+
+def test_header_with_a_source_encoded_once_equals_the_whole_config():
+    source = {"t": 5, "shapes": ["box", "point"], "direction": "proportional"}
+    for config in ({"dmu": "A", "bucket_width": 0.01, "seed": 3},
+                   {"dmu": "B", "alpha": 2.5, "beta": 1.0, "q1": 0.0, "q2": 0.5,
+                    "ks": 0.1, "seed": 3}):
+        once, whole = io.StringIO(), io.StringIO()
+        hrdea.pipeline.write_header(once, "histogram", config,
+                                    json.dumps(source, sort_keys=True))
+        hrdea.pipeline.write_header(whole, "histogram", {**config, "source": source})
+        assert once.getvalue() == whole.getvalue()
 
 
 def test_save_load_roundtrip(tmp_path):
