@@ -111,6 +111,8 @@ def introduce_gaps(data: DataSet, count: int, rng: RngStream) -> tuple[DataSet, 
     rho, rho' are independent uniform(0, 1) draws.
     """
     total = data.n * (data.m + data.s)
+    if count < 0:
+        raise ValidationError(f"gap count must be >= 0, got {count}")
     if count > total:
         raise ValidationError(f"cannot mask {count} of {total} cells")
     gen = rng.generator()

@@ -9,7 +9,7 @@ the center; a set with all semi-axes zero degenerates to a single point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
@@ -284,9 +284,6 @@ def _sign_patterns(z: int) -> np.ndarray:
 def _rhombus_chords(stack: SetStack, P: np.ndarray, D: np.ndarray) -> np.ndarray:
     """Chord against the 2^z implicit faces |.|/w summing to one."""
     za = stack.flat.shape[1]
-    if za > RHOMBUS_MAX_DIM:
-        raise UnsupportedDimensionError(f"rhombus chord limited to {RHOMBUS_MAX_DIM} free "
-                                        "dimensions")
     a = _sign_patterns(za) / stack.semi[:, None, :]
     num = 1.0 - _products(a, stack.take(P) - stack.mid)
     still = stack.blocked(D) | (za == 0)
@@ -320,31 +317,15 @@ def chord_lengths(stack: SetStack, P: np.ndarray, D: np.ndarray) -> np.ndarray:
     return rules[stack.shape](stack, P, D)
 
 
-def _chord_of_one(rule, uset: UncertaintySet, p, d, checked: bool = True) -> float:
-    """The chord of one set by a vectorized rule (a batch of one)."""
+def chord_length(uset: UncertaintySet, p, d) -> float:
+    """Shape-appropriate chord length from p, a point of the set, along the
+    unit direction d: ``chord_lengths`` on a batch of one."""
     P, D = (np.asarray(v, dtype=float).reshape(1, -1) for v in (p, d))
-    if checked:
-        if P.shape[1] != uset.z or D.shape[1] != uset.z:
-            raise ValidationError("point/direction dimension does not match the set")
-        norm = np.linalg.norm(D[0])
-        if abs(norm - 1.0) > 1e-6:
-            raise ValidationError(f"direction must have unit norm, got {norm}")
-        if not contains(uset, P[0]):
-            raise ValidationError("chord start point lies outside the set")
-    return float(rule(SetStack([uset]), P, D)[0])
-
-
-chord_length_box = partial(_chord_of_one, _box_chords)
-chord_length_ellipsoid = partial(_chord_of_one, _ellipsoid_chords)
-chord_length_rhombus = partial(_chord_of_one, _rhombus_chords)
-chord_length_polytope = partial(_chord_of_one, _polytope_chords)
-
-
-def chord_length(uset: UncertaintySet, p, d, checked: bool = True) -> float:
-    """Shape-appropriate chord length from p along the unit direction d.
-
-    ``checked=False`` skips the interiority/unit-norm validation; the walk
-    uses it because its points stay inside the set by construction.
-    """
-    return _chord_of_one(chord_lengths, uset, p, d, checked)
-
+    if P.shape[1] != uset.z or D.shape[1] != uset.z:
+        raise ValidationError("point/direction dimension does not match the set")
+    norm = np.linalg.norm(D[0])
+    if abs(norm - 1.0) > 1e-6:
+        raise ValidationError(f"direction must have unit norm, got {norm}")
+    if not contains(uset, P[0]):
+        raise ValidationError("chord start point lies outside the set")
+    return float(chord_lengths(SetStack([uset]), P, D)[0])

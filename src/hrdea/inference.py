@@ -28,6 +28,7 @@ from .pipeline import DistanceMatrix, write_header
 
 ZERO_TOL = 1e-9
 DEFAULT_WIDTH = 0.01
+DENSITY_POINTS = 200  # points of each density curve
 CATEGORIES = ("C1", "C2", "C3", "C4")
 
 REPORT_COLUMNS = (
@@ -48,7 +49,6 @@ class BucketScheme:
 
     width: float
     count: int
-    zero_tol: float = ZERO_TOL
 
     def __post_init__(self):
         if self.width <= 0:
@@ -84,11 +84,11 @@ def erii_counts(samples, scheme: BucketScheme) -> np.ndarray:
     samples = np.asarray(samples, dtype=float).ravel()
     if samples.size == 0:
         raise ValidationError("no samples")
-    if np.any(samples < -scheme.zero_tol):
+    if np.any(samples < -ZERO_TOL):
         raise ValidationError("distances must be >= 0")
     buckets = np.ceil(samples / scheme.width - 1e-12).astype(np.int64)
     np.clip(buckets, 1, scheme.count, out=buckets)
-    buckets[samples <= scheme.zero_tol] = 0
+    buckets[samples <= ZERO_TOL] = 0
     return np.bincount(buckets, minlength=scheme.count + 1)
 
 
@@ -410,15 +410,15 @@ def _beta_pdf():
     return _beta_pdf
 
 
-def beta_densities(fits: BetaFits, num: int = 200) -> tuple[np.ndarray, np.ndarray]:
-    """(x, pdf) arrays of shape (n, num): each fitted row's density at num
-    evenly spaced points of its support, in one call of the density ufunc.
-    Rows in ``fits.skip`` are NaN."""
+def beta_densities(fits: BetaFits) -> tuple[np.ndarray, np.ndarray]:
+    """(x, pdf) arrays of shape (n, DENSITY_POINTS): each fitted row's density
+    at DENSITY_POINTS evenly spaced points of its support, in one call of the
+    density ufunc.  Rows in ``fits.skip`` are NaN."""
     rows = np.flatnonzero(~fits.skip)
     q1, q2 = fits.q1[rows], fits.q2[rows]
-    x = np.full((fits.failure.size, num), np.nan)
+    x = np.full((fits.failure.size, DENSITY_POINTS), np.nan)
     y = x.copy()
-    x[rows] = np.linspace(q1, q2, num, axis=1)
+    x[rows] = np.linspace(q1, q2, DENSITY_POINTS, axis=1)
     width = (q2 - q1)[:, None]
     z = (x[rows] - q1[:, None]) / width
     with np.errstate(over="ignore"):
@@ -426,14 +426,14 @@ def beta_densities(fits: BetaFits, num: int = 200) -> tuple[np.ndarray, np.ndarr
     return x, y
 
 
-def beta_density_points(fit: BetaFit, num: int = 200) -> np.ndarray:
-    """(num, 2) array of (x, pdf) points of the fitted density:
+def beta_density_points(fit: BetaFit) -> np.ndarray:
+    """(DENSITY_POINTS, 2) array of (x, pdf) points of the fitted density:
     ``beta_densities`` on a batch of one."""
     fits = BetaFits(
         *(np.array([v]) for v in (fit.alpha, fit.beta, fit.q1, fit.q2, fit.ks_statistic)),
         failure=np.zeros(1, dtype=np.int8),
     )
-    x, y = beta_densities(fits, num)
+    x, y = beta_densities(fits)
     return np.column_stack([x[0], y[0]])
 
 

@@ -5,9 +5,10 @@ uncertainty set, the frontier is rebuilt from the sampled observations,
 and each DMU's distance against that frontier is recorded.  Column ell of
 the resulting matrix is therefore one coherent resampled world.
 
-The walk is continuous across iterations (never restarted at the
-centroid).  Iteration 0 evaluates the centroids themselves; those
-distances are kept separate from the sampled columns.
+The walk is ``sampler.Walker.walk`` over all n DMUs, continuous across
+iterations (never restarted at the centroid).  Iteration 0 evaluates the
+centroids themselves; those distances are kept separate from the sampled
+columns.
 """
 
 from __future__ import annotations
@@ -34,8 +35,7 @@ from .sampler import Walker
 from .sampler import step  # noqa: F401
 
 INPUT_FLOOR = 1e-12
-# Worlds per pooled chunk, and per Philox draw of the walk.
-_CHUNK_WORLDS = 32
+_CHUNK_WORLDS = 32  # worlds per pooled chunk
 
 
 @dataclass(frozen=True)
@@ -52,6 +52,9 @@ class DistanceMatrix:
         values = np.asarray(self.values, dtype=float)
         if values.ndim != 2 or values.shape[0] != len(self.dmu_ids):
             raise ValidationError("distance matrix must be n x t")
+        if len(set(self.dmu_ids)) != len(self.dmu_ids):
+            dupes = sorted({i for i in self.dmu_ids if self.dmu_ids.count(i) > 1})
+            raise ValidationError(f"duplicate DMU ids in distance matrix: {dupes}")
         if not np.all(np.isfinite(values)) or np.any(values < 0):
             raise ValidationError("distances must be finite and >= 0")
         object.__setattr__(self, "values", values)
@@ -95,25 +98,6 @@ def _column_distances(points: np.ndarray, m: int, s: int, model: str, direction:
     return world_distances(X, Y, dx, dy)
 
 
-def _worlds(walker: Walker, points: np.ndarray, seed: int, t: int):
-    """Advance every DMU's walk one step per world and yield its z-by-n points.
-
-    Each world is one ``Walker.step`` over the n DMUs' (n, z) points; DMU j
-    draws from its own (seed, ell*n + j) stream in world ell, so the walk is
-    the serial recurrence, bit for bit.  The unit doubles of up to
-    ``_CHUNK_WORLDS`` worlds are drawn in one Philox call, so memory does
-    not grow with t.
-    """
-    n, live = len(points), walker.live
-    for first in range(1, t + 1, _CHUNK_WORLDS):
-        ells = range(first, min(first + _CHUNK_WORLDS, t + 1))
-        u = walker.uniforms(seed, [ell * n + j for ell in ells for j in live])
-        u = u.reshape(len(ells), len(live), 4 * walker.blocks)
-        for ell, drawn in zip(ells, u):
-            points = walker.step(points, seed, range(ell * n, ell * n + n), drawn)
-            yield np.ascontiguousarray(points.T)
-
-
 def _score(worlds, *args):
     """One pooled chunk: the distances of each of its worlds."""
     return [_column_distances(points, *args) for points in worlds]
@@ -149,9 +133,10 @@ def run_hr_dea(
 
     ``sets`` holds one uncertainty set per DMU (a point set encodes perfect
     knowledge).  Walk steps for DMU j at iteration ell draw from the Philox
-    stream (seed, ell*n + j), so results do not depend on ``threads``.
-    Each world is walked when it is scored: a serial run holds one world of
-    points at a time, and with ``threads > 1`` a bounded window of worlds.
+    stream (seed, ell*n + j) (``Walker.walk`` with offset 0), so results do
+    not depend on ``threads``.  Each world is walked when it is scored: a
+    serial run holds one world of z-by-n points at a time, and with
+    ``threads > 1`` a bounded window of worlds.
     """
     n = data.n
     if t < 1:
@@ -179,7 +164,8 @@ def run_hr_dea(
     centroids = np.column_stack([uset.center for uset in sets])
     baseline = _column_distances(centroids, data.m, data.s, model, direction)
 
-    worlds, args = _worlds(walker, centroids.T, seed, t), (data.m, data.s, model, direction)
+    worlds = (np.ascontiguousarray(points.T) for points in walker.walk(centroids.T, seed, t, 0))
+    args = (data.m, data.s, model, direction)
     if threads > 1:
         columns = _pooled(worlds, args, threads, t)
     else:

@@ -24,11 +24,17 @@ scalar ``u @ v``, ``A @ p`` or ``np.linalg.norm`` with the same length, where
 ``einsum`` or ``(d * d).sum(1)`` would change last bits.  So each member walks
 bit for bit as it would alone.  A direction of norm 0 (the all-zero draw)
 sends its member to the serial generator path.
+
+``Walker.walk`` is the one walk loop: member j of k draws step ell from
+stream ``offset + ell * k + j``, and the words of up to ``_DRAW_STEPS``
+steps come from one Philox call.  ``run_hr_dea`` walks its n DMUs with
+offset 0; ``hr_sample`` walks one member with offset ``rng.stream``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import islice
 
 import numpy as np
 
@@ -40,7 +46,7 @@ _MASK64 = (1 << 64) - 1
 # Philox4x64 round multipliers and key increments (Salmon et al. 2011).
 _PHILOX_MUL = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
 _PHILOX_BUMP = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64)
-_SAMPLE_DRAWS = 256  # hr_sample draws the words of this many steps at once
+_DRAW_STEPS = 32  # Walker.walk draws the words of this many steps at once
 
 XI_LAWS = ("uniform", "triangular")
 
@@ -163,6 +169,23 @@ class Walker:
                                       u[rows])
         return new
 
+    def walk(self, points: np.ndarray, seed: int, t: int, offset: int):
+        """Yield the members' (k, z) points after each of t steps from ``points``.
+
+        Member j draws step ell (from 1) from stream ``offset + ell * k + j``,
+        so each member walks the serial recurrence, bit for bit.  The unit
+        doubles of up to ``_DRAW_STEPS`` steps are drawn in one Philox call,
+        so memory does not grow with t.
+        """
+        k, live = len(points), self.live
+        for first in range(1, t + 1, _DRAW_STEPS):
+            ells = range(first, min(first + _DRAW_STEPS, t + 1))
+            u = self.uniforms(seed, [offset + ell * k + j for ell in ells for j in live])
+            for ell, drawn in zip(ells, u.reshape(len(ells), len(live), 4 * self.blocks)):
+                points = self.step(points, seed, range(offset + ell * k, offset + ell * k + k),
+                                   drawn)
+                yield points
+
     def _move(self, twice, members, P, seed, streams, u):
         """The next points P of one layout's members, from their unit doubles u."""
         za = twice.flat.shape[1]
@@ -189,33 +212,29 @@ def hr_step(
     xi: float | None = None,
     xi_law: str = "uniform",
 ) -> WalkState:
-    """One Hit & Run step.
+    """One Hit & Run step, drawn whole or forced whole.
 
-    The stochastic step lands uniformly on the full chord through the
-    current point; drawn whole, it is ``Walker``'s batch of one.  When
-    ``direction`` is forced the step is the deterministic one-sided
-    projection P + chord(P, d) * xi * d.
+    Drawn from ``rng``, the step lands uniformly on the full chord through
+    the current point; it is ``Walker``'s batch of one.  Forced by both
+    ``direction`` and ``xi``, it is the deterministic one-sided projection
+    P + chord(P, d) * xi * d.  Forcing only one of the two is an error.
     """
+    if (direction is None) != (xi is None):
+        raise ValidationError("force both direction and xi, or neither")
     p = np.asarray(state.point, dtype=float)
     if uset.is_point:
         return replace(state, iteration=state.iteration + 1)
-    if (direction is None or xi is None) and rng is None:
-        raise ValidationError("provide an RngStream or force direction and xi")
-    if direction is None and xi is None:
+    if direction is None:
+        if rng is None:
+            raise ValidationError("provide an RngStream or force direction and xi")
         new_point = Walker([uset], [xi_law]).step(p[None], rng.seed, [rng.stream])[0]
-    elif direction is None:  # a drawn direction, a forced fraction of its chord
-        d = np.zeros(uset.z)
-        d[uset.active] = draw_direction(rng.generator(), int(np.count_nonzero(uset.active)))
-        new_point = _full_chord(SetStack([uset] * 2), p[None], d[None], np.array([float(xi)]))[0]
     else:
         d = np.asarray(direction, dtype=float)
         norm = np.linalg.norm(d)
         if norm == 0:
             raise ValidationError("forced direction must be non-zero")
         d = d / norm
-        forward = chord_length(uset, p, d, checked=True)
-        step_xi = draw_xi(rng.generator(), xi_law) if xi is None else float(xi)
-        new_point = p + forward * step_xi * d
+        new_point = p + chord_length(uset, p, d) * float(xi) * d
     return WalkState(point=new_point, iteration=state.iteration + 1)
 
 
@@ -242,7 +261,8 @@ def hr_sample(
     """Emit t walk points (after optional burn-in and thinning).
 
     Step number ell uses the sub-stream ``rng.child(ell)``, which makes the
-    sequence reproducible from (seed, stream id) alone.
+    sequence reproducible from (seed, stream id) alone: it is ``Walker.walk``
+    of one member with offset ``rng.stream``.
     """
     if t < 1:
         raise ValidationError("need at least one iteration")
@@ -255,13 +275,5 @@ def hr_sample(
     )
     if not contains(uset, point):
         raise ValidationError("start point lies outside the set")
-    walker, points = Walker([uset], [xi_law]), point[None]
-    out, kept, total = np.empty((t, uset.z)), 0, burn_in + t * thin
-    for first in range(1, total + 1, _SAMPLE_DRAWS):
-        ells = range(first, min(first + _SAMPLE_DRAWS, total + 1))
-        u = walker.uniforms(rng.seed, [rng.stream + ell for ell in ells])
-        for i, ell in enumerate(ells):
-            points = walker.step(points, rng.seed, [rng.stream + ell], u[i : i + 1])
-            if ell > burn_in and (ell - burn_in) % thin == 0:
-                out[kept], kept = points[0], kept + 1
-    return out
+    walk = Walker([uset], [xi_law]).walk(point[None], rng.seed, burn_in + t * thin, rng.stream)
+    return np.array([p[0] for p in islice(walk, burn_in + thin - 1, None, thin)])

@@ -144,9 +144,9 @@ def test_criterion_4_paper_value_regressions():
         interior_point=[2.0, 6.0],
     )
     d1 = np.array([0.2, 0.4]) / np.hypot(0.2, 0.4)
-    from hrdea.geometry import chord_length_polytope
+    from hrdea.geometry import chord_length
 
-    lam = chord_length_polytope(pentagon, [2.0, 6.0], d1)
+    lam = chord_length(pentagon, [2.0, 6.0], d1)
     hit = np.array([2.0, 6.0]) + lam * d1
     np.testing.assert_allclose(hit, [2.6667, 7.3333], atol=1e-4)
     step = hr_step(pentagon, WalkState(point=np.array([2.0, 6.0])), direction=d1, xi=0.6)

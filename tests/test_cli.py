@@ -259,6 +259,13 @@ def test_bench_command(tmp_path):
     assert out.read_text().count("\n") >= 28
 
 
+def test_negative_gap_count_exits_1(tmp_path, capsys):
+    code = main(["bench", "--scenarios", "I", "--reps", "1", "--n", "10", "--gaps", "-1",
+                 "--t", "5", "--out", str(tmp_path / "bench.csv")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
 # Run in a fresh interpreter: argv[1] is the directory holding the hrdea
 # package, argv[2] a data CSV, argv[3] a stored distance matrix with a row
 # "L" that has a beta fit and argv[4] an output directory.
@@ -345,3 +352,13 @@ def test_malformed_matrix_exits_1(tmp_path, capsys, text, line):
     assert main(["density", "--matrix", str(matrix), "--dmu", "A",
                  "--out", str(tmp_path / "d.csv")]) == 1
     assert f"error: line {line}:" in capsys.readouterr().err
+
+
+def test_duplicate_matrix_ids_exit_1(tmp_path, capsys):
+    matrix = tmp_path / "matrix.csv"
+    matrix.write_text(MATRIX_HEAD + "A,0.1,0.2\nB,0.0,0.1\nA,0.3,0.4\n")
+    assert main(["analyze", "--matrix", str(matrix), "--outdir", str(tmp_path)]) == 1
+    assert "duplicate DMU ids in distance matrix: ['A']" in capsys.readouterr().err
+    assert main(["density", "--matrix", str(matrix), "--dmu", "A",
+                 "--out", str(tmp_path / "d.csv")]) == 1
+    assert "duplicate DMU ids in distance matrix: ['A']" in capsys.readouterr().err

@@ -8,10 +8,6 @@ from hrdea.geometry import (
     SetStack,
     UncertaintySet,
     chord_length,
-    chord_length_box,
-    chord_length_ellipsoid,
-    chord_length_polytope,
-    chord_length_rhombus,
     chord_lengths,
     contains,
     contains_many,
@@ -28,7 +24,7 @@ def pentagon():
 
 
 def test_pentagon_chord(pentagon):
-    lam = chord_length_polytope(pentagon, [2.0, 6.0], D1)
+    lam = chord_length(pentagon, [2.0, 6.0], D1)
     assert lam == pytest.approx((10.0 / 3.0) * np.hypot(0.2, 0.4), abs=1e-9)
     hit = np.array([2.0, 6.0]) + lam * D1
     np.testing.assert_allclose(hit, [8.0 / 3.0, 22.0 / 3.0], atol=1e-9)
@@ -40,16 +36,16 @@ def test_parallel_constraint_contributes_infinity():
     uset = UncertaintySet.polytope(
         np.array([[-2.0, 1.0], [1.0, 1.0]]), np.array([5.0, 10.0]), [2.0, 6.0]
     )
-    lam = chord_length_polytope(uset, [2.0, 6.0], D1)
+    lam = chord_length(uset, [2.0, 6.0], D1)
     # (-2, 1) @ d == 0, so the first row never binds
     assert lam == pytest.approx(2.0 / D1.sum(), abs=1e-9)
 
 
 def test_box_chords():
     box = UncertaintySet.box([5.0, 5.0], [3.0, 2.0])  # x1 in [2,8], x2 in [3,7]
-    assert chord_length_box(box, [5.0, 5.0], [1.0, 0.0]) == pytest.approx(3.0, abs=1e-12)
-    assert chord_length_box(box, [5.0, 5.0], [0.0, 1.0]) == pytest.approx(2.0, abs=1e-12)
-    assert chord_length_box(box, [8.0, 5.0], [1.0, 0.0]) == 0.0
+    assert chord_length(box, [5.0, 5.0], [1.0, 0.0]) == pytest.approx(3.0, abs=1e-12)
+    assert chord_length(box, [5.0, 5.0], [0.0, 1.0]) == pytest.approx(2.0, abs=1e-12)
+    assert chord_length(box, [8.0, 5.0], [1.0, 0.0]) == 0.0
 
 
 def test_box_as_polytope_matches_closed_form():
@@ -64,8 +60,8 @@ def test_box_as_polytope_matches_closed_form():
         p = rng.uniform(c - w, c + w)
         d = rng.uniform(-1, 1, 3)
         d /= np.linalg.norm(d)
-        assert chord_length_box(box, p, d) == pytest.approx(
-            chord_length_polytope(poly, p, d), abs=1e-10
+        assert chord_length(box, p, d) == pytest.approx(
+            chord_length(poly, p, d), abs=1e-10
         )
 
 
@@ -85,22 +81,22 @@ def test_rhombus_matches_explicit_constraints():
                 break
         d = rng.uniform(-1, 1, 2)
         d /= np.linalg.norm(d)
-        assert chord_length_rhombus(rho, p, d) == pytest.approx(
-            chord_length_polytope(poly, p, d), abs=1e-10
+        assert chord_length(rho, p, d) == pytest.approx(
+            chord_length(poly, p, d), abs=1e-10
         )
 
 
 def test_degenerate_box_chord_is_zero():
     point = UncertaintySet.box([5.0, 5.0], [0.0, 0.0])
-    assert chord_length_box(point, [5.0, 5.0], [1.0, 0.0]) == 0.0
+    assert chord_length(point, [5.0, 5.0], [1.0, 0.0]) == 0.0
     assert point.is_point
 
 
 def test_ellipsoid_chords():
     ell = UncertaintySet.ellipsoid([5.0, 5.0], [3.0, 1.0])
-    assert chord_length_ellipsoid(ell, [5.0, 5.0], [1.0, 0.0]) == pytest.approx(3.0, abs=1e-12)
-    assert chord_length_ellipsoid(ell, [5.0, 5.0], [0.0, 1.0]) == pytest.approx(1.0, abs=1e-12)
-    assert chord_length_ellipsoid(ell, [6.5, 5.0], [1.0, 0.0]) == pytest.approx(1.5, abs=1e-12)
+    assert chord_length(ell, [5.0, 5.0], [1.0, 0.0]) == pytest.approx(3.0, abs=1e-12)
+    assert chord_length(ell, [5.0, 5.0], [0.0, 1.0]) == pytest.approx(1.0, abs=1e-12)
+    assert chord_length(ell, [6.5, 5.0], [1.0, 0.0]) == pytest.approx(1.5, abs=1e-12)
 
 
 def test_sphere_symmetry():
@@ -109,16 +105,16 @@ def test_sphere_symmetry():
     for _ in range(100):
         d = rng.normal(size=3)
         d /= np.linalg.norm(d)
-        lam = chord_length_ellipsoid(sphere, sphere.center, d)
+        lam = chord_length(sphere, sphere.center, d)
         assert lam == pytest.approx(2.0, abs=1e-10)
 
 
 def test_rhombus_chords():
     rho = UncertaintySet.rhombus([5.0, 5.0], [3.0, 1.0])
-    assert chord_length_rhombus(rho, [5.0, 5.0], [1.0, 0.0]) == pytest.approx(3.0, abs=1e-12)
-    assert chord_length_rhombus(rho, [5.0, 5.0], [0.0, 1.0]) == pytest.approx(1.0, abs=1e-12)
+    assert chord_length(rho, [5.0, 5.0], [1.0, 0.0]) == pytest.approx(3.0, abs=1e-12)
+    assert chord_length(rho, [5.0, 5.0], [0.0, 1.0]) == pytest.approx(1.0, abs=1e-12)
     s = 1.0 / np.sqrt(2.0)
-    assert chord_length_rhombus(rho, [5.0, 5.0], [s, s]) == pytest.approx(
+    assert chord_length(rho, [5.0, 5.0], [s, s]) == pytest.approx(
         3.0 * np.sqrt(2.0) / 4.0, abs=1e-12
     )
 
@@ -185,28 +181,28 @@ def test_boundary_bracketing_all_shapes():
 
 def test_orthant_clips_the_chord():
     box = UncertaintySet.box([1.0, 1.0], [5.0, 5.0])  # would extend to -4
-    lam = chord_length_box(box, [1.0, 1.0], [-1.0, 0.0])
+    lam = chord_length(box, [1.0, 1.0], [-1.0, 0.0])
     assert lam == pytest.approx(1.0, abs=1e-12)
     ell = UncertaintySet.ellipsoid([1.0, 1.0], [5.0, 5.0])
-    lam = chord_length_ellipsoid(ell, [1.0, 1.0], [-1.0, 0.0])
+    lam = chord_length(ell, [1.0, 1.0], [-1.0, 0.0])
     assert lam == pytest.approx(1.0, abs=1e-12)
 
 
 def test_chord_requires_interior_point():
     box = UncertaintySet.box([5.0, 5.0], [1.0, 1.0])
     with pytest.raises(ValidationError):
-        chord_length_box(box, [9.0, 5.0], np.array([1.0, 0.0]))
+        chord_length(box, [9.0, 5.0], np.array([1.0, 0.0]))
 
 
 def test_chord_requires_unit_direction(pentagon):
     with pytest.raises(ValidationError):
-        chord_length_polytope(pentagon, [2.0, 6.0], np.array([0.2, 0.4]))
+        chord_length(pentagon, [2.0, 6.0], np.array([0.2, 0.4]))
 
 
 def test_unbounded_polytope_direction_detected():
     half = UncertaintySet.polytope(np.array([[-1.0, 0.0]]), np.array([0.0]), [1.0, 1.0])
     with pytest.raises(HrdeaError):
-        chord_length_polytope(half, [1.0, 1.0], np.array([1.0, 0.0]))
+        chord_length(half, [1.0, 1.0], np.array([1.0, 0.0]))
 
 
 def test_superellipsoid_boundary_points():

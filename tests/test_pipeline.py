@@ -11,6 +11,7 @@ import pytest
 
 import hrdea.benchmark
 import hrdea.pipeline
+import hrdea.sampler
 from hrdea.benchmark import run_benchmark
 from hrdea.dataset import Direction, from_arrays
 from hrdea.dea import interval_dea_bounds, solve_directional, solve_weak_disposability
@@ -189,8 +190,10 @@ def test_determinism_across_threads():
 
 
 def test_worlds_drawn_ahead_equal_undrawn_steps():
-    """``_worlds`` draws the Philox words of a block of worlds at once; each
-    world equals a ``Walker.step`` that draws its own, across a block edge."""
+    """``Walker.walk`` draws the Philox words of a block of steps at once; each
+    world equals a ``Walker.step`` that draws its own, across a block edge.
+    Offset 0 is the walk of ``run_hr_dea``; the other offset wraps the stream
+    ids past 2**64."""
     rng = np.random.default_rng(12)
     data = random_instance(rng, 7)
     stacked = data.stacked()
@@ -198,14 +201,16 @@ def test_worlds_drawn_ahead_equal_undrawn_steps():
     sets[2] = UncertaintySet.point(stacked[:, 2])  # a point set draws nothing
     sets[4] = UncertaintySet.ellipsoid(stacked[:, 4], 0.2 * stacked[:, 4])
     walker = Walker(sets, ["uniform"] * 6 + ["triangular"])
-    points = np.column_stack([u.center for u in sets]).T
-    t = hrdea.pipeline._CHUNK_WORLDS + 3
-    drawn = list(hrdea.pipeline._worlds(walker, points, 11, t))
-    assert len(drawn) == t
-    n = data.n
-    for ell in range(1, t + 1):
-        points = walker.step(points, 11, range(ell * n, ell * n + n))
-        assert np.array_equal(drawn[ell - 1], points.T)
+    start = np.column_stack([u.center for u in sets]).T
+    t, n = hrdea.sampler._DRAW_STEPS + 3, data.n
+    for offset in (0, 2**64 - 5 * n):
+        drawn = list(walker.walk(start, 11, t, offset))
+        assert len(drawn) == t
+        points = start
+        for ell in range(1, t + 1):
+            first = offset + ell * n
+            points = walker.step(points, 11, range(first, first + n))
+            assert np.array_equal(drawn[ell - 1], points)
 
 
 def test_serial_run_holds_one_world(monkeypatch):
@@ -351,6 +356,13 @@ def test_save_load_roundtrip(tmp_path):
     np.testing.assert_array_equal(loaded.values, dm.values)
     np.testing.assert_array_equal(loaded.baseline, dm.baseline)
     assert loaded.config == dm.config
+
+
+def test_duplicate_dmu_ids_rejected(tmp_path):
+    path = tmp_path / "matrix.csv"
+    path.write_text("# config: {}\ndmu,d0,iter_1\nA,0.1,0.2\nB,0.0,0.1\nA,0.3,0.4\n")
+    with pytest.raises(ValidationError, match=r"duplicate DMU ids .*\['A'\]"):
+        load_distance_matrix(path)
 
 
 def test_distance_matrix_validation():

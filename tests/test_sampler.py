@@ -162,7 +162,7 @@ def reference_chord(uset, p, d):
         a = np.vstack([uset.rows_a, -np.eye(uset.z)])
         return first_hit(np.concatenate([uset.rows_b, np.zeros(uset.z)]) - a @ p, a @ d)
     if uset.shape == "superellipsoid":  # the bisection rule is checked in test_geometry
-        return chord_length(uset, p, d, checked=False)
+        return chord_length(uset, p, d)
     free = uset.active
     c, w, pa, da = uset.center[free], uset.semi_axes[free], p[free], d[free]
     if not (np.abs(da) > 1e-12).any():
@@ -243,14 +243,29 @@ def test_world_kernel_matches_serial_walk(z):
 
 @pytest.mark.parametrize("law", XI_LAWS)
 def test_hr_sample_matches_serial_walk(law):
+    """Every kept point, with and without burn-in and thinning, is the serial
+    walk's, across more than two of the walk's draw-ahead blocks."""
     sets, _ = mixed_world(3, n=7)
+    burn_in, thin, t = 17, 3, 25
+    assert burn_in + t * thin > 2 * sampler._DRAW_STEPS
     for uset in sets + [PENTAGON]:
         rng = RngStream(-5, 2**64 - 40)  # stream ids wrap past 2**64 on the way
         p, expected = uset.center, []
-        for ell in range(1, 61):
+        for ell in range(1, burn_in + t * thin + 1):
             p = reference_step(uset, p, rng.child(ell), law)
             expected.append(p)
-        assert np.array_equal(hr_sample(uset, t=60, rng=rng, xi_law=law), np.array(expected))
+        expected = np.array(expected)
+        assert np.array_equal(hr_sample(uset, t=60, rng=rng, xi_law=law), expected[:60])
+        kept = hr_sample(uset, t=t, rng=rng, xi_law=law, burn_in=burn_in, thin=thin)
+        assert np.array_equal(kept, expected[burn_in + thin - 1 :: thin])
+
+
+def test_hr_step_forces_both_or_neither():
+    state = WalkState(point=np.array([2.0, 6.0]))
+    with pytest.raises(ValidationError):
+        hr_step(PENTAGON, state, RngStream(0), direction=np.array([0.2, 0.4]))
+    with pytest.raises(ValidationError):
+        hr_step(PENTAGON, state, RngStream(0), xi=0.5)
 
 
 def test_philox_words_match_numpy():
