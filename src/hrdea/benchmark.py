@@ -218,6 +218,8 @@ def run_benchmark(
             raise ValidationError(f"unknown scenario {sc!r}")
     if reps < 1:
         raise ValidationError("need at least one repetition")
+    if threads < 1:
+        raise ValidationError(f"threads must be at least 1, not {threads}")
     cases = [(sc, rep, n, gaps, t, seed) for rep in range(reps) for sc in scenarios]
     if threads > 1:
         workers = min(threads, os.cpu_count() or 1, len(cases))

@@ -23,6 +23,7 @@ from .errors import HrdeaError
 from .inference import (
     beta_densities,
     beta_density_points,
+    check_report_settings,
     fit_beta,
     fit_beta_rows,
     robustness_report,
@@ -54,13 +55,9 @@ def _load(args):
     return load_dataset(args.data, schema)
 
 
-def _direction(args) -> Direction:
-    return Direction(args.orientation)
-
-
 def _cmd_solve(args) -> int:
     data = _load(args)
-    direction = _direction(args)
+    direction = Direction(args.orientation)
     use_weak = args.undesirable if args.undesirable is not None else data.v > 0
     config = {
         "command": "solve",
@@ -82,17 +79,15 @@ def _cmd_solve(args) -> int:
 
 def _run_matrix(args):
     data = _load(args)
-    direction = _direction(args)
     records = parse_set_spec(args.sets) if args.sets else {}
     sets, xi_laws = build_sets(data, records)
-    undesirable = args.undesirable if args.undesirable is not None else data.v > 0
     return run_hr_dea(
         data,
         sets,
-        direction,
+        Direction(args.orientation),
         t=args.t,
         seed=args.seed,
-        undesirable=undesirable,
+        undesirable=args.undesirable,
         xi_laws=xi_laws,
         threads=args.threads,
     )
@@ -145,6 +140,8 @@ def _analyze_matrix(matrix_path, outdir, tau, width) -> int:
 
 
 def _cmd_run(args) -> int:
+    if args.analyze:
+        check_report_settings(args.t, args.tau, args.bucket_width)
     dm = _run_matrix(args)
     save_distance_matrix(dm, args.out)
     print(f"wrote {args.out}")

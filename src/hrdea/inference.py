@@ -43,6 +43,27 @@ REPORT_COLUMNS = (
 )
 
 
+def _check_width(width: float) -> None:
+    if not (math.isfinite(width) and width > 0):
+        raise ValidationError(f"bucket width must be finite and positive, not {width}")
+
+
+def _check_tau(t: int, tau: float) -> None:
+    if not 0 < tau < 1:
+        raise ValidationError("tau must lie strictly between 0 and 1")
+    if (1.0 - tau) * t / 2.0 < 1.0 - 1e-9:
+        minimum = math.ceil(2.0 / (1.0 - tau))
+        raise ValidationError(f"need at least t = {minimum} samples for tau = {tau}")
+
+
+def check_report_settings(t: int, tau: float, bucket_width: float) -> None:
+    """Raise ``ValidationError`` unless ``robustness_report`` accepts
+    ``tau`` and ``bucket_width`` for a matrix of t samples per DMU, so that
+    a caller can check them before it samples the matrix."""
+    _check_width(bucket_width)
+    _check_tau(t, tau)
+
+
 @dataclass(frozen=True)
 class BucketScheme:
     """Zero bucket {0} plus G equal-width half-open buckets covering the range."""
@@ -51,8 +72,7 @@ class BucketScheme:
     count: int
 
     def __post_init__(self):
-        if self.width <= 0:
-            raise ValidationError("bucket width must be positive")
+        _check_width(self.width)
         if self.count < 1:
             raise ValidationError("need at least one bucket")
 
@@ -60,6 +80,7 @@ class BucketScheme:
 
     @classmethod
     def for_values(cls, values, width: float = DEFAULT_WIDTH) -> "BucketScheme":
+        _check_width(width)
         values = np.asarray(values, dtype=float)
         if values.size == 0:
             raise ValidationError("cannot build buckets from no samples")
@@ -145,14 +166,9 @@ def expected_efficiency(rho: float, sigma: float) -> float:
 
 def confidence_interval(samples, tau: float) -> tuple[float, float]:
     """Order-statistic interval [D[(1-tau)t/2], D[(1+tau)t/2]] (1-based)."""
-    if not 0 < tau < 1:
-        raise ValidationError("tau must lie strictly between 0 and 1")
     ordered = np.sort(np.asarray(samples, dtype=float).ravel())
-    t = ordered.size
-    if (1.0 - tau) * t / 2.0 < 1.0 - 1e-9:
-        minimum = math.ceil(2.0 / (1.0 - tau))
-        raise ValidationError(f"need at least t = {minimum} samples for tau = {tau}")
-    lo_idx, hi_idx = ci_indices(t, tau)
+    _check_tau(ordered.size, tau)
+    lo_idx, hi_idx = ci_indices(ordered.size, tau)
     return float(ordered[lo_idx - 1]), float(ordered[hi_idx - 1])
 
 
@@ -474,6 +490,7 @@ def robustness_report(
     distance is the bucket approximation, and the expected efficiency uses
     that value together with the plain sample standard deviation.
     """
+    check_report_settings(dm.t, tau, bucket_width)
     scheme = BucketScheme.for_values(dm.values, width=bucket_width)
     rows, indices = [], np.empty((dm.n, scheme.count + 1))
     for j, dmu in enumerate(dm.dmu_ids):

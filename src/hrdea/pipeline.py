@@ -141,6 +141,8 @@ def run_hr_dea(
     n = data.n
     if t < 1:
         raise ValidationError("need at least one iteration")
+    if threads < 1:
+        raise ValidationError(f"threads must be at least 1, not {threads}")
     if len(sets) != n:
         raise ValidationError(f"expected one uncertainty set per DMU ({n}), got {len(sets)}")
     for j, uset in enumerate(sets):

@@ -266,6 +266,48 @@ def test_negative_gap_count_exits_1(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("command", ["run", "bench"])
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_thread_count_below_one_exits_1(tmp_path, capsys, two_dmu_csv, command, threads):
+    out = tmp_path / "out.csv"
+    if command == "run":
+        args = ["run", *data_args(two_dmu_csv), "--t", "5"]
+    else:
+        args = ["bench", "--scenarios", "I", "--reps", "1", "--n", "10", "--gaps", "2",
+                "--t", "5"]
+    assert main([*args, "--threads", threads, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("width", ["0", "-0.01", "nan", "inf"])
+def test_bad_bucket_width_exits_1(tmp_path, capsys, width):
+    matrix = tmp_path / "matrix.csv"
+    shaped_matrix(matrix)
+    code = main(["analyze", "--matrix", str(matrix), "--outdir", str(tmp_path / "rep"),
+                 "--bucket-width", width])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "rep").exists()
+
+
+@pytest.mark.parametrize(
+    "settings",
+    [["--tau", "1.5"], ["--tau", "nan"], ["--bucket-width", "0"], ["--bucket-width", "nan"],
+     ["--t", "39"], ["--t", "3", "--tau", "0.5"]],
+    ids=["tau-above-1", "tau-nan", "width-0", "width-nan", "t-short-for-0.95",
+         "t-short-for-0.5"],
+)
+def test_run_analyze_checks_report_settings_before_the_walk(tmp_path, capsys, two_dmu_csv,
+                                                            settings):
+    out = tmp_path / "matrix.csv"
+    code = main(["run", *data_args(two_dmu_csv), "--t", "40", *settings, "--out", str(out),
+                 "--analyze"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+
+
 # Run in a fresh interpreter: argv[1] is the directory holding the hrdea
 # package, argv[2] a data CSV, argv[3] a stored distance matrix with a row
 # "L" that has a beta fit and argv[4] an output directory.

@@ -385,31 +385,35 @@ CYCLING_WORLD = np.array([
 ])
 
 
-def test_batch_member_past_bland_after_finishes_serially(monkeypatch):
-    # Each run batch_simplex hands to the serial simplex (a member left open
-    # alone, or past BLAND_AFTER): its start and the pivots it makes there.
-    runs = []
-    serial, pivot = lp.simplex, lp._pivot
+def test_batch_member_past_bland_after_finishes_under_bland(monkeypatch):
+    # The pivot rounds of each batch_simplex call; a call that makes more
+    # than BLAND_AFTER of them finished a member under Bland's rule.
+    rounds = []
+    pivots = [0]
+    run, pivot = dea.batch_simplex, lp._pivot
 
-    def spy(T, basis, ncols, start=0):
-        runs.append([start, 0])
-        return serial(T, basis, ncols, start)
+    def spy(T, basis, ncols):
+        before = pivots[0]
+        try:
+            return run(T, basis, ncols)
+        finally:
+            rounds.append(pivots[0] - before)
 
-    def counted(T, row, col):
-        runs[-1][1] += 1
-        pivot(T, row, col)
+    def counted(T, basis, row, col):
+        pivots[0] += 1
+        pivot(T, basis, row, col)
 
     def past_bland_after():
-        return sum(start + pivots > lp.BLAND_AFTER for start, pivots in runs)
+        return sum(count > lp.BLAND_AFTER for count in rounds)
 
-    monkeypatch.setattr(lp, "simplex", spy)
+    monkeypatch.setattr(dea, "batch_simplex", spy)
     monkeypatch.setattr(lp, "_pivot", counted)
     # DMU 0 is dominated; over the other columns no member cycles.
     check_world(CYCLING_WORLD, Direction.proportional())
-    assert runs and past_bland_after() == 0
+    assert rounds and past_bland_after() == 0
     # With no candidate columns, DMU 1's pricing fails and it is solved
     # again over all columns, where it cycles as before.
-    runs.clear()
+    rounds.clear()
     monkeypatch.setattr(dea, "_nondominated", lambda X, Y: np.arange(0))
     check_world(CYCLING_WORLD, Direction.proportional())
     # once in the world's batch, once in DMU 1's batch of one
@@ -941,13 +945,13 @@ def test_weak_world_with_a_repeated_undesirable_row(monkeypatch):
     points = order_one_world(30)
     once = check_weak_world(points, Direction.proportional())
     kept = []
-    pivot = lp._pivot_lanes
+    pivot = lp._pivot
 
     def spy(T, basis, row, col):
         kept.extend(col[col >= T.shape[2] - 3])  # the two artificials' columns
         pivot(T, basis, row, col)
 
-    monkeypatch.setattr(lp, "_pivot_lanes", spy)
+    monkeypatch.setattr(lp, "_pivot", spy)
     twice = check_weak_world(np.vstack([points, points[3:]]), Direction.proportional())
     assert len(kept) == 2 * 30  # the world's batch and the batches of one
     assert_matches(twice, once)

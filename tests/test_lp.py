@@ -118,14 +118,14 @@ def test_redundant_equality_rows_match_scipy(monkeypatch):
     # column once they are pivoted out: ``drive_out`` pivots it on its own
     # artificial, which stays basic through the simplex.
     kept = []
-    pivot = lp._pivot_lanes
+    pivot = lp._pivot
 
     def spy(T, basis, row, col):
         ncols = T.shape[2] - 4  # the three artificials and the RHS come last
         kept.extend((int(i), int(j - ncols)) for i, j in zip(row, col) if j >= ncols)
         pivot(T, basis, row, col)
 
-    monkeypatch.setattr(lp, "_pivot_lanes", spy)
+    monkeypatch.setattr(lp, "_pivot", spy)
     rng = np.random.default_rng(31)
     for trial in range(100):
         nvar = int(rng.integers(3, 8))
@@ -173,11 +173,11 @@ def beale_tableau():
 
 def test_beale_cycles_until_bland_takes_over(monkeypatch):
     pivots = []
-    serial_pivot = lp._pivot
+    pivot = lp._pivot
 
-    def counted(T, row, col):
+    def counted(T, basis, row, col):
         pivots.append(col)
-        serial_pivot(T, row, col)
+        pivot(T, basis, row, col)
 
     monkeypatch.setattr(lp, "_pivot", counted)
     T, basis = beale_tableau()
@@ -186,32 +186,64 @@ def test_beale_cycles_until_bland_takes_over(monkeypatch):
     assert len(pivots) > lp.BLAND_AFTER
 
 
-def test_beale_batch_of_one_matches_serial():
+def reversed_beale_tableau():
+    """Beale's LP with its four structural columns in reverse order.  It
+    too cycles past BLAND_AFTER, but Bland's rule scans its columns in
+    another order and ends it one round before Beale's own LP."""
     T, basis = beale_tableau()
-    simplex(T, basis, 7)
-    Tb, basis_b = beale_tableau()
-    objective, unbounded = batch_simplex(Tb[None], basis_b[None], 7)
-    assert objective[0] == T[-1, -1]
-    assert not unbounded[0]
+    T[:, :4] = T[:, 3::-1]
+    return T, basis
+
+
+def test_beale_members_match_their_batches_of_one():
+    # Two members past BLAND_AFTER that finish in different rounds, so the
+    # later one runs on alone: each ends on the tableau, basis and objective
+    # of its own batch of one.
+    stack = [beale_tableau(), reversed_beale_tableau()]
+    alone = [(T.copy(), basis.copy()) for T, basis in stack]
+    for T, basis in alone:
+        assert simplex(T, basis, 7) == "optimal"
+    T = np.stack([T for T, _ in stack])
+    basis = np.stack([basis for _, basis in stack])
+    objective, unbounded = batch_simplex(T, basis, 7)
+    for b, (Ts, basis_s) in enumerate(alone):
+        assert np.array_equal(T[b], Ts) and np.array_equal(basis[b], basis_s)
+        assert objective[b] == Ts[-1, -1] == pytest.approx(1.25, abs=1e-12)
+    assert not unbounded.any()
 
 
 def test_batch_leaves_each_final_tableau_in_place():
     # Beale's LP (past BLAND_AFTER), one already optimal, one that needs a
-    # pivot (max x6, bounded by the third row): each member ends on the
-    # tableau and basis of its serial run.
+    # pivot (max x6, bounded by the third row): Beale's member runs on alone
+    # after the others finish, and each member ends on the tableau and basis
+    # of its own batch of one.
     stack = [beale_tableau() for _ in range(3)]
     stack[1][0][-1] = np.abs(stack[1][0][-1])
     stack[2][0][-1] = [0.0, 0.0, -1.0, 0.0, 0.0, 0.0, 0.0, 0.0]
-    serial = [(T.copy(), basis.copy()) for T, basis in stack]
-    for T, basis in serial:
+    alone = [(T.copy(), basis.copy()) for T, basis in stack]
+    for T, basis in alone:
         simplex(T, basis, 7)
     T = np.stack([T for T, _ in stack])
     basis = np.stack([basis for _, basis in stack])
     objective, unbounded = batch_simplex(T, basis, 7)
-    for b, (Ts, basis_s) in enumerate(serial):
+    for b, (Ts, basis_s) in enumerate(alone):
         assert np.array_equal(T[b], Ts) and np.array_equal(basis[b], basis_s)
         assert objective[b] == Ts[-1, -1]
     assert objective[2] == 1.0 and not unbounded.any()
+
+
+def test_bland_breaks_ratio_ties_on_the_smallest_basic_index(monkeypatch):
+    # max x0 s.t. x0 + s = 1 on two rows: both rows tie in the ratio test.
+    # Member 0 has the larger basic index (2) on its first row, member 1 on
+    # its second; Bland's rule pivots each on the row of basic index 1.
+    monkeypatch.setattr(lp, "BLAND_AFTER", 0)
+    rows = np.array([[1.0, 0.0, 1.0, 1.0], [1.0, 1.0, 0.0, 1.0]])
+    zrow = [-1.0, 0.0, 0.0, 0.0]
+    T = np.stack([np.vstack([rows, zrow]), np.vstack([rows[::-1], zrow])])
+    basis = np.array([[2, 1], [1, 2]])
+    objective, unbounded = batch_simplex(T, basis, 3)
+    assert np.array_equal(basis, [[2, 0], [0, 2]])
+    assert np.array_equal(objective, [1.0, 1.0]) and not unbounded.any()
 
 
 def test_beale_iteration_limit_raises(monkeypatch):

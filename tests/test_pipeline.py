@@ -283,6 +283,15 @@ class _InlinePool:
         return map(fn, iterable)
 
 
+@pytest.mark.parametrize("threads", [0, -2])
+def test_thread_count_below_one_is_rejected(threads):
+    data = random_instance(np.random.default_rng(2), 4)
+    with pytest.raises(ValidationError, match="threads must be at least 1"):
+        run_hr_dea(data, box_sets(data), Direction.proportional(), t=5, threads=threads)
+    with pytest.raises(ValidationError, match="threads must be at least 1"):
+        run_benchmark(scenarios=("I",), reps=1, n=10, gaps=2, t=5, threads=threads)
+
+
 def test_pool_has_at_most_one_worker_per_cpu_and_case(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     monkeypatch.setattr(_InlinePool, "sizes", [])
