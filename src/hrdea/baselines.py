@@ -8,7 +8,6 @@ interval bounds built from the gap magnitudes.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,23 +19,14 @@ from .sampler import RngStream
 SCENARIOS = ("I", "II", "III")
 
 
-def _positive_half_normal(gen, sigma: float, size: int) -> np.ndarray:
-    """Strictly positive draws of |N(0, sigma)|."""
-    out = np.abs(gen.normal(0.0, sigma, size=size))
+def _positive(draw, size: int) -> np.ndarray:
+    """``size`` values of ``draw(count)``, each zero redrawn until positive."""
+    out = draw(size)
     while True:
         zero = out == 0.0
         if not zero.any():
             return out
-        out[zero] = np.abs(gen.normal(0.0, sigma, size=int(zero.sum())))
-
-
-def _positive_uniform(gen, size: int) -> np.ndarray:
-    out = gen.uniform(0.0, 1.0, size=size)
-    while True:
-        zero = out == 0.0
-        if not zero.any():
-            return out
-        out[zero] = gen.uniform(0.0, 1.0, size=int(zero.sum()))
+        out[zero] = draw(int(zero.sum()))
 
 
 def generate_scenario(scenario_id: str, n: int, rng: RngStream) -> DataSet:
@@ -46,12 +36,19 @@ def generate_scenario(scenario_id: str, n: int, rng: RngStream) -> DataSet:
     if n < 1:
         raise ValidationError("need at least one DMU")
     gen = rng.generator()
-    x1 = 10.0 + 5.0 * gen.uniform(0.0, 1.0, size=n)
-    x2 = 20.0 + 10.0 * _positive_half_normal(gen, 1.0, n)
+
+    def uniform(size):
+        return gen.uniform(0.0, 1.0, size=size)
+
+    def half_normal(sigma):
+        return lambda size: np.abs(gen.normal(0.0, sigma, size=size))
+
+    x1 = 10.0 + 5.0 * uniform(n)
+    x2 = 20.0 + 10.0 * _positive(half_normal(1.0), n)
     if scenario_id == "I":
-        y1 = 5.0 * np.sqrt(x1) * x2**0.7 * _positive_uniform(gen, n)
+        y1 = 5.0 * np.sqrt(x1) * x2**0.7 * _positive(uniform, n)
     elif scenario_id == "II":
-        y1 = (2.0 * x1 + 4.0 * x2 + x1 * x2) * _positive_half_normal(gen, 1.0 / 3.0, n)
+        y1 = (2.0 * x1 + 4.0 * x2 + x1 * x2) * _positive(half_normal(1.0 / 3.0), n)
     else:
         lx1, lx2 = np.log(x1), np.log(x2)
         log_y = (
@@ -61,7 +58,7 @@ def generate_scenario(scenario_id: str, n: int, rng: RngStream) -> DataSet:
             + 0.4 * lx1**2
             + 0.1 * lx2**2
             + 0.3 * lx1 * lx2
-            + np.log(_positive_uniform(gen, n))
+            + np.log(_positive(uniform, n))
         )
         y1 = np.exp(log_y)
     return from_arrays(
@@ -79,36 +76,16 @@ def magnitude(value: float) -> int:
     return int(np.floor(np.log10(value))) + 1
 
 
-@dataclass(frozen=True)
-class GapSpec:
-    """Masked cells with the admissible interval built from each magnitude."""
-
-    cells: tuple[tuple[int, int], ...]  # (variable row in the stacked matrix, DMU)
-    lower: np.ndarray
-    upper: np.ndarray
-    hidden: np.ndarray
-
-    def __post_init__(self):
-        lower = np.asarray(self.lower, dtype=float)
-        upper = np.asarray(self.upper, dtype=float)
-        hidden = np.asarray(self.hidden, dtype=float)
-        if not (lower.shape == upper.shape == hidden.shape == (len(self.cells),)):
-            raise ValidationError("one interval per masked cell required")
-        if np.any(lower < 0):
-            raise ValidationError("interval lower bounds must be >= 0")
-        if np.any(lower > hidden) or np.any(hidden > upper):
-            raise ValidationError("interval must contain the hidden value")
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
-        object.__setattr__(self, "hidden", hidden)
-
-
-def introduce_gaps(data: DataSet, count: int, rng: RngStream) -> tuple[DataSet, GapSpec]:
-    """Mask ``count`` distinct input/output cells chosen uniformly at random.
+def introduce_gaps(
+    data: DataSet, count: int, rng: RngStream
+) -> tuple[DataSet, np.ndarray, np.ndarray]:
+    """Mask ``count`` distinct input/output cells chosen uniformly at random
+    -> (masked data, lower, upper).
 
     Each masked cell gets the interval [v - 10^(O-1) rho', v + 10^(O-1) rho]
     clipped at zero, where O is the magnitude of the hidden value and
-    rho, rho' are independent uniform(0, 1) draws.
+    rho, rho' are independent uniform(0, 1) draws.  ``lower`` and ``upper``
+    are stacked (z, n) bound matrices, equal to the data outside the gaps.
     """
     total = data.n * (data.m + data.s)
     if count < 0:
@@ -117,64 +94,29 @@ def introduce_gaps(data: DataSet, count: int, rng: RngStream) -> tuple[DataSet, 
         raise ValidationError(f"cannot mask {count} of {total} cells")
     gen = rng.generator()
     chosen = gen.choice(total, size=count, replace=False) if count else np.empty(0, int)
-    stacked = data.stacked().copy()
-    mask = data.stacked_mask().copy()
-    cells, lower, upper, hidden = [], [], [], []
+    stacked = data.stacked()
+    lower, upper = stacked.copy(), stacked.copy()
     for flat in sorted(int(c) for c in chosen):
         var, j = divmod(flat, data.n)
         value = stacked[var, j]
         half = 10.0 ** (magnitude(value) - 1)
-        lo = max(0.0, value - half * gen.uniform(0.0, 1.0))
-        hi = value + half * gen.uniform(0.0, 1.0)
-        cells.append((var, j))
-        lower.append(lo)
-        upper.append(hi)
-        hidden.append(value)
+        lower[var, j] = max(0.0, value - half * gen.uniform(0.0, 1.0))
+        upper[var, j] = value + half * gen.uniform(0.0, 1.0)
         stacked[var, j] = np.nan
-        mask[var, j] = True
-    masked = DataSet(
-        dmu_ids=data.dmu_ids,
-        X=stacked[: data.m],
-        Y=stacked[data.m : data.m + data.s],
-        U=stacked[data.m + data.s :],
-        mask_x=mask[: data.m],
-        mask_y=mask[data.m : data.m + data.s],
-        mask_u=mask[data.m + data.s :],
-        input_names=data.input_names,
-        output_names=data.output_names,
-        undesirable_names=data.undesirable_names,
-    )
-    spec = GapSpec(
-        cells=tuple(cells),
-        lower=np.array(lower, dtype=float),
-        upper=np.array(upper, dtype=float),
-        hidden=np.array(hidden, dtype=float),
-    )
-    return masked, spec
+    return data.with_values(stacked), lower, upper
 
 
-def interval_matrices(data: DataSet, gaps: GapSpec):
-    """Stacked lower/upper matrices; unmasked cells get degenerate intervals."""
-    stacked = data.stacked()
-    lower = stacked.copy()
-    upper = stacked.copy()
-    for (var, j), lo, hi in zip(gaps.cells, gaps.lower, gaps.upper):
-        lower[var, j] = lo
-        upper[var, j] = hi
-    return lower, upper
-
-
-def sets_from_gaps(data: DataSet, gaps: GapSpec, shape: str) -> list[UncertaintySet]:
-    """One uncertainty set per DMU centered at the interval midpoints.
+def sets_from_gaps(lower: np.ndarray, upper: np.ndarray, shape: str) -> list[UncertaintySet]:
+    """One uncertainty set per DMU (column of the stacked bound matrices)
+    centered at the interval midpoints.
 
     Cells without a gap get a zero semi-axis, which pins that coordinate;
     DMUs without any gap degenerate to point sets.
     """
-    lower, upper = interval_matrices(data, gaps)
     center = (lower + upper) / 2.0
     w = (upper - lower) / 2.0
     sets = []
-    for j in range(data.n):
+    for j in range(center.shape[1]):
         if not w[:, j].any():
             sets.append(UncertaintySet.point(center[:, j]))
         else:

@@ -20,7 +20,6 @@ from .baselines import (
     impute_hotdeck,
     impute_mean,
     impute_regression,
-    interval_matrices,
     introduce_gaps,
     sets_from_gaps,
 )
@@ -143,7 +142,7 @@ def run_case(scenario: str, rep: int, n: int, gaps: int, t: int, seed: int) -> d
     case = (rep * len(SCENARIOS) + SCENARIOS.index(scenario)) * _STREAMS_PER_CASE
     data = generate_scenario(scenario, n, RngStream(seed, case + _GEN))
     base = _output_distances(data)
-    masked, gapspec = introduce_gaps(data, gaps, RngStream(seed, case + _GAPS))
+    masked, lower, upper = introduce_gaps(data, gaps, RngStream(seed, case + _GAPS))
     direction = Direction.output_oriented()
 
     estimates: dict[str, np.ndarray] = {}
@@ -153,7 +152,6 @@ def run_case(scenario: str, rep: int, n: int, gaps: int, t: int, seed: int) -> d
     )
     estimates["regression"] = _output_distances(impute_regression(masked))
 
-    lower, upper = interval_matrices(masked, gapspec)
     m = masked.m
     d_low, d_high = interval_dea_bounds(
         masked, lower[:m], upper[:m], lower[m:], upper[m:], direction
@@ -165,7 +163,7 @@ def run_case(scenario: str, rep: int, n: int, gaps: int, t: int, seed: int) -> d
         ("hr_ellipsoid", "ellipsoid", _HR_ELL),
         ("hr_rhombus", "rhombus", _HR_RHO),
     ):
-        sets = sets_from_gaps(masked, gapspec, shape)
+        sets = sets_from_gaps(lower, upper, shape)
         dm = run_hr_dea(
             masked,
             sets,

@@ -19,7 +19,7 @@ from .baselines import SCENARIOS
 from .benchmark import run_benchmark, save_benchmark
 from .dataset import Direction, load_dataset
 from .dea import _solve_dmus
-from .errors import HrdeaError
+from .errors import HrdeaError, ValidationError
 from .inference import (
     beta_densities,
     beta_density_points,
@@ -45,13 +45,13 @@ def _add_data_arguments(parser):
 
 def _load(args):
     schema = {args.id_col: "id"}
-    for col in args.inputs.split(","):
-        schema[col.strip()] = "input"
-    for col in args.outputs.split(","):
-        schema[col.strip()] = "output"
-    if args.undesirable_cols:
-        for col in args.undesirable_cols.split(","):
-            schema[col.strip()] = "undesirable"
+    for role, cols in (("input", args.inputs), ("output", args.outputs),
+                       ("undesirable", args.undesirable_cols)):
+        for col in cols.split(",") if cols else ():
+            col = col.strip()
+            if col in schema:
+                raise ValidationError(f"column {col!r} is named as {schema[col]} and as {role}")
+            schema[col] = role
     return load_dataset(args.data, schema)
 
 
@@ -66,11 +66,11 @@ def _cmd_solve(args) -> int:
         "undesirable": use_weak,
         "eps": args.eps,
     }
+    solutions = _solve_dmus(data, range(data.n), direction, use_weak, eps=args.eps)
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         write_header(fh, "distances", config)
         writer = csv.writer(fh)
         writer.writerow(["dmu", "distance", "objective"])
-        solutions = _solve_dmus(data, range(data.n), direction, use_weak, eps=args.eps)
         for dmu, sol in zip(data.dmu_ids, solutions):
             writer.writerow([dmu, repr(float(sol.distance)), repr(float(sol.objective))])
     print(f"wrote {args.out}")

@@ -2,8 +2,8 @@
 
 Matrices follow the variables-by-units layout: ``X`` is m inputs by n DMUs,
 ``Y`` is s desirable outputs by n, ``U`` is v undesirable outputs by n
-(v may be 0).  Imperfectly known cells hold NaN and are flagged in the
-boolean masks.
+(v may be 0).  A NaN cell is an imperfectly known value; no other mark
+records it.
 """
 
 from __future__ import annotations
@@ -27,12 +27,6 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _readonly_bool(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=bool)
-    a.setflags(write=False)
-    return a
-
-
 @dataclass(frozen=True)
 class DataSet:
     """Immutable collection of n DMU observations."""
@@ -41,9 +35,6 @@ class DataSet:
     X: np.ndarray
     Y: np.ndarray
     U: np.ndarray
-    mask_x: np.ndarray
-    mask_y: np.ndarray
-    mask_u: np.ndarray
     input_names: tuple[str, ...] = ()
     output_names: tuple[str, ...] = ()
     undesirable_names: tuple[str, ...] = ()
@@ -53,9 +44,6 @@ class DataSet:
         object.__setattr__(self, "Y", _readonly(np.atleast_2d(self.Y)))
         u = self.U if self.U is not None else np.empty((0, self.X.shape[1]))
         object.__setattr__(self, "U", _readonly(np.atleast_2d(u)))
-        object.__setattr__(self, "mask_x", _readonly_bool(self.mask_x))
-        object.__setattr__(self, "mask_y", _readonly_bool(self.mask_y))
-        object.__setattr__(self, "mask_u", _readonly_bool(self.mask_u))
         object.__setattr__(self, "dmu_ids", tuple(str(i) for i in self.dmu_ids))
         self._validate()
 
@@ -70,17 +58,10 @@ class DataSet:
                 )
         if self.m < 1 or self.s < 1:
             raise ValidationError("need at least one input and one output variable")
-        for name, mat, mask in (
-            ("X", self.X, self.mask_x),
-            ("Y", self.Y, self.mask_y),
-            ("U", self.U, self.mask_u),
-        ):
-            if mask.shape != mat.shape:
-                raise ValidationError(f"mask shape for {name} must match {mat.shape}")
-            known = mat[~mask]
-            if known.size and not np.all(np.isfinite(known)):
-                raise ValidationError(f"{name} has non-finite entries outside the mask")
-            if known.size and np.any(known < 0):
+        for name, mat in (("X", self.X), ("Y", self.Y), ("U", self.U)):
+            if np.isinf(mat).any():
+                raise ValidationError(f"{name} has infinite entries")
+            if np.any(mat < 0):
                 raise DomainError(f"{name} has negative entries; values must be >= 0")
         if len(set(self.dmu_ids)) != n:
             raise ValidationError("dmu_ids must be unique")
@@ -115,14 +96,15 @@ class DataSet:
 
     @property
     def has_missing(self) -> bool:
-        return bool(self.mask_x.any() or self.mask_y.any() or self.mask_u.any())
+        return bool(self.stacked_mask().any())
 
     def stacked(self) -> np.ndarray:
         """All variables stacked into a single (z, n) matrix."""
         return np.vstack([self.X, self.Y, self.U])
 
     def stacked_mask(self) -> np.ndarray:
-        return np.vstack([self.mask_x, self.mask_y, self.mask_u])
+        """Where the stacked values are unknown (NaN)."""
+        return np.isnan(self.stacked())
 
     def column(self, j: int) -> np.ndarray:
         """Stacked observation of DMU j as a z-vector."""
@@ -135,7 +117,8 @@ class DataSet:
         return tuple(names)
 
     def with_values(self, stacked: np.ndarray) -> "DataSet":
-        """New dataset with the same structure, values replaced, empty mask."""
+        """New dataset with the same structure and these values; a NaN cell
+        is unknown."""
         stacked = np.asarray(stacked, dtype=float)
         if stacked.shape != (self.z, self.n):
             raise ValidationError(f"expected shape {(self.z, self.n)}, got {stacked.shape}")
@@ -145,29 +128,17 @@ class DataSet:
             X=stacked[:m],
             Y=stacked[m : m + s],
             U=stacked[m + s :],
-            mask_x=np.zeros((self.m, self.n), dtype=bool),
-            mask_y=np.zeros((self.s, self.n), dtype=bool),
-            mask_u=np.zeros((self.v, self.n), dtype=bool),
         )
 
 
 def from_arrays(X, Y, U=None, dmu_ids=None, **names) -> DataSet:
-    """Build a fully known DataSet from plain arrays."""
+    """Build a DataSet from plain arrays; a NaN cell is unknown."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     U = np.empty((0, X.shape[1])) if U is None else np.atleast_2d(np.asarray(U, dtype=float))
     if dmu_ids is None:
         dmu_ids = tuple(f"dmu{j+1}" for j in range(X.shape[1]))
-    return DataSet(
-        dmu_ids=tuple(dmu_ids),
-        X=X,
-        Y=Y,
-        U=U,
-        mask_x=np.zeros(X.shape, dtype=bool),
-        mask_y=np.zeros(Y.shape, dtype=bool),
-        mask_u=np.zeros(U.shape, dtype=bool),
-        **names,
-    )
+    return DataSet(dmu_ids=tuple(dmu_ids), X=X, Y=Y, U=U, **names)
 
 
 @dataclass(frozen=True)
@@ -248,9 +219,9 @@ class Direction:
 
 
 def _parse_cell(token: str, row_line: int, colname: str, role: str):
-    """One CSV cell -> (value, missing flag)."""
+    """One CSV cell -> its value, NaN if unknown."""
     if token.strip().lower() in MISSING_MARKERS:
-        return np.nan, True
+        return np.nan
     try:
         value = float(token)
     except ValueError:
@@ -261,7 +232,7 @@ def _parse_cell(token: str, row_line: int, colname: str, role: str):
         raise DomainError(
             f"line {row_line}: column '{colname}' ({role}): negative value {value} not allowed"
         )
-    return value, False
+    return value
 
 
 def load_dataset(path, schema: dict[str, str]) -> DataSet:
@@ -269,13 +240,14 @@ def load_dataset(path, schema: dict[str, str]) -> DataSet:
 
     ``schema`` maps every header column to a role in
     {"id", "input", "output", "undesirable"}.  Empty cells and the markers
-    "NA"/"NaN" (case-insensitive) set the missing mask.  Column order of
-    each role follows the file.
+    "NA"/"NaN" (case-insensitive) are unknown cells (NaN).  Column order of
+    each role follows the file.  A byte-order mark before the header is
+    skipped.
     """
     for col, role in schema.items():
         if role not in ROLES:
             raise ValidationError(f"column '{col}': unknown role {role!r}")
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -285,6 +257,9 @@ def load_dataset(path, schema: dict[str, str]) -> DataSet:
         missing_cols = [c for c in header if c not in schema]
         if missing_cols:
             raise ValidationError(f"columns without a role in the schema: {missing_cols}")
+        absent = [c for c in schema if c not in header]
+        if absent:
+            raise ValidationError(f"schema columns not in the file: {absent}")
         id_cols = [c for c in header if schema[c] == "id"]
         if len(id_cols) != 1:
             raise ValidationError("schema must assign the 'id' role to exactly one column")
@@ -315,22 +290,14 @@ def load_dataset(path, schema: dict[str, str]) -> DataSet:
 
     def matrix(role: str):
         # one list per DMU, so a role without columns gives shape (0, n)
-        values = np.array([[c[0] for c in r[role]] for r in rows], dtype=float).T
-        mask = np.array([[c[1] for c in r[role]] for r in rows], dtype=bool).T
-        return values, mask
+        return np.array([r[role] for r in rows], dtype=float).T
 
-    X, mask_x = matrix("input")
-    Y, mask_y = matrix("output")
-    U, mask_u = matrix("undesirable")
     names = {r: [c for c in header if schema[c] == r] for r in ("input", "output", "undesirable")}
     return DataSet(
         dmu_ids=tuple(ids),
-        X=X,
-        Y=Y,
-        U=U,
-        mask_x=mask_x,
-        mask_y=mask_y,
-        mask_u=mask_u,
+        X=matrix("input"),
+        Y=matrix("output"),
+        U=matrix("undesirable"),
         input_names=tuple(names["input"]),
         output_names=tuple(names["output"]),
         undesirable_names=tuple(names["undesirable"]),
@@ -338,17 +305,17 @@ def load_dataset(path, schema: dict[str, str]) -> DataSet:
 
 
 def save_dataset(data: DataSet, path) -> None:
-    """Write a DataSet back to CSV; masked cells become empty."""
+    """Write a DataSet back to CSV; unknown cells become empty."""
     names = data.variable_names()
     stacked = data.stacked()
-    mask = data.stacked_mask()
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["dmu", *names])
         for j, dmu in enumerate(data.dmu_ids):
             row = [dmu]
             for i in range(data.z):
-                row.append("" if mask[i, j] else repr(float(stacked[i, j])))
+                value = float(stacked[i, j])
+                row.append("" if np.isnan(value) else repr(value))
             writer.writerow(row)
 
 
@@ -387,9 +354,6 @@ def pool_panel(datasets: list[DataSet], year_tags: list) -> DataSet:
         X=np.hstack([ds.X for ds in datasets]),
         Y=np.hstack([ds.Y for ds in datasets]),
         U=np.hstack([ds.U for ds in datasets]),
-        mask_x=np.hstack([ds.mask_x for ds in datasets]),
-        mask_y=np.hstack([ds.mask_y for ds in datasets]),
-        mask_u=np.hstack([ds.mask_u for ds in datasets]),
         input_names=first.input_names,
         output_names=first.output_names,
         undesirable_names=first.undesirable_names,

@@ -87,14 +87,13 @@ def build_sets(data: DataSet, records: dict[str, dict]):
     unknown = set(records) - set(data.dmu_ids)
     if unknown:
         raise ValidationError(f"set spec names unknown DMUs: {sorted(unknown)}")
-    mask = data.stacked_mask()
     stacked = data.stacked()
     sets, xi_laws = [], []
     for j, dmu in enumerate(data.dmu_ids):
         fields = records.get(dmu, {"shape": "point"})
         xi_laws.append(fields.get("xi", "uniform"))
         try:
-            sets.append(_build_set(fields, stacked[:, j], mask[:, j].any()))
+            sets.append(_build_set(fields, stacked[:, j], np.isnan(stacked[:, j]).any()))
         except (ValidationError, UnsupportedDimensionError) as exc:
             raise type(exc)(f"DMU {dmu!r}: {exc}") from exc
     return sets, xi_laws

@@ -4,36 +4,26 @@ import numpy as np
 import pytest
 
 from hrdea.baselines import (
-    GapSpec,
     generate_scenario,
     impute_hotdeck,
     impute_mean,
     impute_regression,
-    interval_matrices,
     introduce_gaps,
     magnitude,
     sets_from_gaps,
 )
-from hrdea.dataset import DataSet
+from hrdea.dataset import from_arrays
 from hrdea.errors import ValidationError
 from hrdea.geometry import contains
 from hrdea.sampler import RngStream
 
 
 def masked_dataset(values, mask):
-    values = np.asarray(values, dtype=float)
-    mask = np.asarray(mask, dtype=bool)
-    filled = values.copy()
-    filled[mask] = np.nan
-    m = values.shape[0] - 1
-    return DataSet(
-        dmu_ids=tuple(f"d{j}" for j in range(values.shape[1])),
-        X=filled[:m],
-        Y=filled[m:],
-        U=np.empty((0, values.shape[1])),
-        mask_x=mask[:m],
-        mask_y=mask[m:],
-        mask_u=np.empty((0, values.shape[1]), dtype=bool),
+    filled = np.array(values, dtype=float)
+    filled[np.asarray(mask, dtype=bool)] = np.nan
+    m = filled.shape[0] - 1
+    return from_arrays(
+        X=filled[:m], Y=filled[m:], dmu_ids=[f"d{j}" for j in range(filled.shape[1])]
     )
 
 
@@ -63,25 +53,25 @@ def test_magnitude_rule():
 
 def test_introduce_gaps_counts_and_intervals():
     data = generate_scenario("I", 300, RngStream(1))
-    masked, gaps = introduce_gaps(data, 80, RngStream(2))
-    assert masked.stacked_mask().sum() == 80
-    assert len(gaps.cells) == 80
-    assert np.all(gaps.lower <= gaps.hidden) and np.all(gaps.hidden <= gaps.upper)
-    assert np.all(gaps.lower >= 0.0)
+    masked, lower, upper = introduce_gaps(data, 80, RngStream(2))
+    gaps = np.isnan(masked.stacked())
+    assert gaps.sum() == 80
+    hidden = data.stacked()
+    assert np.all(lower <= hidden) and np.all(hidden <= upper)
+    assert np.all(lower >= 0.0)
     # half-widths bounded by the magnitude rule
-    for (var, j), lo, hi, hidden in zip(
-        gaps.cells, gaps.lower, gaps.upper, gaps.hidden
-    ):
-        cap = 10.0 ** (magnitude(hidden) - 1)
-        assert hi - hidden <= cap and hidden - lo <= cap
+    for lo, hi, value in zip(lower[gaps], upper[gaps], hidden[gaps]):
+        cap = 10.0 ** (magnitude(value) - 1)
+        assert hi - value <= cap and value - lo <= cap
 
 
 def test_introduce_gaps_zero_is_identity():
     data = generate_scenario("II", 40, RngStream(5))
-    masked, gaps = introduce_gaps(data, 0, RngStream(6))
+    masked, lower, upper = introduce_gaps(data, 0, RngStream(6))
     assert not masked.has_missing
     np.testing.assert_array_equal(masked.X, data.X)
-    assert gaps.cells == ()
+    np.testing.assert_array_equal(lower, data.stacked())
+    np.testing.assert_array_equal(upper, data.stacked())
 
 
 def test_introduce_gaps_too_many():
@@ -90,30 +80,27 @@ def test_introduce_gaps_too_many():
         introduce_gaps(data, 31, RngStream(0))
 
 
-def test_interval_matrices_degenerate_outside_gaps():
+def test_gap_bounds_degenerate_outside_gaps():
     data = generate_scenario("I", 20, RngStream(9))
-    masked, gaps = introduce_gaps(data, 5, RngStream(10))
-    lower, upper = interval_matrices(masked, gaps)
+    masked, lower, upper = introduce_gaps(data, 5, RngStream(10))
     stacked = data.stacked()
-    gap_cells = set(gaps.cells)
-    for var in range(data.z):
-        for j in range(data.n):
-            if (var, j) in gap_cells:
-                assert lower[var, j] < upper[var, j] or lower[var, j] == upper[var, j]
-            else:
-                assert lower[var, j] == upper[var, j] == stacked[var, j]
+    gaps = np.isnan(masked.stacked())
+    assert gaps.sum() == 5
+    assert np.all(lower[gaps] <= upper[gaps])
+    assert np.all(lower[~gaps] == stacked[~gaps])
+    assert np.all(upper[~gaps] == stacked[~gaps])
 
 
 def test_sets_from_gaps_shapes():
     data = generate_scenario("I", 20, RngStream(11))
-    masked, gaps = introduce_gaps(data, 6, RngStream(12))
+    masked, lower, upper = introduce_gaps(data, 6, RngStream(12))
+    gapped = np.isnan(masked.stacked()).any(axis=0)
     for shape in ("box", "ellipsoid", "rhombus"):
-        sets = sets_from_gaps(masked, gaps, shape)
+        sets = sets_from_gaps(lower, upper, shape)
         assert len(sets) == data.n
-        gapped = {j for _, j in gaps.cells}
         for j, uset in enumerate(sets):
             assert contains(uset, uset.center)
-            if j not in gapped:
+            if not gapped[j]:
                 assert uset.is_point
 
 
@@ -143,11 +130,11 @@ def test_impute_hotdeck_unique_nearest_donor():
 
 def test_impute_hotdeck_values_come_from_donors():
     data = generate_scenario("II", 60, RngStream(13))
-    masked, gaps = introduce_gaps(data, 15, RngStream(14))
+    masked, _, _ = introduce_gaps(data, 15, RngStream(14))
     fixed = impute_hotdeck(masked, RngStream(15))
-    complete = ~masked.stacked_mask().any(axis=0)
-    donors = masked.stacked()[:, complete]
-    for var, j in gaps.cells:
+    gaps = np.isnan(masked.stacked())
+    donors = masked.stacked()[:, ~gaps.any(axis=0)]
+    for var, j in zip(*np.nonzero(gaps)):
         assert fixed.stacked()[var, j] in donors[var]
 
 
@@ -180,17 +167,8 @@ def test_impute_regression_singular_falls_back_to_mean():
 
 def test_imputations_clear_the_mask():
     data = generate_scenario("I", 40, RngStream(17))
-    masked, _ = introduce_gaps(data, 10, RngStream(18))
+    masked, _, _ = introduce_gaps(data, 10, RngStream(18))
     for fixer in (impute_mean, impute_regression):
         assert not fixer(masked).has_missing
     assert not impute_hotdeck(masked, RngStream(19)).has_missing
 
-
-def test_gap_spec_validation():
-    with pytest.raises(ValidationError):
-        GapSpec(
-            cells=((0, 0),),
-            lower=np.array([2.0]),
-            upper=np.array([1.0]),
-            hidden=np.array([1.5]),
-        )

@@ -363,6 +363,68 @@ def test_validation_error_exits_1(tmp_path):
     assert code == 1
 
 
+def test_column_absent_from_the_file_exits_1(tmp_path, capsys, two_dmu_csv):
+    out = tmp_path / "o.csv"
+    code = main(["solve", "--data", str(two_dmu_csv), "--inputs", "x1,x9",
+                 "--outputs", "y1", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'x9'" in err
+    assert not out.exists()
+
+
+def test_column_under_two_roles_exits_1(tmp_path, capsys):
+    # the data file does not exist: the roles are checked before loading
+    out = tmp_path / "o.csv"
+    code = main(["solve", "--data", str(tmp_path / "absent.csv"), "--inputs", "x1,y1",
+                 "--outputs", "y1", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'y1'" in err and "absent.csv" not in err
+    assert not out.exists()
+
+
+@pytest.fixture
+def na_csv(tmp_path):
+    path = tmp_path / "na.csv"
+    path.write_text("dmu,x1,x2,y1\nA,2,3,5\nB,NA,1,6\nC,3,3,4\nD,5,2,7\n")
+    return path
+
+
+def run_na(tmp_path, na_csv, spec):
+    sets = tmp_path / "sets.txt"
+    sets.write_text(spec)
+    out = tmp_path / "matrix.csv"
+    code = main(["run", "--data", str(na_csv), "--inputs", "x1,x2", "--outputs", "y1",
+                 "--sets", str(sets), "--t", "20", "--seed", "4", "--out", str(out)])
+    return code, out
+
+
+def test_run_on_unknown_cells_with_a_center(tmp_path, na_csv):
+    code, out = run_na(tmp_path, na_csv, "A shape=box w=0.5\nB shape=box w=0.5 center=4,1,6\n")
+    assert code == 0
+    rows = [r for r in csv.reader(out.read_text().splitlines()) if not r[0].startswith("#")]
+    values = np.array([[float(x) for x in r[1:]] for r in rows[1:]])
+    assert [r[0] for r in rows[1:]] == list("ABCD") and values.shape == (4, 21)
+    assert np.all(np.isfinite(values))
+
+
+def test_run_on_unknown_cells_without_a_center_exits_1(tmp_path, capsys, na_csv):
+    code, out = run_na(tmp_path, na_csv, "B shape=box w=0.5\n")
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+
+
+def test_solve_on_unknown_cells_exits_1(tmp_path, capsys, na_csv):
+    out = tmp_path / "o.csv"
+    code = main(["solve", "--data", str(na_csv), "--inputs", "x1,x2", "--outputs", "y1",
+                 "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+
+
 def test_missing_file_exits_1(tmp_path):
     code = main(["solve", "--data", str(tmp_path / "absent.csv"),
                  "--inputs", "x1", "--outputs", "y1",

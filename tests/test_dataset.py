@@ -26,23 +26,22 @@ def test_load_simple_csv(tmp_path):
     ds = load_dataset(path, SCHEMA)
     assert (ds.n, ds.m, ds.s, ds.v) == (3, 1, 1, 0)
     assert ds.dmu_ids == ("a", "b", "c")
-    assert not ds.mask_x.any() and not ds.mask_y.any()
+    assert not ds.has_missing
     np.testing.assert_array_equal(ds.X, [[1.0, 3.0, 5.0]])
 
 
 def test_blank_cell_sets_mask(tmp_path):
     path = write(tmp_path, "id,x1,y1\na,1,2\nb,3,\nc,5,6\n")
     ds = load_dataset(path, SCHEMA)
-    assert ds.mask_y[0, 1]
-    assert ds.mask_y.sum() == 1 and not ds.mask_x.any()
     assert np.isnan(ds.Y[0, 1])
+    assert np.isnan(ds.Y).sum() == 1 and not np.isnan(ds.X).any()
 
 
 @pytest.mark.parametrize("marker", ["NA", "na", "NaN", "nan", ""])
 def test_missing_markers(tmp_path, marker):
     path = write(tmp_path, f"id,x1,y1\na,{marker},2\nb,3,4\n")
     ds = load_dataset(path, SCHEMA)
-    assert ds.mask_x[0, 0]
+    assert np.isnan(ds.X[0, 0])
 
 
 def test_negative_value_is_domain_error(tmp_path):
@@ -77,6 +76,22 @@ def test_unassigned_column_rejected(tmp_path):
         load_dataset(path, SCHEMA)
 
 
+def test_schema_column_absent_from_the_file_rejected(tmp_path):
+    path = write(tmp_path, "id,x1,y1\na,1,2\nb,3,4\n")
+    with pytest.raises(ValidationError, match="'x9'"):
+        load_dataset(path, {**SCHEMA, "x9": "input"})
+
+
+def test_byte_order_mark_is_skipped(tmp_path):
+    text = "id,x1,y1\na,1,2\nb,3,\n"
+    plain = load_dataset(write(tmp_path, text), SCHEMA)
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    ds = load_dataset(path, SCHEMA)
+    assert ds.dmu_ids == plain.dmu_ids == ("a", "b")
+    np.testing.assert_array_equal(ds.stacked(), plain.stacked())
+
+
 def test_save_load_roundtrip(tmp_path):
     path = write(tmp_path, "id,x1,y1\na,1,2\nb,3,\nc,5,6\n")
     ds = load_dataset(path, SCHEMA)
@@ -85,8 +100,51 @@ def test_save_load_roundtrip(tmp_path):
     again = load_dataset(out, dataset_schema(ds))
     save_dataset(again, tmp_path / "copy2.csv")
     assert (tmp_path / "copy.csv").read_bytes() == (tmp_path / "copy2.csv").read_bytes()
-    np.testing.assert_array_equal(ds.mask_y, again.mask_y)
+    np.testing.assert_array_equal(np.isnan(ds.Y), np.isnan(again.Y))
     np.testing.assert_array_equal(ds.X, again.X)
+
+
+def test_save_load_keeps_nan_cells(tmp_path):
+    ds = from_arrays(X=[[1.0, np.nan], [2.0, 3.0]], Y=[[np.nan, 4.0]], U=[[5.0, np.nan]])
+    out = tmp_path / "nan.csv"
+    save_dataset(ds, out)
+    again = load_dataset(out, dataset_schema(ds))
+    np.testing.assert_array_equal(again.stacked(), ds.stacked())  # NaN equals NaN here
+    np.testing.assert_array_equal(again.stacked_mask(), ds.stacked_mask())
+
+
+def test_nan_cells_are_unknown():
+    ds = from_arrays(X=[[1.0, np.nan]], Y=[[2.0, 3.0]], U=[[np.nan, 1.0]])
+    assert ds.has_missing
+    np.testing.assert_array_equal(
+        ds.stacked_mask(), [[False, True], [False, False], [True, False]]
+    )
+    known = ds.with_values([[1.0, 2.0], [2.0, 3.0], [4.0, 1.0]])
+    assert not known.has_missing and not known.stacked_mask().any()
+    again = known.with_values([[1.0, 2.0], [np.nan, 3.0], [4.0, 1.0]])
+    assert again.has_missing
+    np.testing.assert_array_equal(
+        again.stacked_mask(), [[False, False], [True, False], [False, False]]
+    )
+
+
+@pytest.mark.parametrize("block", ["X", "Y", "U"])
+@pytest.mark.parametrize("value", [np.inf, -np.inf])
+def test_infinite_values_rejected(block, value):
+    cells = {"X": [[1.0, 2.0]], "Y": [[3.0, 4.0]], "U": [[5.0, 6.0]]}
+    cells[block] = [[value, 2.0]]
+    with pytest.raises(ValidationError):
+        from_arrays(**cells)
+    ds = from_arrays(X=[[1.0, 2.0]], Y=[[3.0, 4.0]], U=[[5.0, 6.0]])
+    stacked = ds.stacked()
+    stacked["XYU".index(block), 1] = value
+    with pytest.raises(ValidationError):
+        ds.with_values(stacked)
+
+
+def test_negative_known_value_rejected():
+    with pytest.raises(DomainError):
+        from_arrays(X=[[1.0, np.nan]], Y=[[-1.0, 2.0]])
 
 
 def test_duplicate_rows_are_legal():
@@ -126,20 +184,16 @@ def test_pool_panel_duplicate_tags():
 
 
 def test_pool_panel_preserves_cells_and_mask():
-    x = np.array([[1.0, np.nan]])
     a = DataSet(
         dmu_ids=("a", "b"),
-        X=x,
+        X=np.array([[1.0, np.nan]]),
         Y=np.array([[2.0, 3.0]]),
         U=np.empty((0, 2)),
-        mask_x=np.array([[False, True]]),
-        mask_y=np.zeros((1, 2), bool),
-        mask_u=np.zeros((0, 2), bool),
     )
     b = from_arrays(X=[[9.0, 8.0]], Y=[[7.0, 6.0]], dmu_ids=["a", "b"])
     pooled = pool_panel([a, b], [1, 2])
     assert pooled.n == 4
-    assert pooled.mask_x[0, 1] and pooled.mask_x.sum() == 1
+    assert np.isnan(pooled.X[0, 1]) and np.isnan(pooled.X).sum() == 1
     np.testing.assert_array_equal(pooled.X[:, 2:], b.X)
 
 

@@ -313,9 +313,7 @@ def test_masked_cells_need_set_centers():
     data = from_arrays(X=[[1.0, 2.0]], Y=[[1.0, 1.0]])
     import dataclasses
 
-    masked = dataclasses.replace(
-        data, X=X, mask_x=np.array([[False, True]])
-    )
+    masked = dataclasses.replace(data, X=X)
     sets = [
         UncertaintySet.point([1.0, 1.0]),
         UncertaintySet.box([2.0, 1.0], [0.5, 0.0]),

@@ -55,9 +55,7 @@ def test_masked_dmu_requires_center(tmp_path):
     import dataclasses
 
     data = from_arrays(X=[[2.0]], Y=[[1.0]], dmu_ids=["a"])
-    masked = dataclasses.replace(
-        data, X=np.array([[np.nan]]), mask_x=np.array([[True]])
-    )
+    masked = dataclasses.replace(data, X=np.array([[np.nan]]))
     path = write(tmp_path, "a shape=box w=0.5\n")
     with pytest.raises(ValidationError):
         build_sets(masked, parse_set_spec(path))
