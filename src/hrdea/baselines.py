@@ -115,13 +115,8 @@ def sets_from_gaps(lower: np.ndarray, upper: np.ndarray, shape: str) -> list[Unc
     """
     center = (lower + upper) / 2.0
     w = (upper - lower) / 2.0
-    sets = []
-    for j in range(center.shape[1]):
-        if not w[:, j].any():
-            sets.append(UncertaintySet.point(center[:, j]))
-        else:
-            sets.append(UncertaintySet(shape, center[:, j], w[:, j]))
-    return sets
+    return [UncertaintySet(shape if w[:, j].any() else "point", center[:, j], w[:, j])
+            for j in range(center.shape[1])]
 
 
 def impute_mean(data: DataSet) -> DataSet:

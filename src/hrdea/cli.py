@@ -118,6 +118,9 @@ def _write_density(path, dm, dmu: str, fit, xs, ys, source: str) -> None:
 
 def _analyze_matrix(matrix_path, outdir, tau, width) -> int:
     dm = load_distance_matrix(matrix_path)
+    nested = [dmu for dmu in dm.dmu_ids if os.path.basename(dmu) != dmu]
+    if nested:  # each id names files of its own below
+        raise ValidationError(f"DMU ids {nested} hold a path separator, so cannot name files")
     report = robustness_report(dm, tau=tau, bucket_width=width)
     os.makedirs(outdir, exist_ok=True)
     report_path = os.path.join(outdir, "report.csv")

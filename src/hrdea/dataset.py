@@ -161,8 +161,8 @@ class Direction:
             raise ValidationError(f"direction mode must be one of {self.MODES}")
         if self.mode == "custom":
             for part, label in ((self.dx, "dx"), (self.dy, "dy"), (self.du, "du")):
-                if part is not None and np.any(np.asarray(part) < 0):
-                    raise ValidationError(f"custom direction {label} must be >= 0")
+                if part is not None and not np.all(np.isfinite(part) & (np.asarray(part) >= 0)):
+                    raise ValidationError(f"custom direction {label} must be finite and >= 0")
 
     @classmethod
     def input_oriented(cls) -> "Direction":

@@ -441,6 +441,8 @@ def interval_dea_bounds(
     for lo, hi, label in ((lower_x, upper_x, "inputs"), (lower_y, upper_y, "outputs")):
         if lo.shape != hi.shape:
             raise ValidationError(f"interval matrices for {label} differ in shape")
+        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+            raise ValidationError(f"interval bounds for {label} must be finite")
         if np.any(lo > hi):
             raise ValidationError(f"crossed interval bounds in {label}")
     if lower_x.shape != data.X.shape or lower_y.shape != data.Y.shape:

@@ -15,7 +15,15 @@ import numpy as np
 
 from .errors import HrdeaError, UnsupportedDimensionError, ValidationError
 
-SHAPES = ("point", "box", "ellipsoid", "rhombus", "polytope", "superellipsoid")
+# The fields each shape needs besides its center.  It takes no other, save
+# that a point takes all-zero semi-axes (its default).
+_NEEDS = {"point": (), "box": ("semi_axes",), "ellipsoid": ("semi_axes",),
+          "rhombus": ("semi_axes",), "polytope": ("rows_a", "rows_b"),
+          "superellipsoid": ("semi_axes", "orders")}
+# Each field as a set-spec key, with the constructor's name where they differ.
+_LABELS = {"semi_axes": "w= (semi_axes)", "rows_a": "rows= (rows_a)",
+           "rows_b": "rows= (rows_b)", "orders": "orders="}
+SHAPES = tuple(_NEEDS)
 
 CONTAIN_TOL = 1e-9
 DENOM_TOL = 1e-12
@@ -24,7 +32,8 @@ RHOMBUS_MAX_DIM = 20
 
 @dataclass(frozen=True)
 class UncertaintySet:
-    """Convex admissible region for one DMU's observation."""
+    """Convex admissible region for one DMU's observation.  A scalar or
+    one-element ``semi_axes`` applies to every coordinate."""
 
     shape: str
     center: np.ndarray
@@ -34,52 +43,59 @@ class UncertaintySet:
     orders: tuple[float, float] | None = None
 
     def __post_init__(self):
-        if self.shape not in SHAPES:
-            raise ValidationError(f"unknown shape {self.shape!r}; expected one of {SHAPES}")
+        shape = self.shape
+        if shape not in _NEEDS:
+            raise ValidationError(f"unknown shape {shape!r}; expected one of {SHAPES}")
+        needs = _NEEDS[shape]
+        takes = ("semi_axes",) if shape == "point" else needs
+        for field, label in _LABELS.items():
+            if getattr(self, field) is None:
+                if field in needs:
+                    raise ValidationError(f"{shape} needs {label}")
+            elif field not in takes:
+                raise ValidationError(f"{shape} takes no {label}")
         center = np.asarray(self.center, dtype=float).ravel()
         object.__setattr__(self, "center", center)
-        if not np.all(np.isfinite(center)):
+        if not np.isfinite(center).all():
             raise ValidationError("set center must be finite")
-        if np.any(center < 0):
+        if (center < 0).any():
             raise ValidationError("set center must lie in the non-negative orthant")
-        if self.shape == "polytope":
-            if self.rows_a is None or self.rows_b is None:
-                raise ValidationError("polytope needs constraint rows (a, b)")
+        if shape == "polytope":
             a = np.atleast_2d(np.asarray(self.rows_a, dtype=float))
             b = np.asarray(self.rows_b, dtype=float).ravel()
             if a.shape != (b.size, center.size):
                 raise ValidationError("polytope rows do not match the dimension")
             object.__setattr__(self, "rows_a", a)
             object.__setattr__(self, "rows_b", b)
-        else:
-            w = np.zeros_like(center) if self.semi_axes is None else np.asarray(
-                self.semi_axes, dtype=float
-            ).ravel()
-            if w.shape != center.shape:
-                raise ValidationError("semi-axes must match the center dimension")
-            if np.any(w < 0) or not np.all(np.isfinite(w)):
-                raise ValidationError("semi-axes must be finite and >= 0")
-            object.__setattr__(self, "semi_axes", w)
-        if self.shape == "superellipsoid":
+            # The deviation of any other shape's center is 0, so it holds its center.
+            if not contains(self, center):
+                raise ValidationError("set center must belong to the set")
+            return
+        w = np.asarray(0.0 if self.semi_axes is None else self.semi_axes, dtype=float).ravel()
+        if w.size == 1 and center.size != 1:
+            w = np.full(center.shape, w[0])
+        if w.shape != center.shape:
+            raise ValidationError("semi-axes must match the center dimension")
+        if (w < 0).any() or not np.isfinite(w).all():
+            raise ValidationError("semi-axes must be finite and >= 0")
+        object.__setattr__(self, "semi_axes", w)
+        if shape == "point" and w.any():
+            raise ValidationError("point takes no nonzero w= (semi_axes)")
+        if shape == "superellipsoid":
             if center.size != 3:
                 raise UnsupportedDimensionError(
                     "superellipsoid sets support exactly 3 dimensions"
                 )
-            orders = np.asarray(() if self.orders is None else self.orders, dtype=float)
+            orders = np.asarray(self.orders, dtype=float)
             if orders.shape != (2,) or not ((orders >= 1) & (orders < np.inf)).all():
                 raise ValidationError("superellipsoid orders must be two finite numbers >= 1")
-            if np.any(self.semi_axes <= 0):
+            object.__setattr__(self, "orders", (float(orders[0]), float(orders[1])))
+            if (w <= 0).any():
                 raise ValidationError("superellipsoid semi-axes must be strictly positive")
-        if self.shape == "rhombus" and int(np.count_nonzero(self.semi_axes)) > RHOMBUS_MAX_DIM:
+        if shape == "rhombus" and int(np.count_nonzero(w)) > RHOMBUS_MAX_DIM:
             raise UnsupportedDimensionError(
                 f"rhombus sets support at most {RHOMBUS_MAX_DIM} free dimensions"
             )
-        if self.shape == "point" and np.any(self.semi_axes != 0):
-            raise ValidationError("a point set cannot carry semi-axes")
-        # Every other shape holds its center: the deviation is 0, and the
-        # center is finite and in the orthant.
-        if self.shape == "polytope" and not contains(self, self.center):
-            raise ValidationError("set center must belong to the set")
 
     @property
     def z(self) -> int:
@@ -110,19 +126,19 @@ class UncertaintySet:
 
     @classmethod
     def point(cls, center) -> "UncertaintySet":
-        return cls("point", np.asarray(center, dtype=float))
+        return cls("point", center)
 
     @classmethod
     def box(cls, center, semi_axes) -> "UncertaintySet":
-        return cls("box", center, _broadcast_axes(center, semi_axes))
+        return cls("box", center, semi_axes)
 
     @classmethod
     def ellipsoid(cls, center, semi_axes) -> "UncertaintySet":
-        return cls("ellipsoid", center, _broadcast_axes(center, semi_axes))
+        return cls("ellipsoid", center, semi_axes)
 
     @classmethod
     def rhombus(cls, center, semi_axes) -> "UncertaintySet":
-        return cls("rhombus", center, _broadcast_axes(center, semi_axes))
+        return cls("rhombus", center, semi_axes)
 
     @classmethod
     def polytope(cls, rows_a, rows_b, interior_point) -> "UncertaintySet":
@@ -130,20 +146,7 @@ class UncertaintySet:
 
     @classmethod
     def superellipsoid(cls, center, semi_axes, orders) -> "UncertaintySet":
-        return cls(
-            "superellipsoid",
-            center,
-            _broadcast_axes(center, semi_axes),
-            orders=(float(orders[0]), float(orders[1])),
-        )
-
-
-def _broadcast_axes(center, semi_axes):
-    center = np.asarray(center, dtype=float).ravel()
-    w = np.asarray(semi_axes, dtype=float)
-    if w.ndim == 0:
-        w = np.full(center.shape, float(w))
-    return w
+        return cls("superellipsoid", center, semi_axes, orders=orders)
 
 
 class SetStack:

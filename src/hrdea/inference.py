@@ -84,6 +84,8 @@ class BucketScheme:
         values = np.asarray(values, dtype=float)
         if values.size == 0:
             raise ValidationError("cannot build buckets from no samples")
+        if not np.isfinite(values).all():
+            raise ValidationError("cannot build buckets from non-finite samples")
         top = float(values.max())
         count = max(1, int(math.ceil(top / width - 1e-12)))
         if count > cls.MAX_BUCKETS:
@@ -243,6 +245,8 @@ def scenario_p_value(e_a, e_b, hoelder_order=1) -> float:
     b = e_b.values if isinstance(e_b, DistanceMatrix) else np.asarray(e_b, dtype=float)
     if a.shape != b.shape:
         raise ValidationError("scenario matrices must share n and t")
+    if a.ndim != 2 or 0 in a.shape:
+        raise ValidationError(f"scenario matrices must be n x t with n, t >= 1, not {a.shape}")
     t = a.shape[1]
     below = above = 0
     for ell in range(t):

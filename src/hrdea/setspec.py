@@ -6,10 +6,12 @@ One record per line::
              [w=<v|v1,v2,...>] [center=<v1,v2,...>] [orders=<o1,o2>]
              [xi=<uniform|triangular>] [rows=<a1,..,az:b;...>]
 
-Superellipsoid orders must be two finite numbers >= 1, which keeps the set
-convex.  Blank lines and '#' comments are ignored.  DMUs absent from the
-file get a degenerate point set at their observed values.  The center
-defaults to the observed values, so DMUs with masked cells must override it.
+Each shape takes only its own keys (``UncertaintySet`` decides which), and
+a key may appear once per line.  Superellipsoid orders must be two finite
+numbers >= 1, which keeps the set convex.  Blank lines and '#' comments are
+ignored.  DMUs absent from the file get a degenerate point set at their
+observed values.  The center defaults to the observed values, so DMUs with
+masked cells must override it.
 """
 
 from __future__ import annotations
@@ -42,10 +44,14 @@ def parse_set_spec(path) -> dict[str, dict]:
             if dmu in records:
                 raise ParseError(f"duplicate record for DMU {dmu!r}", line_no)
             fields: dict = {}
+            keys = set()
             for token in tokens[1:]:
                 if "=" not in token:
                     raise ParseError(f"expected key=value, got {token!r}", line_no)
                 key, value = token.split("=", 1)
+                if key in keys:
+                    raise ParseError(f"DMU {dmu!r}: key {key!r} given twice", line_no)
+                keys.add(key)
                 try:
                     if key == "shape":
                         fields["shape"] = value
@@ -108,20 +114,5 @@ def _build_set(fields: dict, observed: np.ndarray, masked: bool) -> UncertaintyS
     center = np.asarray(center, dtype=float)
     if center.size != observed.size:
         raise ValidationError(f"center has {center.size} values, expected {observed.size}")
-    shape = fields["shape"]
-    if shape == "point":
-        return UncertaintySet.point(center)
-    if shape == "polytope":
-        if "rows_a" not in fields:
-            raise ValidationError("polytope needs rows=")
-        return UncertaintySet.polytope(fields["rows_a"], fields["rows_b"], center)
-    if "w" not in fields:
-        raise ValidationError(f"shape {shape!r} needs w=")
-    w = fields["w"]
-    if w.size == 1:
-        w = np.full(center.size, float(w[0]))
-    if shape == "superellipsoid":
-        if "orders" not in fields:
-            raise ValidationError("superellipsoid needs orders=")
-        return UncertaintySet.superellipsoid(center, w, fields["orders"])
-    return UncertaintySet(shape, center, w)
+    return UncertaintySet(fields["shape"], center, fields.get("w"), fields.get("rows_a"),
+                          fields.get("rows_b"), fields.get("orders"))

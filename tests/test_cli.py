@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -10,10 +11,11 @@ import pytest
 
 import hrdea
 from hrdea.cli import main
-from hrdea.dataset import Direction, from_arrays
+from hrdea.dataset import Direction, from_arrays, load_dataset
 from hrdea.dea import solve_directional, solve_weak_disposability
 from hrdea.inference import BucketScheme, beta_density_points, erii, fit_beta
 from hrdea.pipeline import DistanceMatrix, save_distance_matrix
+from hrdea.setspec import build_sets, parse_set_spec
 
 
 @pytest.fixture
@@ -466,3 +468,46 @@ def test_duplicate_matrix_ids_exit_1(tmp_path, capsys):
     assert main(["density", "--matrix", str(matrix), "--dmu", "A",
                  "--out", str(tmp_path / "d.csv")]) == 1
     assert "duplicate DMU ids in distance matrix: ['A']" in capsys.readouterr().err
+
+
+def test_analyze_rejects_a_dmu_id_with_a_path_separator(tmp_path, capsys):
+    matrix = tmp_path / "matrix.csv"
+    matrix.write_text(MATRIX_HEAD + "A/B,0.1,0.2\nC,0.0,0.1\n")
+    outdir = tmp_path / "rep"
+    outdir.mkdir()
+    assert main(["analyze", "--matrix", str(matrix), "--outdir", str(outdir)]) == 1
+    assert "['A/B']" in capsys.readouterr().err
+    assert os.listdir(outdir) == []
+
+
+def test_run_analyze_rejects_a_dmu_id_with_a_path_separator(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    data.write_text("dmu,x1,y1\nA/B,1,1\nC,2,1\n")
+    outdir = tmp_path / "rep"
+    outdir.mkdir()
+    code = main(["run", *data_args(data), "--t", "40", "--out", str(tmp_path / "matrix.csv"),
+                 "--analyze", "--outdir", str(outdir)])
+    assert code == 1
+    assert "['A/B']" in capsys.readouterr().err
+    assert os.listdir(outdir) == []
+
+
+def test_readme_set_spec_example_runs(tmp_path):
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        (spec,) = re.findall(r"```text\n(.*?)```", fh.read(), re.S)
+    sets = tmp_path / "sets.txt"
+    sets.write_text(spec)
+    data = tmp_path / "hospitals.csv"
+    data.write_text("dmu,x1,x2,y1\nH01,2,3,5\nH02,4,1,6\nH03,3,3,4\nH04,1.1,0.9,1.4\n"
+                    "H05,2,6,1\nH06,1,4,3\n")
+    shapes = [s.shape for s in build_sets(load_dataset(data, {"dmu": "id", "x1": "input",
+                                                              "x2": "input", "y1": "output"}),
+                                          parse_set_spec(sets))[0]]
+    assert shapes == ["box", "ellipsoid", "rhombus", "superellipsoid", "polytope", "point"]
+    assert main(["run", "--data", str(data), "--inputs", "x1,x2", "--outputs", "y1",
+                 "--sets", str(sets), "--t", "40", "--seed", "1",
+                 "--out", str(tmp_path / "matrix.csv"), "--analyze"]) == 0
+    report = (tmp_path / "report.csv").read_text().splitlines()
+    assert [r.split(",")[0] for r in report if not r.startswith("#")][1:] == [
+        f"H0{j}" for j in range(1, 7)]

@@ -236,6 +236,15 @@ def test_direction_resolves_column_stacks():
         Direction.input_oriented().resolve_at(np.array([[1.0, 0.0]]), Y)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("label", ["dx", "dy", "du"])
+def test_custom_direction_must_be_finite(value, label):
+    parts = {"dx": [1.0, 0.5], "dy": [1.0], "du": [0.5]}
+    parts[label][0] = value
+    with pytest.raises(ValidationError, match=f"custom direction {label} must be finite"):
+        Direction.custom(parts["dx"], parts["dy"], parts["du"])
+
+
 def test_direction_must_have_positive_component():
     ds = from_arrays(X=[[2.0]], Y=[[3.0]])
     with pytest.raises(ValidationError):

@@ -202,6 +202,16 @@ def test_interval_bounds_crossed_rejected(two_dmu):
         interval_dea_bounds(two_dmu, lx, ux, ly, uy, Direction.input_oriented())
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("cell, label", [(0, "inputs"), (1, "inputs"), (2, "outputs"),
+                                         (3, "outputs")])
+def test_interval_bounds_non_finite_rejected(two_dmu, value, cell, label):
+    bounds = [two_dmu.X.copy(), two_dmu.X.copy(), two_dmu.Y.copy(), two_dmu.Y.copy()]
+    bounds[cell][0, 1] = value
+    with pytest.raises(ValidationError, match=f"interval bounds for {label} must be finite"):
+        interval_dea_bounds(two_dmu, *bounds, Direction.input_oriented())
+
+
 def _random_instance(rng, n=None, m=None, s=None):
     n = n or int(rng.integers(2, 12))
     m = m or int(rng.integers(1, 4))

@@ -281,3 +281,60 @@ def test_center_must_be_inside_and_nonnegative():
         UncertaintySet.box([-1.0, 5.0], [1.0, 1.0])
     with pytest.raises(ValidationError):
         UncertaintySet.polytope(np.array([[1.0, 0.0]]), np.array([1.0]), [2.0, 0.0])
+
+
+# What each shape needs besides its center, at CENTER3, and every field a
+# set may carry.  The polytope's rows hold CENTER3.
+CENTER3 = [2.0, 3.0, 4.0]
+NEEDED = {
+    "point": {},
+    "box": {"semi_axes": [0.5, 0.2, 0.0]},
+    "ellipsoid": {"semi_axes": [0.5, 0.2, 0.0]},
+    "rhombus": {"semi_axes": [0.5, 0.2, 0.0]},
+    "polytope": {"rows_a": np.eye(3), "rows_b": [9.0, 9.0, 9.0]},
+    "superellipsoid": {"semi_axes": [0.5, 0.2, 0.1], "orders": (2.0, 2.0)},
+}
+FIELDS = {"semi_axes": [0.5, 0.5, 0.5], "rows_a": np.eye(3), "rows_b": [9.0, 9.0, 9.0],
+          "orders": (2.0, 2.0)}
+
+
+@pytest.mark.parametrize("shape, field", [(shape, field) for shape, needed in NEEDED.items()
+                                          for field in FIELDS if field not in needed])
+def test_a_field_the_shape_does_not_take_is_named(shape, field):
+    UncertaintySet(shape, CENTER3, **NEEDED[shape])
+    with pytest.raises(ValidationError) as err:
+        UncertaintySet(shape, CENTER3, **NEEDED[shape], **{field: FIELDS[field]})
+    assert str(err.value).startswith(f"{shape} takes no") and field in str(err.value)
+
+
+@pytest.mark.parametrize("shape, field", [(shape, field) for shape, needed in NEEDED.items()
+                                          for field in needed])
+def test_a_field_the_shape_needs_is_named(shape, field):
+    fields = {k: v for k, v in NEEDED[shape].items() if k != field}
+    with pytest.raises(ValidationError) as err:
+        UncertaintySet(shape, CENTER3, **fields)
+    assert str(err.value).startswith(f"{shape} needs") and field in str(err.value)
+
+
+def test_a_point_takes_all_zero_semi_axes():
+    point = UncertaintySet("point", CENTER3, [0.0, 0.0, 0.0])
+    assert point.is_point
+    assert point.semi_axes.tobytes() == UncertaintySet.point(CENTER3).semi_axes.tobytes()
+    with pytest.raises(ValidationError, match="point takes no nonzero"):
+        UncertaintySet("point", CENTER3, 0.5)
+
+
+@pytest.mark.parametrize("shape", ["box", "ellipsoid", "rhombus", "superellipsoid"])
+def test_a_scalar_or_one_element_semi_axis_applies_to_every_coordinate(shape):
+    orders = (2.0, 2.0) if shape == "superellipsoid" else None
+    full = UncertaintySet(shape, CENTER3, [0.5, 0.5, 0.5], orders=orders)
+    for w in (0.5, [0.5], np.array([0.5])):
+        one = UncertaintySet(shape, CENTER3, w, orders=orders)
+        assert one.semi_axes.tobytes() == full.semi_axes.tobytes()
+    with pytest.raises(ValidationError, match="semi-axes must match"):
+        UncertaintySet(shape, CENTER3, [0.5, 0.5], orders=orders)
+
+
+def test_superellipsoid_orders_are_stored_as_floats():
+    uset = UncertaintySet("superellipsoid", CENTER3, 0.5, orders=[2, np.float64(3)])
+    assert uset.orders == (2.0, 3.0) and all(type(o) is float for o in uset.orders)

@@ -84,6 +84,12 @@ def test_bucket_count_guard():
         BucketScheme.for_values([1e12], width=0.01)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_bucket_scheme_rejects_non_finite_values(value):
+    with pytest.raises(ValidationError, match="non-finite"):
+        BucketScheme.for_values([0.1, value, 0.2])
+
+
 def test_erii_empty_samples_rejected():
     with pytest.raises(ValidationError):
         erii_counts([], BucketScheme(width=0.01, count=2))
@@ -247,6 +253,12 @@ def test_p_value_zero_columns():
     a2[:, 0] = 1.0  # zero denominator, positive numerator: counts only above
     p = scenario_p_value(a2, b)
     assert p == pytest.approx(min(1.0, 2 * 3 / 4))
+
+
+@pytest.mark.parametrize("shape", [(3, 0), (0, 4), (4,), (2, 3, 4)])
+def test_p_value_needs_n_by_t_matrices(shape):
+    with pytest.raises(ValidationError, match="n x t"):
+        scenario_p_value(np.zeros(shape), np.zeros(shape))
 
 
 # -- beta fits ------------------------------------------------------------

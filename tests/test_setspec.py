@@ -105,3 +105,52 @@ def test_set_errors_name_the_dmu(tmp_path, line, message):
     with pytest.raises(ValidationError) as err:
         build_sets(data, parse_set_spec(path))
     assert str(err.value).startswith(message)
+
+
+# What each shape needs on a set-spec line, and every key a shape may take.
+NEEDED = {"point": "", "box": "w=0.5", "ellipsoid": "w=0.5", "rhombus": "w=0.5",
+          "polytope": "rows=1,0,0:9;0,1,0:9;0,0,1:9", "superellipsoid": "w=0.5 orders=2,2"}
+KEYS = {"w": "w=0.5", "rows": "rows=1,0,0:9;0,1,0:9;0,0,1:9", "orders": "orders=2,2"}
+
+
+def build_line(tmp_path, line):
+    data = from_arrays(X=[[2.0, 3.0]], Y=[[1.0, 1.0]], U=[[1.0, 2.0]], dmu_ids=["a", "b"])
+    return build_sets(data, parse_set_spec(write(tmp_path, f"a shape=box w=0.5\n{line}\n")))
+
+
+@pytest.mark.parametrize("shape, key", [(shape, key) for shape, needed in NEEDED.items()
+                                        for key in KEYS if f"{key}=" not in needed])
+def test_a_key_the_shape_does_not_take_names_the_dmu_and_the_key(tmp_path, shape, key):
+    sets, _ = build_line(tmp_path, f"b shape={shape} {NEEDED[shape]}")
+    assert sets[1].shape == shape
+    with pytest.raises(ValidationError) as err:
+        build_line(tmp_path, f"b shape={shape} {NEEDED[shape]} {KEYS[key]}")
+    assert str(err.value).startswith(f"DMU 'b': {shape} takes no")
+    assert f"{key}=" in str(err.value)
+
+
+@pytest.mark.parametrize("line, message", [
+    ("b shape=box", "DMU 'b': box needs w="),
+    ("b shape=rhombus center=1,1,1", "DMU 'b': rhombus needs w="),
+    ("b shape=superellipsoid orders=2,2", "DMU 'b': superellipsoid needs w="),
+    ("b shape=polytope", "DMU 'b': polytope needs rows="),
+])
+def test_a_key_the_shape_needs_names_the_dmu_and_the_key(tmp_path, line, message):
+    with pytest.raises(ValidationError) as err:
+        build_line(tmp_path, line)
+    assert str(err.value).startswith(message)
+
+
+@pytest.mark.parametrize("line, key", [
+    ("b shape=box shape=ellipsoid w=0.5", "shape"),
+    ("b shape=box w=0.5 w=0.1,0,0", "w"),
+    ("b shape=box w=0.5 center=1,1,1 center=2,2,2", "center"),
+    ("b shape=superellipsoid w=1 orders=2,2 orders=3,3", "orders"),
+    ("b shape=box w=1 xi=uniform xi=triangular", "xi"),
+    ("b shape=polytope rows=1,0,0:9 rows=0,1,0:9", "rows"),
+])
+def test_a_repeated_key_is_a_parse_error(tmp_path, line, key):
+    with pytest.raises(ParseError) as err:
+        parse_set_spec(write(tmp_path, f"a shape=box w=0.5\n{line}\n"))
+    assert err.value.line == 2
+    assert f"DMU 'b': key {key!r} given twice" in str(err.value)
