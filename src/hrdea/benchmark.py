@@ -152,10 +152,7 @@ def run_case(scenario: str, rep: int, n: int, gaps: int, t: int, seed: int) -> d
     )
     estimates["regression"] = _output_distances(impute_regression(masked))
 
-    m = masked.m
-    d_low, d_high = interval_dea_bounds(
-        masked, lower[:m], upper[:m], lower[m:], upper[m:], direction
-    )
+    d_low, d_high = interval_dea_bounds(masked, lower, upper, direction)
     estimates["interval"] = (d_low + d_high) / 2.0
 
     for name, shape, offset in (

@@ -77,8 +77,7 @@ def _cmd_solve(args) -> int:
     return 0
 
 
-def _run_matrix(args):
-    data = _load(args)
+def _run_matrix(args, data):
     records = parse_set_spec(args.sets) if args.sets else {}
     sets, xi_laws = build_sets(data, records)
     return run_hr_dea(
@@ -116,11 +115,16 @@ def _write_density(path, dm, dmu: str, fit, xs, ys, source: str) -> None:
         _write_xy(fh, xs.tolist(), ys.tolist())
 
 
+def _check_file_names(dmu_ids) -> None:
+    """Each DMU id names analyze files of its own, so none may hold a path separator."""
+    nested = [dmu for dmu in dmu_ids if os.path.basename(dmu) != dmu]
+    if nested:
+        raise ValidationError(f"DMU ids {nested} hold a path separator, so cannot name files")
+
+
 def _analyze_matrix(matrix_path, outdir, tau, width) -> int:
     dm = load_distance_matrix(matrix_path)
-    nested = [dmu for dmu in dm.dmu_ids if os.path.basename(dmu) != dmu]
-    if nested:  # each id names files of its own below
-        raise ValidationError(f"DMU ids {nested} hold a path separator, so cannot name files")
+    _check_file_names(dm.dmu_ids)
     report = robustness_report(dm, tau=tau, bucket_width=width)
     os.makedirs(outdir, exist_ok=True)
     report_path = os.path.join(outdir, "report.csv")
@@ -143,9 +147,11 @@ def _analyze_matrix(matrix_path, outdir, tau, width) -> int:
 
 
 def _cmd_run(args) -> int:
-    if args.analyze:
+    data = _load(args)
+    if args.analyze:  # a bad setting or id must not cost a whole walk
         check_report_settings(args.t, args.tau, args.bucket_width)
-    dm = _run_matrix(args)
+        _check_file_names(data.dmu_ids)
+    dm = _run_matrix(args, data)
     save_distance_matrix(dm, args.out)
     print(f"wrote {args.out}")
     if args.analyze:

@@ -56,6 +56,9 @@ from .lp import PIVOT_TOL, basic_solution, batch_simplex, drive_out
 from .lp import simplex  # noqa: F401
 
 DEFAULT_EPS = 1e-6
+# Data values are floored here before an LP is built: a zero value would make
+# the proportional or one-sided direction resolved at it degenerate.
+INPUT_FLOOR = 1e-12
 # Tableau bytes per chunk of a batched solve: bounds the stack and the
 # temporaries of its pivots, and keeps them in cache.
 BATCH_BYTES = 256 * 1024
@@ -415,16 +418,13 @@ def solve_weak_disposability(
 
 
 def interval_dea_bounds(
-    data: DataSet,
-    lower_x: np.ndarray,
-    upper_x: np.ndarray,
-    lower_y: np.ndarray,
-    upper_y: np.ndarray,
-    direction: Direction,
+    data: DataSet, lower: np.ndarray, upper: np.ndarray, direction: Direction
 ) -> tuple[np.ndarray, np.ndarray]:
     """Widest distance interval of every DMU under box uncertainty.
 
-    Returns ``(d_low, d_high)``, one entry per DMU.  The upper bound
+    ``lower`` and ``upper`` are (m + s, n) bound matrices, the input rows
+    over the output rows, as ``introduce_gaps`` returns them.  Returns
+    ``(d_low, d_high)``, one entry per DMU.  The upper bound
     projects the worst version of k (upper inputs, lower outputs) on the
     frontier of the best scenario; the lower bound projects the best
     version of k on the worst-scenario frontier.  A best version that
@@ -434,23 +434,16 @@ def interval_dea_bounds(
     """
     if data.v > 0:
         raise ValidationError("interval bounds are defined for the model without undesirables")
-    lower_x = np.asarray(lower_x, dtype=float)
-    upper_x = np.asarray(upper_x, dtype=float)
-    lower_y = np.asarray(lower_y, dtype=float)
-    upper_y = np.asarray(upper_y, dtype=float)
-    for lo, hi, label in ((lower_x, upper_x, "inputs"), (lower_y, upper_y, "outputs")):
-        if lo.shape != hi.shape:
-            raise ValidationError(f"interval matrices for {label} differ in shape")
-        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
-            raise ValidationError(f"interval bounds for {label} must be finite")
-        if np.any(lo > hi):
-            raise ValidationError(f"crossed interval bounds in {label}")
-    if lower_x.shape != data.X.shape or lower_y.shape != data.Y.shape:
-        raise ValidationError("interval matrices must match the dataset shape")
-    # Floor at a tiny positive value: a zero bound would degenerate the
-    # direction resolved at the scenario version of k.
-    lower_x, upper_x = np.maximum(lower_x, 1e-12), np.maximum(upper_x, 1e-12)
-    lower_y, upper_y = np.maximum(lower_y, 1e-12), np.maximum(upper_y, 1e-12)
+    lower, upper = np.asarray(lower, dtype=float), np.asarray(upper, dtype=float)
+    if lower.shape != (data.m + data.s, data.n) or upper.shape != lower.shape:
+        raise ValidationError("interval matrices must be (m + s, n), inputs over outputs")
+    if not (np.isfinite(lower).all() and np.isfinite(upper).all()):
+        raise ValidationError("interval bounds must be finite")
+    if np.any(lower > upper):
+        raise ValidationError("crossed interval bounds")
+    lower, upper = np.maximum(lower, INPUT_FLOOR), np.maximum(upper, INPUT_FLOOR)
+    lower_x, lower_y = lower[: data.m], lower[data.m :]
+    upper_x, upper_y = upper[: data.m], upper[data.m :]
 
     # Worst versions against the best scenario, each anchored at its own
     # best version.

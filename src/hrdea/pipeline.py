@@ -25,7 +25,7 @@ from itertools import islice
 import numpy as np
 
 from .dataset import DataSet, Direction
-from .dea import weak_disposability_distances, world_distances
+from .dea import INPUT_FLOOR, weak_disposability_distances, world_distances
 # Unused here; the tracer in perfbench/spans.py looks these names up.
 from .dea import directional_distance, weak_disposability_distance  # noqa: F401
 from .errors import ParseError, ValidationError
@@ -34,7 +34,6 @@ from .sampler import Walker
 # Unused here; the tracer in perfbench/spans.py looks this name up.
 from .sampler import step  # noqa: F401
 
-INPUT_FLOOR = 1e-12
 _CHUNK_WORLDS = 32  # worlds per pooled chunk
 
 
@@ -80,9 +79,8 @@ class DistanceMatrix:
 def _column_distances(points: np.ndarray, m: int, s: int, model: str, direction: Direction):
     """Distances of every DMU against the frontier of one sampled world.
 
-    Values are floored at a tiny positive constant before LP assembly:
-    sampled points may sit exactly on the orthant boundary, and a zero
-    value would make the proportional or one-sided directions degenerate.
+    Values are floored at ``INPUT_FLOOR`` before LP assembly: sampled
+    points may sit exactly on the orthant boundary.
     Either model solves the whole world as one warm-started batch, each
     DMU anchored at its own column; a large plain world is solved over its
     frame (``world_distances``).
@@ -218,13 +216,15 @@ def save_distance_matrix(dm: DistanceMatrix, path) -> None:
 
 
 def load_distance_matrix(path) -> DistanceMatrix:
-    """Read a matrix CSV; a malformed line raises ParseError with its number."""
+    """Read a matrix CSV; a malformed line raises ParseError with its number.
+    Comment lines come before the ``dmu,d0`` header: after it, a line that
+    starts with ``#`` is the row of a DMU whose id starts with ``#``."""
     config, seed = {}, 0
     with open(path, newline="", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     body = []
     for line_no, line in enumerate(lines, start=1):
-        if line.startswith("#"):
+        if not body and line.startswith("#"):
             text = line[1:].strip()
             if text.startswith("config:"):
                 try:

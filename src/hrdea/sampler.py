@@ -22,8 +22,11 @@ every dot product a stacked ``matmul`` over compacted rows (``d[:, None, :] @
 d[:, :, None]``, ``A @ P[:, :, None]``): it calls the BLAS routine of the
 scalar ``u @ v``, ``A @ p`` or ``np.linalg.norm`` with the same length, where
 ``einsum`` or ``(d * d).sum(1)`` would change last bits.  So each member walks
-bit for bit as it would alone.  A direction of norm 0 (the all-zero draw)
-sends its member to the serial generator path.
+bit for bit as it would alone.  An all-zero direction draw (chance 2**-53 per
+free coordinate) steps along the member's first free coordinate: a full-chord
+move along a fixed line keeps the uniform law stationary, as a coordinate Hit
+& Run step does (Smith 1984, *Oper. Res.* 32), and the chance of taking that
+line does not depend on the point, so the mixed kernel keeps the law too.
 
 ``Walker.walk`` is the one walk loop: member j of k draws step ell from
 stream ``offset + ell * k + j``, and the words of up to ``_DRAW_STEPS``
@@ -70,28 +73,6 @@ class RngStream:
 class WalkState:
     point: np.ndarray
     iteration: int = 0
-
-
-def draw_direction(gen: np.random.Generator, z: int) -> np.ndarray:
-    """Random unit vector.
-
-    Draws entries uniform(-1, 1) and normalizes (repeating the measure-zero
-    all-zero draw), which weights the cube diagonals slightly; the full-chord
-    step still leaves the uniform law stationary.
-    """
-    while True:
-        d = gen.uniform(-1.0, 1.0, size=z)
-        norm = np.linalg.norm(d)
-        if norm > 0.0:
-            return d / norm
-
-
-def draw_xi(gen: np.random.Generator, law: str = "uniform") -> float:
-    if law == "uniform":
-        return float(gen.uniform(0.0, 1.0))
-    if law == "triangular":
-        return float(gen.triangular(0.0, 0.5, 1.0))
-    raise ValidationError(f"unknown xi law {law!r}; expected one of {XI_LAWS}")
 
 
 def philox_words(seed: int, streams, blocks: int) -> np.ndarray:
@@ -141,8 +122,7 @@ class Walker:
         for law in xi_laws:
             if law not in XI_LAWS:
                 raise ValidationError(f"unknown xi law {law!r}; expected one of {XI_LAWS}")
-        self.xi_laws = list(xi_laws)
-        self.triangular = np.array([law == "triangular" for law in self.xi_laws])
+        self.triangular = np.array([law == "triangular" for law in xi_laws])
         layouts: dict[tuple, list[int]] = {}
         for i, uset in enumerate(sets):
             if not uset.is_point:  # a point set draws nothing
@@ -159,14 +139,13 @@ class Walker:
     def step(self, points: np.ndarray, seed: int, streams, u=None) -> np.ndarray:
         """The members' next (k, z) points; member i draws from (seed, streams[i]).
         ``u`` may hold the unit doubles of the non-point members, drawn ahead."""
-        streams = [streams[i] for i in self.live]
-        u = self.uniforms(seed, streams) if u is None else u
+        if u is None:
+            u = self.uniforms(seed, [streams[i] for i in self.live])
         new, start = points.copy(), 0
         for twice, members in self.groups:
             rows = slice(start, start + members.size)
             start = rows.stop
-            new[members] = self._move(twice, members, points[members], seed, streams[rows],
-                                      u[rows])
+            new[members] = self._move(twice, members, points[members], u[rows])
         return new
 
     def walk(self, points: np.ndarray, seed: int, t: int, offset: int):
@@ -186,20 +165,17 @@ class Walker:
                                    drawn)
                 yield points
 
-    def _move(self, twice, members, P, seed, streams, u):
-        """The next points P of one layout's members, from their unit doubles u."""
+    def _move(self, twice, members, P, u):
+        """The next points P of one layout's members, from their unit doubles u.
+        An all-zero direction draw steps along the member's first free coordinate."""
         za = twice.flat.shape[1]
-        xi, tri = u[:, za].copy(), self.triangular[members]
-        xi[tri] = _triangular(xi[tri])
+        xi = np.where(self.triangular[members], _triangular(u[:, za]), u[:, za])
         d = -1.0 + 2.0 * u[:, :za]
         norm = np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
+        zero = norm == 0.0
+        d[zero, 0], norm[zero] = 1.0, 1.0
         D = np.zeros_like(P)
-        D.put(twice.flat[: len(P)], np.divide(d, norm[:, None], out=np.zeros_like(d),
-                                              where=norm[:, None] > 0.0))
-        for r in np.flatnonzero(norm == 0.0):  # the all-zero draw: redraw serially
-            gen = RngStream(seed, int(streams[r])).generator()
-            D[r, ~twice.frozen[r]] = draw_direction(gen, za)
-            xi[r] = draw_xi(gen, self.xi_laws[members[r]])
+        D.put(twice.flat[: len(P)], d / norm[:, None])
         return _full_chord(twice, P, D, xi)
 
 

@@ -79,9 +79,7 @@ def test_criterion_2_proposition_2_containment():
     d = Direction.proportional()
     start = time.perf_counter()
     dm = run_hr_dea(data, sets, d, t=2000, seed=7, threads=2)
-    lo, hi = stacked - w, stacked + w
-    m = data.m
-    d_low, d_high = interval_dea_bounds(data, lo[:m], hi[:m], lo[m:], hi[m:], d)
+    d_low, d_high = interval_dea_bounds(data, stacked - w, stacked + w, d)
     for k in range(n):
         assert dm.values[k].min() >= d_low[k] - 1e-9, f"DMU {k} below lower bound"
         assert dm.values[k].max() <= d_high[k] + 1e-9, f"DMU {k} above upper bound"

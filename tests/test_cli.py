@@ -490,6 +490,21 @@ def test_run_analyze_rejects_a_dmu_id_with_a_path_separator(tmp_path, capsys):
     assert code == 1
     assert "['A/B']" in capsys.readouterr().err
     assert os.listdir(outdir) == []
+    assert not (tmp_path / "matrix.csv").exists()  # rejected before the walk
+
+
+def test_run_analyze_and_analyze_keep_ids_that_hold_a_hash(tmp_path):
+    """An id may start with or hold '#': only lines before a header are comments."""
+    data = tmp_path / "data.csv"
+    data.write_text("dmu,x1,y1\n#A,1,1\nB,2,1\nH#2,3,2\n")
+    matrix = tmp_path / "matrix.csv"
+    assert main(["run", *data_args(data), "--t", "40", "--out", str(matrix), "--analyze"]) == 0
+    assert main(["analyze", "--matrix", str(matrix), "--outdir", str(tmp_path / "again")]) == 0
+    for outdir in (tmp_path, tmp_path / "again"):
+        lines = (outdir / "report.csv").read_text().splitlines()
+        header = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+        assert [line.split(",")[0] for line in lines[header + 1 :]] == ["#A", "B", "H#2"]
+        assert (outdir / "hist_#A.csv").exists() and (outdir / "hist_H#2.csv").exists()
 
 
 def test_readme_set_spec_example_runs(tmp_path):

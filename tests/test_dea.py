@@ -173,11 +173,10 @@ def test_masked_data_rejected():
 
 
 def test_interval_bounds_fixture(two_dmu):
-    lx = np.array([[1.0, 1.5]])
-    ux = np.array([[1.0, 2.5]])
-    ly = uy = np.array([[1.0, 1.0]])
+    lower = np.array([[1.0, 1.5], [1.0, 1.0]])
+    upper = np.array([[1.0, 2.5], [1.0, 1.0]])
     d = Direction.input_oriented()
-    d_low, d_high = interval_dea_bounds(two_dmu, lx, ux, ly, uy, d)
+    d_low, d_high = interval_dea_bounds(two_dmu, lower, upper, d)
     assert d_low[1] == pytest.approx(1.0 / 3.0, abs=1e-9)
     assert d_high[1] == pytest.approx(0.6, abs=1e-9)
     assert d_low[0] == pytest.approx(0.0, abs=1e-9)
@@ -185,30 +184,37 @@ def test_interval_bounds_fixture(two_dmu):
 
 
 def test_interval_bounds_degenerate_equal_plain(two_dmu):
-    lx = ux = two_dmu.X
-    ly = uy = two_dmu.Y
     d = Direction.input_oriented()
     plain = solve_directional(two_dmu, 1, d).distance
-    d_low, d_high = interval_dea_bounds(two_dmu, lx, ux, ly, uy, d)
+    d_low, d_high = interval_dea_bounds(two_dmu, two_dmu.stacked(), two_dmu.stacked(), d)
     assert d_low[1] == pytest.approx(plain, abs=1e-9)
     assert d_high[1] == pytest.approx(plain, abs=1e-9)
 
 
 def test_interval_bounds_crossed_rejected(two_dmu):
-    lx = np.array([[1.0, 3.0]])
-    ux = np.array([[1.0, 2.5]])
-    ly = uy = two_dmu.Y
-    with pytest.raises(ValidationError):
-        interval_dea_bounds(two_dmu, lx, ux, ly, uy, Direction.input_oriented())
+    lower = np.array([[1.0, 3.0], [1.0, 1.0]])
+    upper = np.array([[1.0, 2.5], [1.0, 1.0]])
+    with pytest.raises(ValidationError, match="crossed interval bounds"):
+        interval_dea_bounds(two_dmu, lower, upper, Direction.input_oriented())
+
+
+def test_interval_bounds_shape_rejected(two_dmu):
+    """Both bounds stack the inputs over the outputs, one column per DMU."""
+    stacked = two_dmu.stacked()
+    for lower, upper in ((two_dmu.X, two_dmu.X), (stacked, stacked[:, :1]),
+                         (stacked[:, :1], stacked[:, :1])):
+        with pytest.raises(ValidationError, match=r"\(m \+ s, n\)"):
+            interval_dea_bounds(two_dmu, lower, upper, Direction.input_oriented())
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("cell, label", [(0, "inputs"), (1, "inputs"), (2, "outputs"),
                                          (3, "outputs")])
 def test_interval_bounds_non_finite_rejected(two_dmu, value, cell, label):
-    bounds = [two_dmu.X.copy(), two_dmu.X.copy(), two_dmu.Y.copy(), two_dmu.Y.copy()]
-    bounds[cell][0, 1] = value
-    with pytest.raises(ValidationError, match=f"interval bounds for {label} must be finite"):
+    """An even cell is a lower bound, an odd one an upper bound."""
+    bounds = [two_dmu.stacked(), two_dmu.stacked()]
+    bounds[cell % 2][{"inputs": 0, "outputs": two_dmu.m}[label], 1] = value
+    with pytest.raises(ValidationError, match="interval bounds must be finite"):
         interval_dea_bounds(two_dmu, *bounds, Direction.input_oriented())
 
 
@@ -645,8 +651,8 @@ def test_interval_lower_bounds_match_a_swapped_copy_loop():
         upper = lower * rng.uniform(1.0, 1.3, size=lower.shape)
         upper[:, 0] = lower[:, 0]  # a DMU known exactly
         direction = DIRECTIONS[mode]
-        d_low, _ = interval_dea_bounds(from_arrays(lower[:2], lower[2:]), lower[:2],
-                                       upper[:2], lower[2:], upper[2:], direction)
+        d_low, _ = interval_dea_bounds(from_arrays(lower[:2], lower[2:]), lower, upper,
+                                       direction)
         dx, dy, _ = direction.resolve_at(lower[:2], upper[2:])
         loop = np.empty(n)
         for k in range(n):
@@ -1164,8 +1170,8 @@ def test_interval_bounds_match_highs():
         lower = data.draw(arrays(float, (3, n), elements=cells))
         upper = lower + data.draw(arrays(float, (3, n), elements=st.floats(0.0, 1.0)))
         direction = DIRECTIONS[mode]
-        d_low, d_high = interval_dea_bounds(from_arrays(lower[:2], lower[2:]), lower[:2],
-                                            upper[:2], lower[2:], upper[2:], direction)
+        d_low, d_high = interval_dea_bounds(from_arrays(lower[:2], lower[2:]), lower, upper,
+                                            direction)
         for k in range(n):
             xw, yw = upper[:2, k], lower[2:, k]
             dx, dy, _ = direction.resolve_at(xw, yw)

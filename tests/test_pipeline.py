@@ -136,10 +136,9 @@ def test_single_uncertain_dmu_stays_within_interval_bounds():
     lo, hi = dm.values[1].min(), dm.values[1].max()
     assert 1.0 / 3.0 - 1e-9 <= lo and hi <= 0.6 + 1e-9
     # oracle: the interval-DEA bounds
-    lx = np.array([[1.0, 1.5]])
-    ux = np.array([[1.0, 2.5]])
-    ly = uy = np.array([[1.0, 1.0]])
-    d_low, d_high = interval_dea_bounds(data, lx, ux, ly, uy, d)
+    lower = np.array([[1.0, 1.5], [1.0, 1.0]])
+    upper = np.array([[1.0, 2.5], [1.0, 1.0]])
+    d_low, d_high = interval_dea_bounds(data, lower, upper, d)
     assert d_low[1] - 1e-9 <= lo and hi <= d_high[1] + 1e-9
 
 
@@ -151,9 +150,7 @@ def test_box_sets_contained_in_interval_bounds():
     dm = run_hr_dea(data, sets, d, t=400, seed=21)
     stacked = data.stacked()
     w = 0.1 * stacked
-    lo, hi = stacked - w, stacked + w
-    m = data.m
-    d_low, d_high = interval_dea_bounds(data, lo[:m], hi[:m], lo[m:], hi[m:], d)
+    d_low, d_high = interval_dea_bounds(data, stacked - w, stacked + w, d)
     for k in range(data.n):
         assert dm.values[k].min() >= d_low[k] - 1e-9
         assert dm.values[k].max() <= d_high[k] + 1e-9
@@ -363,6 +360,18 @@ def test_save_load_roundtrip(tmp_path):
     np.testing.assert_array_equal(loaded.values, dm.values)
     np.testing.assert_array_equal(loaded.baseline, dm.baseline)
     assert loaded.config == dm.config
+
+
+def test_save_load_roundtrip_keeps_an_id_that_starts_with_a_hash(tmp_path):
+    """Only the lines before the dmu,d0 header are comments."""
+    dm = DistanceMatrix(dmu_ids=("#A", "B", "H#2"), values=[[0.1, 0.2], [0.0, 0.3], [0.5, 0.4]],
+                        baseline=[0.1, 0.0, 0.2], seed=3, config={"seed": 3})
+    path = tmp_path / "matrix.csv"
+    save_distance_matrix(dm, path)
+    loaded = load_distance_matrix(path)
+    assert loaded.dmu_ids == dm.dmu_ids
+    np.testing.assert_array_equal(loaded.values, dm.values)
+    np.testing.assert_array_equal(loaded.baseline, dm.baseline)
 
 
 def test_duplicate_dmu_ids_rejected(tmp_path):

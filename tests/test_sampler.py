@@ -10,8 +10,6 @@ from hrdea.sampler import (
     RngStream,
     WalkState,
     Walker,
-    draw_direction,
-    draw_xi,
     hr_sample,
     hr_step,
     philox_words,
@@ -100,10 +98,12 @@ def test_start_outside_rejected():
 
 
 def test_direction_laws():
-    gen = RngStream(1, 2).generator()
-    d = draw_direction(gen, 4)
-    assert d.shape == (4,)
-    assert np.linalg.norm(d) == pytest.approx(1.0, abs=1e-12)
+    """A drawn step moves along its stream's uniform(-1, 1) words, normalized."""
+    wide = UncertaintySet.box(np.full(4, 5.0), [3.0, 2.0, 1.0, 4.0])
+    walker = Walker([wide], ["uniform"])
+    move = walker.step(wide.center[None], 1, [2])[0] - wide.center
+    d = -1.0 + 2.0 * walker.uniforms(1, [2])[0, :4]
+    np.testing.assert_allclose(move / (move @ d), d / (d @ d), rtol=1e-12)
     box = UncertaintySet.box([5.0, 5.0], [3.0, 2.0])
     for p in hr_sample(box, t=100, rng=RngStream(8)):
         assert contains(box, p)
@@ -187,10 +187,11 @@ def reference_step(uset, p, rng, xi_law):
         return p
     assert contains(uset, p)
     gen = rng.generator()
+    u = gen.uniform(-1.0, 1.0, int(np.count_nonzero(uset.active)))
     d = np.zeros(uset.z)
-    d[uset.active] = draw_direction(gen, int(np.count_nonzero(uset.active)))
+    d[uset.active] = u / np.linalg.norm(u)
     forward = reference_chord(uset, p, d)
-    xi = draw_xi(gen, xi_law)
+    xi = gen.uniform() if xi_law == "uniform" else gen.triangular(0.0, 0.5, 1.0)
     backward = reference_chord(uset, p, -d)
     return p + (xi * (forward + backward) - backward) * d
 
@@ -277,30 +278,41 @@ def test_philox_words_match_numpy():
             assert np.array_equal(row, np.random.Philox(key=key).random_raw(12))
 
 
-def test_zero_direction_falls_back_to_the_generator(monkeypatch):
+def test_zero_direction_steps_along_the_first_free_coordinate(monkeypatch):
     """A member whose direction words are all exactly one half draws a zero
-    direction; it takes the serial generator path, which on the real stream
-    gives the reference step, while the other members keep their words."""
+    direction: it steps along its first free coordinate with the xi it drew,
+    while the other members keep their reference steps."""
     sets, laws = mixed_world(3, n=8)
     n, seed, ell = len(sets), 4, 3
+    streams = range(ell * n, ell * n + n)
+    zeroed = {streams[0]: 0, streams[1]: 1}  # a box and a set with a frozen coordinate
     words = sampler.philox_words
 
-    def zero_first_direction(seed, streams, blocks):
-        out = words(seed, streams, blocks)
-        out[0, : sets[0].z] = 1 << 63  # (raw >> 11) * 2**-53 == 0.5, so -1 + 2u == 0
+    def all_half(seed, drawn, blocks):
+        out = words(seed, drawn, blocks)
+        for row, stream in enumerate(drawn):
+            if stream in zeroed:  # (raw >> 11) * 2**-53 == 0.5, so -1 + 2u == 0
+                out[row, : np.count_nonzero(sets[zeroed[stream]].active)] = 1 << 63
         return out
 
-    monkeypatch.setattr(sampler, "philox_words", zero_first_direction)
+    monkeypatch.setattr(sampler, "philox_words", all_half)
     points = np.array([u.center for u in sets])
-    streams = range(ell * n, ell * n + n)
     moved = Walker(sets, laws).step(points, seed, streams)
-    expected = [reference_step(sets[j], points[j], RngStream(seed, streams[j]), laws[j])
-                for j in range(n)]
-    assert sets[0].shape == "box" and contains(sets[0], moved[0])
-    assert np.array_equal(moved, np.array(expected))
-    monkeypatch.setattr(sampler, "draw_direction", lambda gen, z: pytest.fail("no fallback"))
-    with pytest.raises(pytest.fail.Exception):
-        Walker(sets, laws).step(points, seed, streams)
+    assert not sets[1].active.all()
+    for j in zeroed.values():
+        axis = np.zeros(sets[j].z)
+        axis[np.flatnonzero(sets[j].active)[0]] = 1.0
+        gen = RngStream(seed, streams[j]).generator()
+        gen.uniform(size=np.count_nonzero(sets[j].active))
+        xi = gen.uniform() if laws[j] == "uniform" else gen.triangular(0.0, 0.5, 1.0)
+        forward, backward = (reference_chord(sets[j], points[j], s * axis) for s in (1, -1))
+        step = moved[j] - points[j]
+        assert np.array_equal(step != 0.0, axis != 0.0) and contains(sets[j], moved[j])
+        np.testing.assert_allclose(step, (xi * (forward + backward) - backward) * axis,
+                                   rtol=1e-12, atol=1e-12)
+    for j in set(range(n)) - set(zeroed.values()):
+        expected = reference_step(sets[j], points[j], RngStream(seed, streams[j]), laws[j])
+        assert np.array_equal(moved[j], expected)
 
 
 # --- the stationary law of every shape ---------------------------------------
