@@ -79,15 +79,13 @@ def _cmd_solve(args) -> int:
 
 def _run_matrix(args, data):
     records = parse_set_spec(args.sets) if args.sets else {}
-    sets, xi_laws = build_sets(data, records)
     return run_hr_dea(
         data,
-        sets,
+        build_sets(data, records),
         Direction(args.orientation),
         t=args.t,
         seed=args.seed,
         undesirable=args.undesirable,
-        xi_laws=xi_laws,
         threads=args.threads,
     )
 

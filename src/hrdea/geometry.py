@@ -4,6 +4,7 @@ A set lives in the non-negative orthant of R^z (z = m + s + v): the orthant
 bounds are appended to every chord computation, so a walk can never leave
 the admissible region.  Coordinates whose semi-axis is zero are fixed at
 the center; a set with all semi-axes zero degenerates to a single point.
+Each set also carries the law of its walk's chord fraction (``xi_law``).
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import HrdeaError, UnsupportedDimensionError, ValidationError
+from .lp import batch_simplex
 
 # The fields each shape needs besides its center.  It takes no other, save
 # that a point takes all-zero semi-axes (its default).
@@ -24,6 +26,7 @@ _NEEDS = {"point": (), "box": ("semi_axes",), "ellipsoid": ("semi_axes",),
 _LABELS = {"semi_axes": "w= (semi_axes)", "rows_a": "rows= (rows_a)",
            "rows_b": "rows= (rows_b)", "orders": "orders="}
 SHAPES = tuple(_NEEDS)
+XI_LAWS = ("uniform", "triangular")  # the law of a walk step's chord fraction
 
 CONTAIN_TOL = 1e-9
 DENOM_TOL = 1e-12
@@ -32,8 +35,9 @@ RHOMBUS_MAX_DIM = 20
 
 @dataclass(frozen=True)
 class UncertaintySet:
-    """Convex admissible region for one DMU's observation.  A scalar or
-    one-element ``semi_axes`` applies to every coordinate."""
+    """Convex admissible region for one DMU's observation, and the law its
+    walk draws each chord fraction from.  A scalar or one-element
+    ``semi_axes`` applies to every coordinate."""
 
     shape: str
     center: np.ndarray
@@ -41,11 +45,14 @@ class UncertaintySet:
     rows_a: np.ndarray | None = None
     rows_b: np.ndarray | None = None
     orders: tuple[float, float] | None = None
+    xi_law: str = "uniform"
 
     def __post_init__(self):
         shape = self.shape
         if shape not in _NEEDS:
             raise ValidationError(f"unknown shape {shape!r}; expected one of {SHAPES}")
+        if self.xi_law not in XI_LAWS:
+            raise ValidationError(f"unknown xi law {self.xi_law!r}; expected one of {XI_LAWS}")
         needs = _NEEDS[shape]
         takes = ("semi_axes",) if shape == "point" else needs
         for field, label in _LABELS.items():
@@ -65,11 +72,15 @@ class UncertaintySet:
             b = np.asarray(self.rows_b, dtype=float).ravel()
             if a.shape != (b.size, center.size):
                 raise ValidationError("polytope rows do not match the dimension")
+            if not (np.isfinite(a).all() and np.isfinite(b).all()):
+                raise ValidationError("polytope rows must be finite")
             object.__setattr__(self, "rows_a", a)
             object.__setattr__(self, "rows_b", b)
             # The deviation of any other shape's center is 0, so it holds its center.
             if not contains(self, center):
                 raise ValidationError("set center must belong to the set")
+            if _recedes(a):
+                raise ValidationError("polytope rows and the orthant do not bound the set")
             return
         w = np.asarray(0.0 if self.semi_axes is None else self.semi_axes, dtype=float).ravel()
         if w.size == 1 and center.size != 1:
@@ -147,6 +158,18 @@ class UncertaintySet:
     @classmethod
     def superellipsoid(cls, center, semi_axes, orders) -> "UncertaintySet":
         return cls("superellipsoid", center, semi_axes, orders=orders)
+
+
+def _recedes(a: np.ndarray) -> bool:
+    """Whether {x >= 0 : a x <= b} has a direction of recession, i.e. is
+    unbounded.  max 1.d over a d <= 0, 1.d <= 1, d >= 0 is 0 when the only
+    such d is 0 and 1 when any other exists; one LP from the slack basis."""
+    r, z = a.shape
+    T = np.zeros((r + 2, z + r + 2))
+    T[:r, :z], T[r, :z], T[r, -1], T[-1, :z] = a, 1.0, 1.0, -1.0
+    T[: r + 1, z : z + r + 1] = np.eye(r + 1)
+    objective, _ = batch_simplex(T[None], np.arange(z, z + r + 1)[None], z + r + 1)
+    return bool(objective[0] > 0.5)
 
 
 class SetStack:

@@ -124,15 +124,15 @@ def run_hr_dea(
     seed: int = 0,
     *,
     undesirable: bool | None = None,
-    xi_laws=None,
     threads: int = 1,
 ) -> DistanceMatrix:
     """Sample t admissible worlds and score every DMU in each of them.
 
     ``sets`` holds one uncertainty set per DMU (a point set encodes perfect
-    knowledge).  Walk steps for DMU j at iteration ell draw from the Philox
-    stream (seed, ell*n + j) (``Walker.walk`` with offset 0), so results do
-    not depend on ``threads``.  Each world is walked when it is scored: a
+    knowledge), each with its walk's ``xi_law``.  Walk steps for DMU j at
+    iteration ell draw from the Philox stream (seed, ell*n + j)
+    (``Walker.walk`` with offset 0), so results do not depend on
+    ``threads``.  Each world is walked when it is scored: a
     serial run holds one world of z-by-n points at a time, and with
     ``threads > 1`` a bounded window of worlds.
     """
@@ -153,13 +153,7 @@ def run_hr_dea(
     if undesirable and data.v == 0:
         raise ValidationError("undesirable model requested but the dataset has v = 0")
     model = "weak" if undesirable else "plain"
-    if xi_laws is None:
-        xi_laws = ["uniform"] * n
-    elif isinstance(xi_laws, str):
-        xi_laws = [xi_laws] * n
-    if len(xi_laws) != n:
-        raise ValidationError("one xi law per DMU required")
-    walker = Walker(sets, xi_laws)  # checks each law
+    walker = Walker(sets)
 
     centroids = np.column_stack([uset.center for uset in sets])
     baseline = _column_distances(centroids, data.m, data.s, model, direction)
@@ -179,7 +173,7 @@ def run_hr_dea(
         "seed": seed,
         "direction": direction.mode,
         "model": model,
-        "xi_laws": sorted(set(xi_laws)),
+        "xi_laws": sorted({uset.xi_law for uset in sets}),
         "shapes": [uset.shape for uset in sets],
     }
     return DistanceMatrix(

@@ -28,6 +28,10 @@ move along a fixed line keeps the uniform law stationary, as a coordinate Hit
 & Run step does (Smith 1984, *Oper. Res.* 32), and the chance of taking that
 line does not depend on the point, so the mixed kernel keeps the law too.
 
+Each set carries its chord fraction's law (``UncertaintySet.xi_law``):
+``uniform`` takes xi as drawn, ``triangular`` maps it to triangular(0, 0.5,
+1) by inverse CDF.
+
 ``Walker.walk`` is the one walk loop: member j of k draws step ell from
 stream ``offset + ell * k + j``, and the words of up to ``_DRAW_STEPS``
 steps come from one Philox call.  ``run_hr_dea`` walks its n DMUs with
@@ -50,8 +54,6 @@ _MASK64 = (1 << 64) - 1
 _PHILOX_MUL = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
 _PHILOX_BUMP = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64)
 _DRAW_STEPS = 32  # Walker.walk draws the words of this many steps at once
-
-XI_LAWS = ("uniform", "triangular")
 
 
 @dataclass(frozen=True)
@@ -118,11 +120,8 @@ def _full_chord(twice: SetStack, P: np.ndarray, D: np.ndarray, xi: np.ndarray) -
 class Walker:
     """The stochastic step of one walk per set, for all the sets at once."""
 
-    def __init__(self, sets: list[UncertaintySet], xi_laws):
-        for law in xi_laws:
-            if law not in XI_LAWS:
-                raise ValidationError(f"unknown xi law {law!r}; expected one of {XI_LAWS}")
-        self.triangular = np.array([law == "triangular" for law in xi_laws])
+    def __init__(self, sets: list[UncertaintySet]):
+        self.triangular = np.array([uset.xi_law == "triangular" for uset in sets])
         layouts: dict[tuple, list[int]] = {}
         for i, uset in enumerate(sets):
             if not uset.is_point:  # a point set draws nothing
@@ -186,24 +185,26 @@ def hr_step(
     *,
     direction: np.ndarray | None = None,
     xi: float | None = None,
-    xi_law: str = "uniform",
 ) -> WalkState:
     """One Hit & Run step, drawn whole or forced whole.
 
-    Drawn from ``rng``, the step lands uniformly on the full chord through
-    the current point; it is ``Walker``'s batch of one.  Forced by both
-    ``direction`` and ``xi``, it is the deterministic one-sided projection
-    P + chord(P, d) * xi * d.  Forcing only one of the two is an error.
+    Drawn from ``rng``, the step lands on the full chord through the
+    current point at a fraction drawn from ``uset.xi_law``; it is
+    ``Walker``'s batch of one.  Forced by both ``direction`` and ``xi``, it
+    is the deterministic one-sided projection P + chord(P, d) * xi * d.
+    Forcing only one of the two is an error.
     """
     if (direction is None) != (xi is None):
         raise ValidationError("force both direction and xi, or neither")
     p = np.asarray(state.point, dtype=float)
+    if p.shape != uset.center.shape:
+        raise ValidationError("point dimension does not match the set")
     if uset.is_point:
         return replace(state, iteration=state.iteration + 1)
     if direction is None:
         if rng is None:
             raise ValidationError("provide an RngStream or force direction and xi")
-        new_point = Walker([uset], [xi_law]).step(p[None], rng.seed, [rng.stream])[0]
+        new_point = Walker([uset]).step(p[None], rng.seed, [rng.stream])[0]
     else:
         d = np.asarray(direction, dtype=float)
         norm = np.linalg.norm(d)
@@ -214,14 +215,9 @@ def hr_step(
     return WalkState(point=new_point, iteration=state.iteration + 1)
 
 
-def step(
-    uset: UncertaintySet,
-    state: WalkState,
-    rng: RngStream | None = None,
-    xi_law: str = "uniform",
-) -> WalkState:
+def step(uset: UncertaintySet, state: WalkState, rng: RngStream | None = None) -> WalkState:
     """One drawn step of a single walk."""
-    return hr_step(uset, state, rng, xi_law=xi_law)
+    return hr_step(uset, state, rng)
 
 
 def hr_sample(
@@ -230,7 +226,6 @@ def hr_sample(
     t: int = 1,
     rng: RngStream | None = None,
     *,
-    xi_law: str = "uniform",
     burn_in: int = 0,
     thin: int = 1,
 ) -> np.ndarray:
@@ -251,5 +246,5 @@ def hr_sample(
     )
     if not contains(uset, point):
         raise ValidationError("start point lies outside the set")
-    walk = Walker([uset], [xi_law]).walk(point[None], rng.seed, burn_in + t * thin, rng.stream)
+    walk = Walker([uset]).walk(point[None], rng.seed, burn_in + t * thin, rng.stream)
     return np.array([p[0] for p in islice(walk, burn_in + thin - 1, None, thin)])

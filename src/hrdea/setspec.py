@@ -6,12 +6,14 @@ One record per line::
              [w=<v|v1,v2,...>] [center=<v1,v2,...>] [orders=<o1,o2>]
              [xi=<uniform|triangular>] [rows=<a1,..,az:b;...>]
 
-Each shape takes only its own keys (``UncertaintySet`` decides which), and
-a key may appear once per line.  Superellipsoid orders must be two finite
-numbers >= 1, which keeps the set convex.  Blank lines and '#' comments are
-ignored.  DMUs absent from the file get a degenerate point set at their
-observed values.  The center defaults to the observed values, so DMUs with
-masked cells must override it.
+Each shape takes only its own keys (``UncertaintySet`` decides which, and
+checks the ``xi`` law), and a key may appear once per line.  Superellipsoid
+orders must be two finite numbers >= 1, which keeps the set convex.  Blank
+lines and lines whose first non-blank character is '#' are ignored.  On any
+other line the first token is the DMU id, taken whole (it may hold '#'),
+and a later '#' starts a comment.  DMUs absent from the file get a
+degenerate point set at their observed values.  The center defaults to the
+observed values, so DMUs with masked cells must override it.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ import numpy as np
 from .dataset import DataSet
 from .errors import ParseError, UnsupportedDimensionError, ValidationError
 from .geometry import UncertaintySet
-from .sampler import XI_LAWS
 
 
 def _floats(text: str) -> np.ndarray:
@@ -36,16 +37,16 @@ def parse_set_spec(path) -> dict[str, dict]:
     records: dict[str, dict] = {}
     with open(path, encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
+            line = raw.strip()
+            if not line or line.startswith("#"):
                 continue
-            tokens = line.split()
-            dmu = tokens[0]
+            dmu, *rest = line.split(None, 1)
+            tokens = "".join(rest).split("#", 1)[0].split()
             if dmu in records:
                 raise ParseError(f"duplicate record for DMU {dmu!r}", line_no)
             fields: dict = {}
             keys = set()
-            for token in tokens[1:]:
+            for token in tokens:
                 if "=" not in token:
                     raise ParseError(f"expected key=value, got {token!r}", line_no)
                 key, value = token.split("=", 1)
@@ -53,8 +54,8 @@ def parse_set_spec(path) -> dict[str, dict]:
                     raise ParseError(f"DMU {dmu!r}: key {key!r} given twice", line_no)
                 keys.add(key)
                 try:
-                    if key == "shape":
-                        fields["shape"] = value
+                    if key in ("shape", "xi"):
+                        fields[key] = value
                     elif key == "w":
                         fields["w"] = _floats(value)
                     elif key == "center":
@@ -64,10 +65,6 @@ def parse_set_spec(path) -> dict[str, dict]:
                         if orders.size != 2:
                             raise ValueError("orders needs exactly two values")
                         fields["orders"] = (float(orders[0]), float(orders[1]))
-                    elif key == "xi":
-                        if value not in XI_LAWS:
-                            raise ValueError(f"xi law must be one of {XI_LAWS}")
-                        fields["xi"] = value
                     elif key == "rows":
                         rows_a, rows_b = [], []
                         for part in value.split(";"):
@@ -89,20 +86,19 @@ def parse_set_spec(path) -> dict[str, dict]:
 
 
 def build_sets(data: DataSet, records: dict[str, dict]):
-    """Resolve records against a dataset -> (sets, xi_laws), one per DMU."""
+    """Resolve records against a dataset -> one set per DMU."""
     unknown = set(records) - set(data.dmu_ids)
     if unknown:
         raise ValidationError(f"set spec names unknown DMUs: {sorted(unknown)}")
     stacked = data.stacked()
-    sets, xi_laws = [], []
+    sets = []
     for j, dmu in enumerate(data.dmu_ids):
         fields = records.get(dmu, {"shape": "point"})
-        xi_laws.append(fields.get("xi", "uniform"))
         try:
             sets.append(_build_set(fields, stacked[:, j], np.isnan(stacked[:, j]).any()))
         except (ValidationError, UnsupportedDimensionError) as exc:
             raise type(exc)(f"DMU {dmu!r}: {exc}") from exc
-    return sets, xi_laws
+    return sets
 
 
 def _build_set(fields: dict, observed: np.ndarray, masked: bool) -> UncertaintySet:
@@ -115,4 +111,4 @@ def _build_set(fields: dict, observed: np.ndarray, masked: bool) -> UncertaintyS
     if center.size != observed.size:
         raise ValidationError(f"center has {center.size} values, expected {observed.size}")
     return UncertaintySet(fields["shape"], center, fields.get("w"), fields.get("rows_a"),
-                          fields.get("rows_b"), fields.get("orders"))
+                          fields.get("rows_b"), fields.get("orders"), fields.get("xi", "uniform"))

@@ -518,7 +518,7 @@ def test_readme_set_spec_example_runs(tmp_path):
                     "H05,2,6,1\nH06,1,4,3\n")
     shapes = [s.shape for s in build_sets(load_dataset(data, {"dmu": "id", "x1": "input",
                                                               "x2": "input", "y1": "output"}),
-                                          parse_set_spec(sets))[0]]
+                                          parse_set_spec(sets))]
     assert shapes == ["box", "ellipsoid", "rhombus", "superellipsoid", "polytope", "point"]
     assert main(["run", "--data", str(data), "--inputs", "x1,x2", "--outputs", "y1",
                  "--sets", str(sets), "--t", "40", "--seed", "1",

@@ -3,8 +3,9 @@ import warnings
 import numpy as np
 import pytest
 
-from hrdea.errors import HrdeaError, UnsupportedDimensionError, ValidationError
+from hrdea.errors import UnsupportedDimensionError, ValidationError
 from hrdea.geometry import (
+    XI_LAWS,
     SetStack,
     UncertaintySet,
     chord_length,
@@ -200,9 +201,46 @@ def test_chord_requires_unit_direction(pentagon):
 
 
 def test_unbounded_polytope_direction_detected():
-    half = UncertaintySet.polytope(np.array([[-1.0, 0.0]]), np.array([0.0]), [1.0, 1.0])
-    with pytest.raises(HrdeaError):
-        chord_length(half, [1.0, 1.0], np.array([1.0, 0.0]))
+    """A half-plane is unbounded, so it is refused when it is built."""
+    with pytest.raises(ValidationError, match="do not bound the set"):
+        UncertaintySet.polytope(np.array([[-1.0, 0.0]]), np.array([0.0]), [1.0, 1.0])
+
+
+@pytest.mark.parametrize("rows_a, rows_b, center", [
+    ([[1.0, 0.0]], [5.0], [0.5, 0.5]),  # x1 <= 5: y is free
+    ([[1, 1, 0], [5, -1, 0], [-2, 1, 0]], [10, 10, 5], [2, 6, 1]),  # free in the third
+    ([[1.0, -1.0], [-1.0, 1.0]], [1.0, 1.0], [1.0, 1.0]),  # a strip along (1, 1)
+    ([[0.0, 0.0]], [1.0], [1.0, 1.0]),  # a row that bounds nothing
+])
+def test_unbounded_polytopes_are_rejected(rows_a, rows_b, center):
+    with pytest.raises(ValidationError, match="polytope rows and the orthant do not bound"):
+        UncertaintySet.polytope(rows_a, rows_b, center)
+    bounded = UncertaintySet.polytope(np.vstack([rows_a, np.ones(len(center))]),
+                                      np.append(rows_b, 2.0 * sum(center) + 1.0), center)
+    assert bounded.rows_a.shape == (len(rows_b) + 1, len(center))
+
+
+@pytest.mark.parametrize("rows_a, rows_b", [
+    ([[1.0, np.inf]], [5.0]), ([[1.0, 1.0]], [np.inf]),
+    ([[1.0, np.nan], [0.0, 1.0]], [5.0, 5.0]), ([[1.0, 0.0], [0.0, 1.0]], [5.0, np.nan]),
+])
+def test_non_finite_polytope_rows_are_rejected(rows_a, rows_b):
+    with pytest.raises(ValidationError, match="polytope rows must be finite"):
+        UncertaintySet.polytope(rows_a, rows_b, [0.5, 0.5])
+
+
+@pytest.mark.parametrize("shape, fields", [
+    ("point", {}), ("box", {"semi_axes": 0.5}), ("ellipsoid", {"semi_axes": 0.5}),
+    ("rhombus", {"semi_axes": 0.5}),
+    ("polytope", {"rows_a": np.eye(3), "rows_b": [3.0, 3.0, 3.0]}),
+    ("superellipsoid", {"semi_axes": 0.5, "orders": (2.0, 2.0)}),
+])
+def test_every_shape_carries_an_xi_law(shape, fields):
+    assert UncertaintySet(shape, [1.0, 1.0, 1.0], **fields).xi_law == "uniform"
+    for law in XI_LAWS:
+        assert UncertaintySet(shape, [1.0, 1.0, 1.0], **fields, xi_law=law).xi_law == law
+    with pytest.raises(ValidationError, match=r"unknown xi law 'cauchy'; expected one of"):
+        UncertaintySet(shape, [1.0, 1.0, 1.0], **fields, xi_law="cauchy")
 
 
 def test_superellipsoid_boundary_points():

@@ -4,6 +4,7 @@ import json
 import os
 import tracemalloc
 from concurrent.futures import Future
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -197,7 +198,8 @@ def test_worlds_drawn_ahead_equal_undrawn_steps():
     sets = box_sets(data)
     sets[2] = UncertaintySet.point(stacked[:, 2])  # a point set draws nothing
     sets[4] = UncertaintySet.ellipsoid(stacked[:, 4], 0.2 * stacked[:, 4])
-    walker = Walker(sets, ["uniform"] * 6 + ["triangular"])
+    sets[6] = replace(sets[6], xi_law="triangular")
+    walker = Walker(sets)
     start = np.column_stack([u.center for u in sets]).T
     t, n = hrdea.sampler._DRAW_STEPS + 3, data.n
     for offset in (0, 2**64 - 5 * n):
@@ -332,8 +334,8 @@ def test_validation_errors():
     bad_dim = [UncertaintySet.point([1.0, 1.0, 1.0])] * 2
     with pytest.raises(ValidationError):
         run_hr_dea(data, bad_dim, d, t=5)
-    with pytest.raises(ValidationError):
-        run_hr_dea(data, sets, d, t=5, xi_laws=["uniform"])
+    with pytest.raises(ValidationError, match="unknown xi law 'cauchy'"):
+        run_hr_dea(data, [replace(sets[0], xi_law="cauchy"), sets[1]], d, t=5)
 
 
 def test_header_with_a_source_encoded_once_equals_the_whole_config():
@@ -360,6 +362,31 @@ def test_save_load_roundtrip(tmp_path):
     np.testing.assert_array_equal(loaded.values, dm.values)
     np.testing.assert_array_equal(loaded.baseline, dm.baseline)
     assert loaded.config == dm.config
+
+
+def test_mixed_xi_laws_keep_the_matrix_header(tmp_path):
+    """Each set carries its law; the header lists the sorted distinct laws,
+    in the same line that a run given the laws as a separate list wrote."""
+    data = from_arrays(X=[[2.0, 4.0, 3.0, 5.0]], Y=[[5.0, 6.0, 4.0, 7.0]],
+                       dmu_ids=["A", "B", "C", "D"])
+    sets = [UncertaintySet("box", [2.0, 5.0], 0.5, xi_law="triangular"),
+            UncertaintySet("point", [4.0, 6.0], xi_law="triangular"),
+            UncertaintySet.polytope(np.vstack([np.eye(2), -np.eye(2)]), [4.0, 5.0, -2.0, -3.0],
+                                    [3.0, 4.0]),
+            UncertaintySet.ellipsoid([5.0, 7.0], [1.0, 0.5])]
+    dm = run_hr_dea(data, sets, Direction.proportional(), t=3, seed=2)
+    path = tmp_path / "matrix.csv"
+    save_distance_matrix(dm, path)
+    assert path.read_text().splitlines()[:2] == [
+        "# hrdea distance-matrix v1",
+        '# config: {"direction": "proportional", "model": "plain", "seed": 2, '
+        '"shapes": ["box", "point", "polytope", "ellipsoid"], "t": 3, '
+        '"xi_laws": ["triangular", "uniform"]}',
+    ]
+    uniform = [replace(u, xi_law="uniform") for u in sets]
+    plain = run_hr_dea(data, uniform, Direction.proportional(), t=3, seed=2)
+    assert plain.config["xi_laws"] == ["uniform"]
+    assert not np.array_equal(plain.values, dm.values)
 
 
 def test_save_load_roundtrip_keeps_an_id_that_starts_with_a_hash(tmp_path):

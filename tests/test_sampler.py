@@ -1,12 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import stats
 
 from hrdea import sampler
 from hrdea.errors import ValidationError
-from hrdea.geometry import UncertaintySet, chord_length, contains
+from hrdea.geometry import XI_LAWS, UncertaintySet, chord_length, contains
 from hrdea.sampler import (
-    XI_LAWS,
     RngStream,
     WalkState,
     Walker,
@@ -100,7 +101,7 @@ def test_start_outside_rejected():
 def test_direction_laws():
     """A drawn step moves along its stream's uniform(-1, 1) words, normalized."""
     wide = UncertaintySet.box(np.full(4, 5.0), [3.0, 2.0, 1.0, 4.0])
-    walker = Walker([wide], ["uniform"])
+    walker = Walker([wide])
     move = walker.step(wide.center[None], 1, [2])[0] - wide.center
     d = -1.0 + 2.0 * walker.uniforms(1, [2])[0, :4]
     np.testing.assert_allclose(move / (move @ d), d / (d @ d), rtol=1e-12)
@@ -111,11 +112,25 @@ def test_direction_laws():
 
 def test_xi_laws():
     box = UncertaintySet.box([5.0, 5.0], [3.0, 2.0])
-    uni = hr_sample(box, t=200, rng=RngStream(3), xi_law="uniform")
-    tri = hr_sample(box, t=200, rng=RngStream(3), xi_law="triangular")
+    assert box.xi_law == "uniform"
+    uni = hr_sample(box, t=200, rng=RngStream(3))
+    tri = hr_sample(replace(box, xi_law="triangular"), t=200, rng=RngStream(3))
     assert not np.array_equal(uni, tri)
-    with pytest.raises(ValidationError):
-        hr_sample(box, t=5, rng=RngStream(3), xi_law="cauchy")
+    with pytest.raises(ValidationError, match="unknown xi law 'cauchy'"):
+        replace(box, xi_law="cauchy")
+
+
+def test_hr_step_checks_the_point_dimension():
+    """A point of the wrong dimension is named as such, on every set, the
+    point set and a forced step included."""
+    for uset in (PENTAGON, UncertaintySet.point([1.0, 2.0])):
+        for point in ([2.0, 6.0, 1.0], [2.0]):
+            state = WalkState(point=np.array(point))
+            with pytest.raises(ValidationError, match="point dimension does not match the set"):
+                hr_step(uset, state, RngStream(0))
+    with pytest.raises(ValidationError, match="point dimension does not match the set"):
+        hr_step(PENTAGON, WalkState(point=np.array([2.0, 6.0, 1.0])),
+                direction=np.array([0.2, 0.4, 0.0]), xi=0.5)
 
 
 def test_burn_in_and_thinning():
@@ -180,7 +195,7 @@ def reference_chord(uset, p, d):
     return min(first_hit(1.0 - a @ (pa - c), a @ da), cap)
 
 
-def reference_step(uset, p, rng, xi_law):
+def reference_step(uset, p, rng):
     """One stochastic step drawn through RngStream.generator(), word by word
     as a serial walk draws it: the direction, then xi, then both chords."""
     if uset.is_point:
@@ -191,14 +206,15 @@ def reference_step(uset, p, rng, xi_law):
     d = np.zeros(uset.z)
     d[uset.active] = u / np.linalg.norm(u)
     forward = reference_chord(uset, p, d)
-    xi = gen.uniform() if xi_law == "uniform" else gen.triangular(0.0, 0.5, 1.0)
+    xi = gen.uniform() if uset.xi_law == "uniform" else gen.triangular(0.0, 0.5, 1.0)
     backward = reference_chord(uset, p, -d)
     return p + (xi * (forward + backward) - backward) * d
 
 
 def mixed_world(z, n=36, seed=0):
     """n sets of dimension z cycling through every shape (a superellipsoid
-    only at z = 3), some with gap-style frozen coordinates, and both xi laws."""
+    only at z = 3), some with gap-style frozen coordinates, and both xi laws:
+    every third set walks with the triangular law."""
     rng = np.random.default_rng(seed + z)
     shapes = ["box", "ellipsoid", "rhombus", "polytope", "point", "box"]
     if z == 3:
@@ -221,22 +237,21 @@ def mixed_world(z, n=36, seed=0):
             if j % 4 == 1:  # a gap-style set: only some coordinates are uncertain
                 w[rng.permutation(z)[: max(1, z // 2)]] = 0.0
             sets.append(getattr(UncertaintySet, shape)(c, w))
-    laws = ["triangular" if j % 3 == 2 else "uniform" for j in range(n)]
-    return sets, laws
+    return [replace(u, xi_law="triangular") if j % 3 == 2 else u for j, u in enumerate(sets)]
 
 
 @pytest.mark.parametrize("z", [2, 3, 5])
 def test_world_kernel_matches_serial_walk(z):
-    sets, laws = mixed_world(z)
+    sets = mixed_world(z)
     n, seed = len(sets), 11
-    walker = Walker(sets, laws)
+    walker = Walker(sets)
     if z == 5:
         assert walker.blocks == 2  # five direction words and xi span two blocks
     kernel = np.array([u.center for u in sets])
     serial = kernel.copy()
     for ell in range(1, 51):
         kernel = walker.step(kernel, seed, range(ell * n, ell * n + n))
-        serial = np.array([reference_step(sets[j], serial[j], RngStream(seed, ell * n + j), laws[j])
+        serial = np.array([reference_step(sets[j], serial[j], RngStream(seed, ell * n + j))
                            for j in range(n)])
         assert np.array_equal(kernel, serial), f"world {ell}"
     assert all(contains(u, p) for u, p in zip(sets, kernel))
@@ -246,18 +261,18 @@ def test_world_kernel_matches_serial_walk(z):
 def test_hr_sample_matches_serial_walk(law):
     """Every kept point, with and without burn-in and thinning, is the serial
     walk's, across more than two of the walk's draw-ahead blocks."""
-    sets, _ = mixed_world(3, n=7)
+    sets = mixed_world(3, n=7)
     burn_in, thin, t = 17, 3, 25
     assert burn_in + t * thin > 2 * sampler._DRAW_STEPS
-    for uset in sets + [PENTAGON]:
+    for uset in (replace(u, xi_law=law) for u in sets + [PENTAGON]):
         rng = RngStream(-5, 2**64 - 40)  # stream ids wrap past 2**64 on the way
         p, expected = uset.center, []
         for ell in range(1, burn_in + t * thin + 1):
-            p = reference_step(uset, p, rng.child(ell), law)
+            p = reference_step(uset, p, rng.child(ell))
             expected.append(p)
         expected = np.array(expected)
-        assert np.array_equal(hr_sample(uset, t=60, rng=rng, xi_law=law), expected[:60])
-        kept = hr_sample(uset, t=t, rng=rng, xi_law=law, burn_in=burn_in, thin=thin)
+        assert np.array_equal(hr_sample(uset, t=60, rng=rng), expected[:60])
+        kept = hr_sample(uset, t=t, rng=rng, burn_in=burn_in, thin=thin)
         assert np.array_equal(kept, expected[burn_in + thin - 1 :: thin])
 
 
@@ -282,7 +297,7 @@ def test_zero_direction_steps_along_the_first_free_coordinate(monkeypatch):
     """A member whose direction words are all exactly one half draws a zero
     direction: it steps along its first free coordinate with the xi it drew,
     while the other members keep their reference steps."""
-    sets, laws = mixed_world(3, n=8)
+    sets = mixed_world(3, n=8)
     n, seed, ell = len(sets), 4, 3
     streams = range(ell * n, ell * n + n)
     zeroed = {streams[0]: 0, streams[1]: 1}  # a box and a set with a frozen coordinate
@@ -297,21 +312,21 @@ def test_zero_direction_steps_along_the_first_free_coordinate(monkeypatch):
 
     monkeypatch.setattr(sampler, "philox_words", all_half)
     points = np.array([u.center for u in sets])
-    moved = Walker(sets, laws).step(points, seed, streams)
+    moved = Walker(sets).step(points, seed, streams)
     assert not sets[1].active.all()
     for j in zeroed.values():
         axis = np.zeros(sets[j].z)
         axis[np.flatnonzero(sets[j].active)[0]] = 1.0
         gen = RngStream(seed, streams[j]).generator()
         gen.uniform(size=np.count_nonzero(sets[j].active))
-        xi = gen.uniform() if laws[j] == "uniform" else gen.triangular(0.0, 0.5, 1.0)
+        xi = gen.uniform() if sets[j].xi_law == "uniform" else gen.triangular(0.0, 0.5, 1.0)
         forward, backward = (reference_chord(sets[j], points[j], s * axis) for s in (1, -1))
         step = moved[j] - points[j]
         assert np.array_equal(step != 0.0, axis != 0.0) and contains(sets[j], moved[j])
         np.testing.assert_allclose(step, (xi * (forward + backward) - backward) * axis,
                                    rtol=1e-12, atol=1e-12)
     for j in set(range(n)) - set(zeroed.values()):
-        expected = reference_step(sets[j], points[j], RngStream(seed, streams[j]), laws[j])
+        expected = reference_step(sets[j], points[j], RngStream(seed, streams[j]))
         assert np.array_equal(moved[j], expected)
 
 
@@ -357,7 +372,7 @@ def test_walk_law_is_uniform(name):
     case under the exact law; the fixed seed makes each run deterministic.
     """
     uset, chains, steps = LAW_SETS[name], 4000, 40
-    walker = Walker([uset] * chains, ["uniform"] * chains)
+    walker = Walker([uset] * chains)
     points = np.tile(uset.center, (chains, 1))
     for ell in range(1, steps + 1):
         points = walker.step(points, 23, range(ell * chains, (ell + 1) * chains))

@@ -19,15 +19,17 @@ def test_parse_and_build(tmp_path):
         # two uncertain DMUs, the rest stay points
         a shape=box w=0.5,0.0
         b shape=ellipsoid w=0.2 xi=triangular
+        d shape=point xi=triangular
         """,
     )
-    data = from_arrays(X=[[2.0, 3.0, 4.0]], Y=[[1.0, 1.0, 1.0]], dmu_ids=["a", "b", "c"])
+    data = from_arrays(X=[[2.0, 3.0, 4.0, 5.0]], Y=[[1.0, 1.0, 1.0, 1.0]],
+                       dmu_ids=["a", "b", "c", "d"])
     records = parse_set_spec(path)
-    sets, xi_laws = build_sets(data, records)
+    sets = build_sets(data, records)
     assert sets[0].shape == "box" and sets[0].semi_axes[0] == 0.5
     assert sets[1].shape == "ellipsoid" and np.all(sets[1].semi_axes == 0.2)
-    assert sets[2].is_point
-    assert xi_laws == ["uniform", "triangular", "uniform"]
+    assert sets[2].is_point and sets[3].is_point
+    assert [u.xi_law for u in sets] == ["uniform", "triangular", "uniform", "triangular"]
 
 
 def test_parse_superellipsoid_and_polytope(tmp_path):
@@ -39,7 +41,7 @@ def test_parse_superellipsoid_and_polytope(tmp_path):
     data = from_arrays(
         X=[[2.0, 3.0]], Y=[[1.0, 1.0]], U=[[1.0, 2.0]], dmu_ids=["a", "b"]
     )
-    sets, _ = build_sets(data, parse_set_spec(path))
+    sets = build_sets(data, parse_set_spec(path))
     assert sets[0].shape == "superellipsoid" and sets[0].orders == (2.0, 2.0)
     assert sets[1].shape == "polytope" and sets[1].rows_a.shape == (3, 3)
 
@@ -47,7 +49,7 @@ def test_parse_superellipsoid_and_polytope(tmp_path):
 def test_center_override(tmp_path):
     path = write(tmp_path, "a shape=box w=0.1 center=5,5\n")
     data = from_arrays(X=[[2.0]], Y=[[1.0]], dmu_ids=["a"])
-    sets, _ = build_sets(data, parse_set_spec(path))
+    sets = build_sets(data, parse_set_spec(path))
     np.testing.assert_array_equal(sets[0].center, [5.0, 5.0])
 
 
@@ -60,7 +62,7 @@ def test_masked_dmu_requires_center(tmp_path):
     with pytest.raises(ValidationError):
         build_sets(masked, parse_set_spec(path))
     path = write(tmp_path, "a shape=box w=0.5 center=2,1\n")
-    sets, _ = build_sets(masked, parse_set_spec(path))
+    sets = build_sets(masked, parse_set_spec(path))
     np.testing.assert_array_equal(sets[0].center, [2.0, 1.0])
 
 
@@ -75,8 +77,31 @@ def test_parse_errors_carry_line_numbers(tmp_path):
         parse_set_spec(write(tmp_path, "a shape=box w=0.5\na shape=point\n"))
     with pytest.raises(ParseError):
         parse_set_spec(write(tmp_path, "a shape=box w=abc\n"))
-    with pytest.raises(ParseError):
-        parse_set_spec(write(tmp_path, "a shape=box w=1 xi=lognormal\n"))
+
+
+def test_an_unknown_xi_law_names_the_dmu(tmp_path):
+    """The set decides its law, as it decides its shape: an unknown law parses
+    and is rejected when the set is built."""
+    data = from_arrays(X=[[2.0]], Y=[[1.0]], dmu_ids=["a"])
+    records = parse_set_spec(write(tmp_path, "a shape=box w=1 xi=lognormal\n"))
+    with pytest.raises(ValidationError) as err:
+        build_sets(data, records)
+    assert str(err.value).startswith("DMU 'a': unknown xi law 'lognormal'")
+
+
+def test_a_hash_inside_an_id_is_part_of_the_id(tmp_path):
+    """A line whose first non-blank character is '#' is a comment; on any
+    other line the first token is the id, whole, and a later '#' starts a
+    comment."""
+    records = parse_set_spec(write(tmp_path, "  #A shape=box w=0.5\n"
+                                             "H#2 shape=box w=0.5  # note xi=triangular\n"
+                                             "B\tshape=ellipsoid w=0.2 #w=9\n"))
+    assert list(records) == ["H#2", "B"]
+    assert records["H#2"]["shape"] == "box" and "xi" not in records["H#2"]
+    np.testing.assert_array_equal(records["B"]["w"], [0.2])
+    data = from_arrays(X=[[2.0, 3.0, 4.0]], Y=[[1.0, 1.0, 1.0]], dmu_ids=["#A", "H#2", "B"])
+    sets = build_sets(data, records)
+    assert [u.shape for u in sets] == ["point", "box", "ellipsoid"]
 
 
 def test_unknown_dmu_rejected(tmp_path):
@@ -121,7 +146,7 @@ def build_line(tmp_path, line):
 @pytest.mark.parametrize("shape, key", [(shape, key) for shape, needed in NEEDED.items()
                                         for key in KEYS if f"{key}=" not in needed])
 def test_a_key_the_shape_does_not_take_names_the_dmu_and_the_key(tmp_path, shape, key):
-    sets, _ = build_line(tmp_path, f"b shape={shape} {NEEDED[shape]}")
+    sets = build_line(tmp_path, f"b shape={shape} {NEEDED[shape]}")
     assert sets[1].shape == shape
     with pytest.raises(ValidationError) as err:
         build_line(tmp_path, f"b shape={shape} {NEEDED[shape]} {KEYS[key]}")
