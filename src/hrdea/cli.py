@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import json
 import os
 import sys
 
-from . import __version__
+from . import __version__, dea, inference
 from .baselines import SCENARIOS
 from .benchmark import run_benchmark, save_benchmark
 from .dataset import Direction, load_dataset
@@ -22,9 +23,8 @@ from .dea import _solve_dmus
 from .errors import HrdeaError, ValidationError
 from .inference import (
     beta_densities,
-    beta_density_points,
     check_report_settings,
-    fit_beta,
+    fit_beta,  # not called here, but perfbench/spans.py traces hrdea.cli.fit_beta
     fit_beta_rows,
     robustness_report,
     save_report,
@@ -180,9 +180,10 @@ def _cmd_bench(args) -> int:
 
 def _cmd_density(args) -> int:
     dm = load_distance_matrix(args.matrix)
-    samples = dm.row(args.dmu)
-    fit = fit_beta(samples)
-    _write_density(args.out, dm, args.dmu, fit, *beta_density_points(fit).T,
+    fits = fit_beta_rows(dm.row(args.dmu)[None])
+    fit = fits.fit(0)
+    xs, ys = beta_densities(fits)
+    _write_density(args.out, dm, args.dmu, fit, xs[0], ys[0],
                    json.dumps(dm.config, sort_keys=True))
     print(
         f"beta fit for {args.dmu}: alpha={fit.alpha:.4f} beta={fit.beta:.4f} "
@@ -199,6 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    report_tau = inspect.signature(inference.robustness_report).parameters["tau"].default
 
     p = sub.add_parser("solve", help="plain DEA distances on fully known data")
     _add_data_arguments(p)
@@ -206,7 +208,8 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("input", "output", "proportional"))
     p.add_argument("--undesirable", action=argparse.BooleanOptionalAction, default=None,
                    help="force the weak-disposability model on or off")
-    p.add_argument("--eps", type=float, default=1e-6, help="slack weight in the objective")
+    p.add_argument("--eps", type=float, default=dea.DEFAULT_EPS,
+                   help="slack weight in the objective")
     p.add_argument("--out", default="distances.csv")
     p.set_defaults(func=_cmd_solve)
 
@@ -223,14 +226,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--analyze", action="store_true",
                    help="also write the robustness report and per-DMU density data")
     p.add_argument("--outdir", default=None, help="directory for the analyze artifacts")
-    p.add_argument("--tau", type=float, default=0.95)
-    p.add_argument("--bucket-width", type=float, default=0.01)
+    p.add_argument("--tau", type=float, default=report_tau)
+    p.add_argument("--bucket-width", type=float, default=inference.DEFAULT_WIDTH)
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("analyze", help="robustness report from a stored distance matrix")
     p.add_argument("--matrix", required=True)
-    p.add_argument("--tau", type=float, default=0.95)
-    p.add_argument("--bucket-width", type=float, default=0.01)
+    p.add_argument("--tau", type=float, default=report_tau)
+    p.add_argument("--bucket-width", type=float, default=inference.DEFAULT_WIDTH)
     p.add_argument("--outdir", default=".")
     p.set_defaults(func=_cmd_analyze)
 
@@ -258,10 +261,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except HrdeaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (HrdeaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

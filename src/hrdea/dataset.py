@@ -254,6 +254,10 @@ def load_dataset(path, schema: dict[str, str]) -> DataSet:
         except StopIteration:
             raise ParseError("empty file", 1)
         header = [h.strip() for h in header]
+        repeated = sorted({c for c in header if header.count(c) > 1})
+        if repeated:
+            names = ", ".join(map(repr, repeated))
+            raise ParseError(f"the header names {names} more than once", 1)
         missing_cols = [c for c in header if c not in schema]
         if missing_cols:
             raise ValidationError(f"columns without a role in the schema: {missing_cols}")

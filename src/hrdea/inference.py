@@ -5,9 +5,10 @@ and efficiency, order-statistic confidence intervals, the four robustness
 categories, outperformance probabilities, the scenario comparison test,
 and beta/Gaussian summaries of distance distributions.
 
-Beta fits and density curves are batched over the rows of a matrix
-(``fit_beta_rows``, ``beta_densities``); ``fit_beta`` and
-``beta_density_points`` are their batches of one.  scipy is imported only
+Every statistic works on a whole matrix of samples, one row per DMU: the
+report and the scenario test take theirs over the matrix at once, and the
+helpers that take one sample (``erii``, ``confidence_interval``,
+``fit_beta``, ...) are batches of one.  scipy is imported only
 inside the functions that need it (the beta fit, the density curve and the
 Gaussian outperformance), so importing hrdea loads none of it, and they
 use ``scipy.special`` alone: no path loads ``scipy.stats``.
@@ -102,31 +103,48 @@ class BucketScheme:
         return mids
 
 
+def _rows(values) -> np.ndarray:
+    """A matrix as it is, anything of fewer dimensions as a matrix of one row."""
+    rows = np.atleast_2d(np.asarray(values, dtype=float))
+    if rows.ndim > 2:
+        raise ValidationError(f"expected a vector or a matrix, not shape {rows.shape}")
+    return rows
+
+
 def erii_counts(samples, scheme: BucketScheme) -> np.ndarray:
-    """Integer bucket occupancies; exact building block for the index."""
-    samples = np.asarray(samples, dtype=float).ravel()
-    if samples.size == 0:
+    """Integer bucket occupancies, the exact building block of the index:
+    one vector for a sample, one row per row of a matrix of samples."""
+    rows = _rows(samples)
+    if rows.size == 0:
         raise ValidationError("no samples")
-    if np.any(samples < -ZERO_TOL):
+    if np.any(rows < -ZERO_TOL):
         raise ValidationError("distances must be >= 0")
-    buckets = np.ceil(samples / scheme.width - 1e-12).astype(np.int64)
+    buckets = np.ceil(rows / scheme.width - 1e-12).astype(np.int64)
     np.clip(buckets, 1, scheme.count, out=buckets)
-    buckets[samples <= ZERO_TOL] = 0
-    return np.bincount(buckets, minlength=scheme.count + 1)
+    buckets[rows <= ZERO_TOL] = 0
+    size = scheme.count + 1
+    buckets += size * np.arange(rows.shape[0])[:, None]  # row j counts in its own block
+    counts = np.bincount(buckets.ravel(), minlength=rows.shape[0] * size)
+    return counts.reshape(-1, size) if np.ndim(samples) == 2 else counts
 
 
 def erii(samples, scheme: BucketScheme) -> np.ndarray:
-    """Fraction of draws falling in each bucket (entry 0 = exactly efficient)."""
+    """Fraction of draws falling in each bucket (entry 0 = exactly efficient),
+    per row of a matrix of samples."""
     counts = erii_counts(samples, scheme)
-    return counts / counts.sum()
+    return counts / counts.sum(axis=-1, keepdims=True)
 
 
-def expected_distance(erii_probs, scheme: BucketScheme) -> float:
-    """Riemann-Darboux style expectation over bucket midpoints."""
-    probs = np.asarray(erii_probs, dtype=float)
-    if probs.size != scheme.count + 1:
+def expected_distance(erii_probs, scheme: BucketScheme):
+    """Riemann-Darboux style expectation over bucket midpoints: a float for
+    one index vector, an array for a matrix of them, one entry per row."""
+    rows = _rows(erii_probs)
+    if rows.shape[1] != scheme.count + 1:
         raise ValidationError("index vector does not match the bucket scheme")
-    return float(probs @ scheme.midpoints())
+    # A stacked matmul takes each row's dot product as a vector would; a
+    # plain matrix-vector product rounds differently.
+    e_d = (rows[:, None, :] @ scheme.midpoints()[:, None])[:, 0, 0]
+    return e_d if np.ndim(erii_probs) == 2 else float(e_d[0])
 
 
 def efficiency_score(
@@ -166,12 +184,14 @@ def expected_efficiency(rho: float, sigma: float) -> float:
     return base + correction
 
 
-def confidence_interval(samples, tau: float) -> tuple[float, float]:
-    """Order-statistic interval [D[(1-tau)t/2], D[(1+tau)t/2]] (1-based)."""
-    ordered = np.sort(np.asarray(samples, dtype=float).ravel())
-    _check_tau(ordered.size, tau)
-    lo_idx, hi_idx = ci_indices(ordered.size, tau)
-    return float(ordered[lo_idx - 1]), float(ordered[hi_idx - 1])
+def confidence_interval(samples, tau: float):
+    """Order-statistic interval [D[(1-tau)t/2], D[(1+tau)t/2]] (1-based):
+    two floats for a sample, two arrays for a matrix, one entry per row."""
+    ordered = np.sort(_rows(samples), axis=1)
+    _check_tau(ordered.shape[1], tau)
+    lo_idx, hi_idx = ci_indices(ordered.shape[1], tau)
+    lb, ub = ordered[:, lo_idx - 1], ordered[:, hi_idx - 1]
+    return (lb, ub) if np.ndim(samples) == 2 else (float(lb[0]), float(ub[0]))
 
 
 def ci_indices(t: int, tau: float) -> tuple[int, int]:
@@ -225,13 +245,14 @@ def outperformance_probability(samples_j, samples_k, method: str = "empirical") 
     raise ValidationError(f"unknown method {method!r}")
 
 
-def _hoelder(values: np.ndarray, order) -> float:
+def _hoelder(values: np.ndarray, order) -> np.ndarray:
+    """Hoelder mean of each row of ``values``."""
     if order in (1, "1"):
-        return float(values.mean())
+        return values.mean(axis=1)
     if order in (2, "2"):
-        return float(np.sqrt(np.mean(values**2)))
+        return np.sqrt(np.mean(values**2, axis=1))
     if order in (np.inf, math.inf, "inf", "max"):
-        return float(values.max())
+        return values.max(axis=1)
     raise ValidationError("hoelder order must be 1, 2 or inf")
 
 
@@ -247,21 +268,18 @@ def scenario_p_value(e_a, e_b, hoelder_order=1) -> float:
         raise ValidationError("scenario matrices must share n and t")
     if a.ndim != 2 or 0 in a.shape:
         raise ValidationError(f"scenario matrices must be n x t with n, t >= 1, not {a.shape}")
-    t = a.shape[1]
-    below = above = 0
-    for ell in range(t):
-        num = _hoelder(a[:, ell], hoelder_order)
-        den = _hoelder(b[:, ell], hoelder_order)
-        if den == 0.0 and num == 0.0:
-            below += 1
-            above += 1
-        elif den == 0.0:
-            above += 1
-        else:
-            ratio = num / den
-            below += ratio <= 1.0
-            above += ratio >= 1.0
-    return min(1.0, 2.0 * min(below, above) / t)
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValidationError("scenario matrices must be finite")
+    # Each column as a contiguous row: a mean down the columns of a rounds
+    # differently from the mean of the column on its own.
+    num, den = (_hoelder(np.ascontiguousarray(m.T), hoelder_order) for m in (a, b))
+    zero = den == 0.0
+    with np.errstate(over="ignore", invalid="ignore"):  # as float division is silent
+        ratio = num / np.where(zero, 1.0, den)
+    # A zero denominator counts above, and below too when the numerator is zero.
+    below = int(np.count_nonzero(np.where(zero, num == 0.0, ratio <= 1.0)))
+    above = int(np.count_nonzero(zero | (ratio >= 1.0)))
+    return min(1.0, 2.0 * min(below, above) / a.shape[1])
 
 
 @dataclass(frozen=True)
@@ -446,17 +464,6 @@ def beta_densities(fits: BetaFits) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-def beta_density_points(fit: BetaFit) -> np.ndarray:
-    """(DENSITY_POINTS, 2) array of (x, pdf) points of the fitted density:
-    ``beta_densities`` on a batch of one."""
-    fits = BetaFits(
-        *(np.array([v]) for v in (fit.alpha, fit.beta, fit.q1, fit.q2, fit.ks_statistic)),
-        failure=np.zeros(1, dtype=np.int8),
-    )
-    x, y = beta_densities(fits)
-    return np.column_stack([x[0], y[0]])
-
-
 @dataclass(frozen=True)
 class ReportRow:
     dmu: str
@@ -492,34 +499,22 @@ def robustness_report(
 
     Buckets share one global scheme over the whole matrix, the expected
     distance is the bucket approximation, and the expected efficiency uses
-    that value together with the plain sample standard deviation.
+    that value together with the plain sample standard deviation.  Every
+    statistic is taken over the whole matrix at once; only the category and
+    the expected efficiency are made row by row.
     """
     check_report_settings(dm.t, tau, bucket_width)
-    scheme = BucketScheme.for_values(dm.values, width=bucket_width)
-    rows, indices = [], np.empty((dm.n, scheme.count + 1))
-    for j, dmu in enumerate(dm.dmu_ids):
-        samples = dm.values[j]
-        probs = indices[j] = erii(samples, scheme)
-        e_d = expected_distance(probs, scheme)
-        lb, ub = confidence_interval(samples, tau)
-        sd = float(samples.std())
-        e_theta = expected_efficiency(e_d, sd)
-        category = classify(float(probs[0]), e_d, (lb, ub), tau)
-        rows.append(
-            ReportRow(
-                dmu=dmu,
-                erii0=float(probs[0]),
-                expected_distance=e_d,
-                lb=lb,
-                ub=ub,
-                sd=sd,
-                expected_efficiency=e_theta,
-                category=category,
-            )
-        )
-    return RobustnessReport(
-        rows=tuple(rows), tau=tau, bucket_width=bucket_width, scheme=scheme, erii=indices
+    values = np.ascontiguousarray(dm.values)  # row reductions as on each row alone
+    scheme = BucketScheme.for_values(values, width=bucket_width)
+    indices = erii(values, scheme)
+    columns = (indices[:, 0], expected_distance(indices, scheme),
+               *confidence_interval(values, tau), values.std(axis=1))
+    rows = tuple(
+        ReportRow(dmu, erii0, e_d, lb, ub, sd, expected_efficiency(e_d, sd),
+                  classify(erii0, e_d, (lb, ub), tau))
+        for dmu, erii0, e_d, lb, ub, sd in zip(dm.dmu_ids, *(c.tolist() for c in columns))
     )
+    return RobustnessReport(rows, tau, bucket_width, scheme, erii=indices)
 
 
 def save_report(report: RobustnessReport, path, source_config: dict | None = None) -> None:

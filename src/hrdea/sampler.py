@@ -241,9 +241,9 @@ def hr_sample(
         raise ValidationError("burn_in must be >= 0 and thin >= 1")
     if rng is None:
         rng = RngStream(0)
-    point = uset.center if isinstance(start, str) and start == "centroid" else np.asarray(
-        start, dtype=float
-    )
+    if isinstance(start, str) and start != "centroid":
+        raise ValidationError(f"start must be 'centroid' or a point, not {start!r}")
+    point = uset.center if isinstance(start, str) else np.asarray(start, dtype=float)
     if not contains(uset, point):
         raise ValidationError("start point lies outside the set")
     walk = Walker([uset]).walk(point[None], rng.seed, burn_in + t * thin, rng.stream)

@@ -13,7 +13,7 @@ import hrdea
 from hrdea.cli import main
 from hrdea.dataset import Direction, from_arrays, load_dataset
 from hrdea.dea import solve_directional, solve_weak_disposability
-from hrdea.inference import BucketScheme, beta_density_points, erii, fit_beta
+from hrdea.inference import BucketScheme, beta_densities, erii, fit_beta, fit_beta_rows
 from hrdea.pipeline import DistanceMatrix, save_distance_matrix
 from hrdea.setspec import build_sets, parse_set_spec
 
@@ -238,17 +238,29 @@ def test_analyze_and_density_files_are_csv_writer_bytes(tmp_path):
         config = json.loads(comment_lines(density).splitlines()[1][len("# config: "):])
         assert (config["alpha"], config["beta"], config["q1"], config["q2"], config["ks"]) == (
             fit.alpha, fit.beta, fit.q1, fit.q2, fit.ks_statistic)
-        points = beta_density_points(fit)
-        expected = csv_rows(comment_lines(density), (points[:, 0].tolist(),
-                                                     points[:, 1].tolist()))
+        xs, ys = beta_densities(fit_beta_rows(dm.row(dmu)[None]))
+        expected = csv_rows(comment_lines(density), (xs[0].tolist(), ys[0].tolist()))
         assert density.read_bytes() == expected
-        # The batch of one (hrdea density) writes what the batch of n wrote.
-        single = tmp_path / f"single_{dmu}.csv"
-        assert main(["density", "--matrix", str(tmp_path / "matrix.csv"), "--dmu", dmu,
-                     "--out", str(single)]) == 0
-        assert single.read_bytes() == density.read_bytes()
     assert (outdir / "density_L.csv").read_text().splitlines()[3].endswith(",inf")
     assert (outdir / "density_R.csv").read_text().splitlines()[-1].endswith(",inf")
+
+
+def test_density_writes_the_bytes_of_analyze_for_every_dmu(tmp_path, capsys):
+    dm = shaped_matrix(tmp_path / "matrix.csv")
+    outdir = tmp_path / "rep"
+    assert main(["analyze", "--matrix", str(tmp_path / "matrix.csv"),
+                 "--outdir", str(outdir)]) == 0
+    capsys.readouterr()
+    for dmu in dm.dmu_ids:
+        single = tmp_path / f"single_{dmu}.csv"
+        code = main(["density", "--matrix", str(tmp_path / "matrix.csv"), "--dmu", dmu,
+                     "--out", str(single)])
+        analyzed = outdir / f"density_{dmu}.csv"
+        if dmu in ("Z", "F"):  # all zero, and five distinct values: no fit
+            assert code == 1 and not single.exists() and not analyzed.exists()
+            assert capsys.readouterr().err.startswith("error:")
+        else:
+            assert code == 0 and single.read_bytes() == analyzed.read_bytes()
 
 
 def test_bench_command(tmp_path):
@@ -384,6 +396,34 @@ def test_column_under_two_roles_exits_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "'y1'" in err and "absent.csv" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "run"])
+def test_header_that_names_a_column_twice_exits_1(tmp_path, capsys, command):
+    data = tmp_path / "dup.csv"
+    data.write_text("dmu,x1,x1,y1\nA,1,2,3\nB,2,1,3\nC,3,3,2\n")
+    out = tmp_path / "o.csv"
+    extra = ["--t", "5"] if command == "run" else []
+    code = main([command, *data_args(data), *extra, "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'x1'" in err
+    assert not out.exists()
+
+
+def test_cli_defaults_are_the_library_defaults():
+    from hrdea.cli import build_parser
+    from hrdea.dea import DEFAULT_EPS
+    from hrdea.inference import DEFAULT_WIDTH, robustness_report
+
+    parser = build_parser()
+    solve = parser.parse_args(["solve", "--data", "d", "--inputs", "x", "--outputs", "y"])
+    assert solve.eps == DEFAULT_EPS
+    for argv in (["run", "--data", "d", "--inputs", "x", "--outputs", "y"],
+                 ["analyze", "--matrix", "m"]):
+        args = parser.parse_args(argv)
+        assert args.tau == robustness_report.__defaults__[0] == 0.95
+        assert args.bucket_width == DEFAULT_WIDTH
 
 
 @pytest.fixture

@@ -70,6 +70,13 @@ def test_duplicate_id_rejected(tmp_path):
         load_dataset(path, SCHEMA)
 
 
+def test_header_that_names_a_column_twice_rejected(tmp_path):
+    path = write(tmp_path, "id,x1,x1,y1\na,1,2,3\nb,3,4,5\n")
+    with pytest.raises(ParseError, match="'x1'") as err:
+        load_dataset(path, SCHEMA)
+    assert err.value.line == 1
+
+
 def test_unassigned_column_rejected(tmp_path):
     path = write(tmp_path, "id,x1,y1,extra\na,1,2,3\n")
     with pytest.raises(ValidationError):

@@ -4,14 +4,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from hrdea.errors import DegenerateFitError, ValidationError
 from hrdea.inference import (
     BetaFit,
+    BetaFits,
     BucketScheme,
     beta_densities,
-    beta_density_points,
     beta_expected_distance,
     beta_to_gaussian,
     ci_indices,
@@ -43,6 +45,10 @@ def matrix(values, ids=None):
         seed=0,
         config={"seed": 0},
     )
+
+
+def bits(value) -> bytes:
+    return np.float64(value).tobytes()
 
 
 # -- buckets and the robustness index -----------------------------------
@@ -261,6 +267,124 @@ def test_p_value_needs_n_by_t_matrices(shape):
         scenario_p_value(np.zeros(shape), np.zeros(shape))
 
 
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("side", [0, 1])
+def test_p_value_rejects_non_finite_matrices(value, side):
+    pair = [np.ones((3, 5)), np.ones((3, 5))]
+    pair[side][1, 2] = value
+    with pytest.raises(ValidationError, match="finite"):
+        scenario_p_value(*pair)
+    with pytest.raises(ValidationError, match="finite"):
+        scenario_p_value(np.full((2, 4), np.nan), np.ones((2, 4)))
+
+
+def scenario_pairs():
+    rng = np.random.default_rng(28)
+    a = rng.uniform(0.0, 0.4, size=(7, 60))
+    yield a, rng.uniform(0.0, 0.4, size=(7, 60))
+    # The first 16 columns hold the same values in another row order, so
+    # their Hoelder means agree up to the rounding of the sum: the p-value
+    # moves if a column's mean is summed in another order.
+    b = a / 1.5
+    b[:, :16] = a[rng.permutation(7), :16]
+    yield a, b
+    b, c = a.copy(), a.copy()
+    b[:, ::3] = 0.0
+    c[:, ::4] = 0.0
+    yield b, c
+
+
+@pytest.mark.parametrize(
+    "pair,expected",
+    zip(range(3), [(5 / 6, 13 / 15, 14 / 15), (0.4, 8 / 15, 8 / 15), (1.0, 1.0, 1.0)]),
+)
+def test_p_value_keeps_its_values_at_orders_1_2_and_inf(pair, expected):
+    a, b = list(scenario_pairs())[pair]
+    for order, p in zip((1, 2, np.inf), expected):
+        assert scenario_p_value(a, b, order) == p
+        assert scenario_p_value(b, a, order) == p
+        assert type(scenario_p_value(a, b, order)) is float
+
+
+# -- the report against the helpers of one row -----------------------------
+
+
+def report_rows(kinds, t, seed):
+    """One row of t distances per entry of ``kinds``."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for kind in kinds:
+        if kind == "zero":
+            rows.append(np.zeros(t))
+        elif kind == "ties":  # a few values, each drawn many times, zero among them
+            rows.append(rng.choice([0.0, 0.02, 0.05, 0.05000000000000001, 0.3], size=t))
+        elif kind == "sparse":  # mostly efficient
+            row = rng.uniform(0.0, 0.2, size=t)
+            row[rng.uniform(size=t) < 0.9] = 0.0
+            rows.append(row)
+        else:
+            rows.append(rng.uniform(0.1, 0.6, size=t))
+    return np.vstack(rows)
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(
+    kinds=st.lists(st.sampled_from(["zero", "ties", "sparse", "wide"]), min_size=1, max_size=6),
+    t=st.integers(20, 130),
+    tau=st.sampled_from([0.5, 0.8, 0.9, 0.95]),
+    width=st.sampled_from([0.003, 0.01, 0.07]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_report_rows_equal_the_helpers_of_one_row_bit_for_bit(kinds, t, tau, width, seed):
+    assume((1.0 - tau) * t / 2.0 >= 1.0 - 1e-9)
+    values = report_rows(kinds, t, seed)
+    report = robustness_report(matrix(values), tau=tau, bucket_width=width)
+    scheme = BucketScheme.for_values(values, width=width)
+    assert report.scheme == scheme
+    for j, row in enumerate(report.rows):
+        samples = values[j]
+        probs = erii(samples, scheme)
+        e_d = expected_distance(probs, scheme)
+        lb, ub = confidence_interval(samples, tau)
+        sd = float(samples.std())
+        assert report.erii[j].tobytes() == probs.tobytes()
+        assert [bits(v) for v in (row.erii0, row.expected_distance, row.lb, row.ub, row.sd)] == [
+            bits(v) for v in (probs[0], e_d, lb, ub, sd)]
+        assert bits(row.expected_efficiency) == bits(expected_efficiency(e_d, sd))
+        assert row.category == classify(float(probs[0]), e_d, (lb, ub), tau)
+        for v in (row.erii0, row.expected_distance, row.lb, row.ub, row.sd):
+            assert type(v) is float
+
+
+def test_report_rows_cover_zero_rows_ties_and_an_odd_t():
+    # t = 47 is no multiple of 2 / (1 - 0.9) = 20.
+    values = report_rows(["zero", "ties", "sparse", "wide"], 47, 3)
+    report = robustness_report(matrix(values), tau=0.9)
+    assert [row.category for row in report.rows] == ["C1", "C3", "C2", "C4"]
+    assert ci_indices(47, 0.9) == (3, 44)
+    assert (report.rows[1].lb, report.rows[1].ub) == tuple(np.sort(values[1])[[2, 43]])
+
+
+def test_erii_counts_count_each_row_of_a_matrix_on_its_own():
+    values = report_rows(["zero", "ties", "sparse", "wide"], 50, 8)
+    scheme = BucketScheme.for_values(values)
+    counts = erii_counts(values, scheme)
+    assert counts.shape == (4, scheme.count + 1)
+    for j in range(4):
+        assert counts[j].tolist() == erii_counts(values[j], scheme).tolist()
+    assert erii(values, scheme).tobytes() == np.vstack(
+        [erii(row, scheme) for row in values]).tobytes()
+    with pytest.raises(ValidationError, match="vector or a matrix"):
+        erii_counts(values[None], scheme)
+
+
+def test_confidence_interval_of_a_matrix_is_one_per_row():
+    values = np.random.default_rng(2).uniform(size=(5, 40))
+    lb, ub = confidence_interval(values, 0.9)
+    assert [(float(a), float(b)) for a, b in zip(lb, ub)] == [
+        confidence_interval(row, 0.9) for row in values]
+
+
 # -- beta fits ------------------------------------------------------------
 
 
@@ -311,15 +435,13 @@ def test_fit_beta_ks_statistic_equals_kstest_bit_for_bit():
 def test_beta_density_points_equal_the_frozen_pdf(alpha, beta):
     # The shapes cover an infinite density at either end point and, at the
     # paper's (1095.5, 3201.2), densities that underflow to 0.
-    fit = BetaFit(alpha=alpha, beta=beta, q1=0.12, q2=0.47, ks_statistic=0.0)
-    points = beta_density_points(fit)
-    z = (points[:, 0] - fit.q1) / (fit.q2 - fit.q1)
-    expected = stats.beta(alpha, beta).pdf(z) / (fit.q2 - fit.q1)
-    assert points[:, 1].tobytes() == expected.tobytes()
-
-
-def bits(value) -> bytes:
-    return np.float64(value).tobytes()
+    q1, q2 = 0.12, 0.47
+    fits = BetaFits(*(np.array([v]) for v in (alpha, beta, q1, q2, 0.0)),
+                    failure=np.zeros(1, dtype=np.int8))
+    xs, ys = beta_densities(fits)
+    z = (xs[0] - q1) / (q2 - q1)
+    expected = stats.beta(alpha, beta).pdf(z) / (q2 - q1)
+    assert ys[0].tobytes() == expected.tobytes()
 
 
 def test_fit_beta_rows_equal_fit_beta_row_by_row():
@@ -354,9 +476,9 @@ def test_fit_beta_rows_equal_fit_beta_row_by_row():
             for name in ("alpha", "beta", "q1", "q2", "ks_statistic"):
                 assert bits(getattr(fits, name)[j]) == bits(getattr(fit, name))
             assert fits.fit(j) == fit
-            points = beta_density_points(fit)
-            assert points[:, 0].tobytes() == xs[j].tobytes()
-            assert points[:, 1].tobytes() == ys[j].tobytes()
+            x_one, y_one = beta_densities(fit_beta_rows(row[None], support))
+            assert x_one[0].tobytes() == xs[j].tobytes()
+            assert y_one[0].tobytes() == ys[j].tobytes()
         assert np.flatnonzero(fits.skip).tolist() == raised
         if support is None:
             assert raised == [0, 1, 2, 3]

@@ -92,6 +92,13 @@ def test_partially_fixed_dimensions_stay_fixed():
     assert samples[:, 0].std() > 0.1
 
 
+@pytest.mark.parametrize("start", ["center", "", "Centroid"])
+def test_start_string_other_than_centroid_rejected(start):
+    box = UncertaintySet.box([5.0, 5.0], [1.0, 1.0])
+    with pytest.raises(ValidationError, match="centroid"):
+        hr_sample(box, start=start, t=3, rng=RngStream(0))
+
+
 def test_start_outside_rejected():
     box = UncertaintySet.box([5.0, 5.0], [1.0, 1.0])
     with pytest.raises(ValidationError):
