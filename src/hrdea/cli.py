@@ -43,6 +43,19 @@ def _add_data_arguments(parser):
     )
 
 
+def _add_model_arguments(parser):
+    parser.add_argument("--orientation", default="proportional",
+                        choices=("input", "output", "proportional"))
+    parser.add_argument("--undesirable", action=argparse.BooleanOptionalAction, default=None,
+                        help="force the weak-disposability model on or off")
+
+
+def _add_report_arguments(parser):
+    tau = inspect.signature(inference.robustness_report).parameters["tau"].default
+    parser.add_argument("--tau", type=float, default=tau)
+    parser.add_argument("--bucket-width", type=float, default=inference.DEFAULT_WIDTH)
+
+
 def _load(args):
     schema = {args.id_col: "id"}
     for role, cols in (("input", args.inputs), ("output", args.outputs),
@@ -200,14 +213,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    report_tau = inspect.signature(inference.robustness_report).parameters["tau"].default
 
     p = sub.add_parser("solve", help="plain DEA distances on fully known data")
     _add_data_arguments(p)
-    p.add_argument("--orientation", default="proportional",
-                   choices=("input", "output", "proportional"))
-    p.add_argument("--undesirable", action=argparse.BooleanOptionalAction, default=None,
-                   help="force the weak-disposability model on or off")
+    _add_model_arguments(p)
     p.add_argument("--eps", type=float, default=dea.DEFAULT_EPS,
                    help="slack weight in the objective")
     p.add_argument("--out", default="distances.csv")
@@ -215,10 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="sample admissible worlds and score each of them")
     _add_data_arguments(p)
+    _add_model_arguments(p)
     p.add_argument("--sets", default=None, help="set-spec file; absent DMUs become points")
-    p.add_argument("--orientation", default="proportional",
-                   choices=("input", "output", "proportional"))
-    p.add_argument("--undesirable", action=argparse.BooleanOptionalAction, default=None)
     p.add_argument("--t", type=int, default=5000, help="number of sampled worlds")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threads", type=int, default=1)
@@ -226,14 +233,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--analyze", action="store_true",
                    help="also write the robustness report and per-DMU density data")
     p.add_argument("--outdir", default=None, help="directory for the analyze artifacts")
-    p.add_argument("--tau", type=float, default=report_tau)
-    p.add_argument("--bucket-width", type=float, default=inference.DEFAULT_WIDTH)
+    _add_report_arguments(p)
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("analyze", help="robustness report from a stored distance matrix")
     p.add_argument("--matrix", required=True)
-    p.add_argument("--tau", type=float, default=report_tau)
-    p.add_argument("--bucket-width", type=float, default=inference.DEFAULT_WIDTH)
+    _add_report_arguments(p)
     p.add_argument("--outdir", default=".")
     p.set_defaults(func=_cmd_analyze)
 

@@ -64,7 +64,8 @@ class DataSet:
             if np.any(mat < 0):
                 raise DomainError(f"{name} has negative entries; values must be >= 0")
         if len(set(self.dmu_ids)) != n:
-            raise ValidationError("dmu_ids must be unique")
+            dupes = sorted({i for i in self.dmu_ids if self.dmu_ids.count(i) > 1})
+            raise ValidationError(f"duplicate DMU ids: {dupes}")
         for names, count, label in (
             (self.input_names, self.m, "input"),
             (self.output_names, self.s, "output"),
@@ -288,9 +289,6 @@ def load_dataset(path, schema: dict[str, str]) -> DataSet:
 
     if not rows:
         raise ParseError("no data rows", 2)
-    if len(set(ids)) != len(ids):
-        dupes = sorted({i for i in ids if ids.count(i) > 1})
-        raise ValidationError(f"duplicate DMU ids: {dupes}")
 
     def matrix(role: str):
         # one list per DMU, so a role without columns gives shape (0, n)

@@ -11,36 +11,31 @@ lexicographically: the reported distance is always the optimum of the pure
 distance phase, and the non-Archimedean weight only enters the reported
 objective value.
 
-Every LP is warm-started at an anchor vertex:
-``directional_distances`` and ``weak_disposability_distances`` solve a
-stack of such LPs as one batch from tableaux already pivoted to that vertex
-(``_eq1_tableaux``), and ``directional_distance`` and
-``weak_disposability_distance`` are their batches of one.  Each member's
+Both models have one code path, and the rows of U choose between them:
+the weak model when U has rows, the plain model when it has none (the
+plain model is the weak model without undesirable rows and without the
+beta block).  ``_frame`` is the one place that knows the two column
+layouts.  Every LP is warm-started at an anchor vertex: ``distances``
+solves a stack of such LPs as one batch from tableaux already pivoted to
+that vertex (``_eq1_tableaux``), and ``directional_distance`` and
+``weak_disposability_distance`` are its batches of one.  Each member's
 distance is read from its final basis.  A member is solved over a
 candidate set and its anchor: for the plain model the Pareto-nondominated
 reference columns (``_nondominated``), for the weak model, whose
 undesirable rows are equalities, every alpha column and the beta columns
-whose inputs no other beta column covers (``_frame``).  Its final duals
-then price every column, and a member that some column would still
-improve is solved again over all columns by the same tableau builder.
-Dropping a dominated column is exact for both phases: its weight can move
-to a column that covers it, at the same distance and no less slack.  The
-interval lower bounds are one plain batch against the worst scenario, each
-anchored at its best version.  ``solve_directional`` and
-``solve_weak_disposability`` are batches of one of ``_solve_dmus``, whose
-slack phase continues each member's final distance tableau on its optimal
-face (``_max_slacks``), so every LP of both models runs on the one warm
-path.  The plain model is the weak model without undesirable rows and
-without the beta block.
+whose inputs no other beta column covers.  Its final duals then price
+every column, and a member that some column would still improve is solved
+again over all columns by the same tableau builder.  Dropping a dominated
+column is exact for both phases: its weight can move to a column that
+covers it, at the same distance and no less slack.  Both interval bounds
+are one plain batch each, anchored at the best version.
+``solve_directional`` and ``solve_weak_disposability`` are batches of one
+of ``_solve_dmus``, whose slack phase continues each member's final
+distance tableau on its optimal face (``_max_slacks``).
 
-A plain world scored against its own columns (``world_distances``) whose n
-members over the nondominated columns do not fit one ``BATCH_BYTES`` chunk
-is solved over its frame in two passes: the nondominated members as above,
-then every dominated member over the nondominated columns at distance 0
-plus its anchor, priced over all columns the same way.  Below that size
-the second pass's simplex rounds cost more than its narrower tableau saves
-(at two inputs, one output and 40 nondominated columns the rule picks the
-frame from n = 143 on), so a smaller world keeps the single pass.
+``world_distances`` scores every column of a world of either model
+against the world itself, in one batch, or a plain world too large for one
+``BATCH_BYTES`` chunk in two batches over its frame.
 """
 
 from __future__ import annotations
@@ -237,27 +232,26 @@ def _solve_over(Z, sign, p, d, a, cols, eq=0, slacks=False):
     return dist, short, sol
 
 
-def _frame(X, Y, U=None):
+def _frame(X, Y, U):
     """Reference columns Z of a model, the sign of each row (1 on input and
     undesirable rows, -1 on output rows) and the candidate columns.
 
-    The plain model (U None) stacks X over Y, and its candidates are the
-    nondominated columns.  The weak model's columns are alpha_j = (X_j, Y_j,
-    U_j) and beta_j = (X_j, 0, 0).  Its candidates are every alpha column
-    (under the U equalities one alpha column covers another only where
-    their U are equal) and the beta columns whose inputs no other beta
-    column covers, the first of identical ones.  A beta column carries no
-    outputs, so a dropped one's weight moves to the beta column covering
-    it and only adds input slack: the same distance, and no less total
-    slack.
+    U's rows choose the model.  Without them, the plain model stacks X over
+    Y, and its candidates are the nondominated columns.  With them, the weak
+    model's columns are alpha_j = (X_j, Y_j, U_j) and beta_j = (X_j, 0, 0).
+    Its candidates are every alpha column (under the U equalities one alpha
+    column covers another only where their U are equal) and the beta
+    columns whose inputs no other beta column covers, the first of
+    identical ones.  A beta column carries no outputs, so a dropped one's
+    weight moves to the beta column covering it and only adds input slack:
+    the same distance, and no less total slack.
     """
-    if U is None:
-        Z = np.concatenate([X, Y])
-        return Z, np.repeat([1.0, -1.0], [len(X), len(Y)]), _nondominated(X, Y)
+    sign = np.repeat([1.0, -1.0, 1.0], [len(X), len(Y), len(U)])
+    if not len(U):
+        return np.concatenate([X, Y]), sign, _nondominated(X, Y)
     Z = np.block([[X, X], [Y, np.zeros_like(Y)], [U, np.zeros_like(U)]])
     n = X.shape[1]
-    cols = np.r_[np.arange(n), n + _nondominated(X, Y[:0])]
-    return Z, np.repeat([1.0, -1.0, 1.0], [len(X), len(Y), len(U)]), cols
+    return Z, sign, np.r_[np.arange(n), n + _nondominated(X, Y[:0])]
 
 
 def _distances(Z, sign, cols, p, d, a, eq=0, slacks=False):
@@ -280,55 +274,14 @@ def _distances(Z, sign, cols, p, d, a, eq=0, slacks=False):
     return np.where(out < 0.0, 0.0, out) / scale, sol
 
 
-def directional_distances(X, Y, xk, yk, dx, dy, anchors) -> np.ndarray:
-    """Plain-model distances of a stack of points, warm-started and batched.
+def distances(X, Y, U, xk, yk, uk, dx, dy, du, anchors) -> np.ndarray:
+    """Distances of a stack of points, warm-started and batched: the weak
+    model when U has rows, the plain model when it has none.
 
-    ``xk``, ``yk``, ``dx`` and ``dy`` hold one column per member; reference
-    column ``anchors[b]`` must weakly dominate point b (for a world scored
-    against itself, the point's own column).
-    """
-    ax, ay = X[:, anchors], Y[:, anchors]
-    if np.any(ax > xk) or np.any(ay < yk):
-        raise ValidationError("every anchor must weakly dominate its evaluated point")
-    return _distances(*_frame(X, Y), np.concatenate([xk, yk]), np.concatenate([dx, dy]),
-                      np.concatenate([ax, ay]))[0]
-
-
-def world_distances(X, Y, dx, dy) -> np.ndarray:
-    """Plain-model distances of every column of a world against the world
-    itself, each anchored at its own column: ``directional_distances(X, Y,
-    X, Y, dx, dy, range(n))``.
-
-    A world whose members, over the nondominated columns, fit one chunk is
-    solved in that single pass.  A larger one is solved over its frame in
-    two passes.  The nondominated members are solved as in the single pass,
-    so their answers keep their bits, and those at distance 0 form the
-    frame.  Every vertex of the hull plus disposal cone is in it: a column
-    at D > 0 is a point of that set plus a non-zero disposal, so no vertex.
-    Each dominated member is then solved over the frame and its anchor, and
-    the pricing over all columns still sends a short one, say from a D of
-    1e-17 read as positive, back to all of them.
-    """
-    Z, sign, cols = _frame(X, Y)
-    d = np.concatenate([dx, dy])
-    n = Z.shape[1]
-    if n <= _chunk(len(Z), cols.size + 1):
-        return _distances(Z, sign, cols, Z, d, Z)[0]
-    out = np.empty(n)
-    out[cols] = _distances(Z, sign, cols, Z[:, cols], d[:, cols], Z[:, cols])[0]
-    rest = np.setdiff1d(np.arange(n), cols)
-    if rest.size:
-        out[rest] = _distances(Z, sign, cols[out[cols] <= 0.0], Z[:, rest], d[:, rest],
-                               Z[:, rest])[0]
-    return out
-
-
-def weak_disposability_distances(X, Y, U, xk, yk, uk, dx, dy, du, anchors) -> np.ndarray:
-    """Weak-model distances of a stack of points, warm-started and batched.
-
-    Laid out as ``directional_distances``; reference column ``anchors[b]``
-    must weakly dominate point b in (X, Y) and have its undesirable outputs
-    uk[:, b] exactly.
+    ``xk``, ``yk``, ``uk``, ``dx``, ``dy`` and ``du`` hold one column per
+    member.  Reference column ``anchors[b]`` must weakly dominate point b
+    in (X, Y) and have its undesirable outputs uk[:, b] exactly (for a
+    world scored against itself, the point's own column).
     """
     ax, ay, au = X[:, anchors], Y[:, anchors], U[:, anchors]
     if np.any(ax > xk) or np.any(ay < yk) or np.any(au != uk):
@@ -339,22 +292,54 @@ def weak_disposability_distances(X, Y, U, xk, yk, uk, dx, dy, du, anchors) -> np
                       eq=len(U))[0]
 
 
+def world_distances(X, Y, U, dx, dy, du) -> np.ndarray:
+    """Distances of every column of a world, of either model, against the
+    world itself, each anchored at its own column: ``distances(X, Y, U, X,
+    Y, U, dx, dy, du, range(n))``.
+
+    A weak world, or a plain one whose members over the nondominated
+    columns fit one chunk, is solved in that single pass.  A larger plain
+    world is solved over its frame in two passes.  The nondominated members
+    are solved as in the single pass, so their answers keep their bits, and
+    those at distance 0 form the frame.  Every vertex of the hull plus
+    disposal cone is in it: a column at D > 0 is a point of that set plus a
+    non-zero disposal, so no vertex.  Each dominated member is then solved
+    over the frame and its anchor, and the pricing over all columns still
+    sends a short one, say from a D of 1e-17 read as positive, back to all
+    of them.  Below that size the second pass's simplex rounds cost more
+    than its narrower tableau saves (at two inputs, one output and 40
+    nondominated columns the rule picks the frame from n = 143 on).
+    """
+    Z, sign, cols = _frame(X, Y, U)
+    d = np.concatenate([dx, dy, du])
+    n = X.shape[1]
+    if len(U) or n <= _chunk(len(Z), cols.size + 1):
+        return _distances(Z, sign, cols, Z[:, :n], d, Z[:, :n], eq=len(U))[0]
+    out = np.empty(n)
+    out[cols] = _distances(Z, sign, cols, Z[:, cols], d[:, cols], Z[:, cols])[0]
+    rest = np.setdiff1d(np.arange(n), cols)
+    if rest.size:
+        out[rest] = _distances(Z, sign, cols[out[cols] <= 0.0], Z[:, rest], d[:, rest],
+                               Z[:, rest])[0]
+    return out
+
+
 def directional_distance(X, Y, xk, yk, dx, dy, anchor: int) -> float:
     """Optimal radial distance of (xk, yk) against the frontier of (X, Y):
-    ``directional_distances`` for a batch of one, so reference column
-    ``anchor`` must weakly dominate the point."""
-    return float(directional_distances(
-        X, Y, xk[:, None], yk[:, None], dx[:, None], dy[:, None], [anchor]
-    )[0])
+    ``weak_disposability_distance`` without undesirable rows, so reference
+    column ``anchor`` must weakly dominate the point."""
+    none = np.zeros((0, X.shape[1]))
+    return weak_disposability_distance(X, Y, none, xk, yk, none[:, 0], dx, dy, none[:, 0],
+                                       anchor)
 
 
 def weak_disposability_distance(X, Y, U, xk, yk, uk, dx, dy, du, anchor: int) -> float:
-    """The weak model's distance of (xk, yk, uk): ``weak_disposability_distances``
-    for a batch of one, so reference column ``anchor`` must weakly dominate
-    the point and share its undesirable outputs."""
-    return float(weak_disposability_distances(
-        X, Y, U, *(v[:, None] for v in (xk, yk, uk, dx, dy, du)), [anchor]
-    )[0])
+    """The weak model's distance of (xk, yk, uk) (the plain model's when U
+    has no rows): ``distances`` for a batch of one, so reference column
+    ``anchor`` must weakly dominate the point and share its undesirable
+    outputs."""
+    return float(distances(X, Y, U, *(v[:, None] for v in (xk, yk, uk, dx, dy, du)),
+                           [anchor])[0])
 
 
 def _solve_dmus(
@@ -379,10 +364,12 @@ def _solve_dmus(
         raise ValidationError(f"DMU index {bad[0]} out of range")
     X, Y, U = data.X, data.Y, data.U
     dx, dy, du = direction.resolve_at(X[:, ks], Y[:, ks], U[:, ks])
-    Z, sign, cols = _frame(X, Y, U if weak else None)
+    if not weak:
+        U, du = U[:0], du[:0]
+    Z, sign, cols = _frame(X, Y, U)
     p = Z[:, ks]  # each DMU, which is also its own anchor
-    d = np.concatenate([dx, dy, du] if weak else [dx, dy])
-    dist, sol = _distances(Z, sign, cols, p, d, p, eq=len(U) if weak else 0, slacks=True)
+    dist, sol = _distances(Z, sign, cols, p, np.concatenate([dx, dy, du]), p, eq=len(U),
+                           slacks=True)
     n, nz, m = data.n, Z.shape[1], data.m
     weights = sol[:, :nz]
     weights[np.arange(ks.size), ks] += sol[:, nz]
@@ -396,7 +383,7 @@ def _solve_dmus(
         slacks_y=gy[b],
         targets_x=X @ lam[b],
         targets_y=Y @ alpha[b],
-        targets_u=U @ alpha[b] if weak else np.zeros(0),
+        targets_u=U @ alpha[b],
         objective=float(dist[b]) + eps * (gx[b].sum() + gy[b].sum()),
         alpha=alpha[b] if weak else None,
         beta=beta[b] if weak else None,
@@ -442,28 +429,28 @@ def interval_dea_bounds(
     if np.any(lower > upper):
         raise ValidationError("crossed interval bounds")
     lower, upper = np.maximum(lower, INPUT_FLOOR), np.maximum(upper, INPUT_FLOOR)
-    lower_x, lower_y = lower[: data.m], lower[data.m :]
-    upper_x, upper_y = upper[: data.m], upper[data.m :]
+    m = data.m
+    best = np.concatenate([lower[:m], upper[m:]])  # lower inputs, upper outputs
+    worst = np.concatenate([upper[:m], lower[m:]])
 
-    # Worst versions against the best scenario, each anchored at its own
-    # best version.
-    dxw, dyw, _ = direction.resolve_at(upper_x, lower_y)
-    d_high = directional_distances(lower_x, upper_y, upper_x, lower_y, dxw, dyw,
-                                   np.arange(data.n))
+    # Each bound is one batch, every member anchored at its best version.
+    # The upper bound: worst versions against the best scenario; each best
+    # version dominates its worst one, as lower <= upper.  The lower bound:
+    # the best version of k against the worst scenario plus that best
+    # version.  It dominates k's worst version, so this is the worst
+    # scenario with column k swapped for it, and gives max(D*, 0), D* being
+    # the optimum against the unswapped worst scenario (-inf when
+    # infeasible): the clamped bound defined above.  Every point of the
+    # unswapped hull stays feasible, so the value is >= D*; the anchor makes
+    # it >= 0.  A point with weight w < 1 on column k that reaches D > 0
+    # rescales (divide the other weights by 1 - w) to a point of the
+    # unswapped hull reaching D / (1 - w) >= D; with w = 1 no D > 0 is
+    # reached, the direction being >= 0 with a positive component.  So a
+    # best version the worst frontier envelops keeps its distance, and a
+    # super-efficient one gets exactly 0.
+    def bound(point, frontier):
+        dx, dy, _ = direction.resolve_at(point[:m], point[m:])
+        return _distances(*_frame(frontier[:m], frontier[m:], frontier[:0]), point,
+                          np.concatenate([dx, dy]), best)[0]
 
-    # Best version of k against the worst scenario plus that best version,
-    # which anchors the solve, all in one batch.  It dominates k's worst
-    # version, so this is the worst scenario with column k swapped for it,
-    # and gives max(D*, 0), D* being the optimum against the unswapped worst
-    # scenario (-inf when infeasible): the clamped bound defined above.
-    # Every point of the unswapped hull stays feasible, so the value is >=
-    # D*; the anchor makes it >= 0.  A point with weight w < 1 on column k
-    # that reaches D > 0 rescales (divide the other weights by 1 - w) to a
-    # point of the unswapped hull reaching D / (1 - w) >= D; with w = 1 no
-    # D > 0 is reached, the direction being >= 0 with a positive component.
-    # So a best version the worst frontier envelops keeps its distance, and
-    # a super-efficient one gets exactly 0.
-    dxb, dyb, _ = direction.resolve_at(lower_x, upper_y)
-    best = np.concatenate([lower_x, upper_y])
-    d_low = _distances(*_frame(upper_x, lower_y), best, np.concatenate([dxb, dyb]), best)[0]
-    return d_low, d_high
+    return bound(best, worst), bound(worst, best)

@@ -104,10 +104,13 @@ class BucketScheme:
 
 
 def _rows(values) -> np.ndarray:
-    """A matrix as it is, anything of fewer dimensions as a matrix of one row."""
+    """A matrix as it is, anything of fewer dimensions as a matrix of one row;
+    every entry finite, as in a ``DistanceMatrix``."""
     rows = np.atleast_2d(np.asarray(values, dtype=float))
     if rows.ndim > 2:
         raise ValidationError(f"expected a vector or a matrix, not shape {rows.shape}")
+    if not np.isfinite(rows).all():
+        raise ValidationError("values must be finite")
     return rows
 
 
@@ -270,6 +273,8 @@ def scenario_p_value(e_a, e_b, hoelder_order=1) -> float:
         raise ValidationError(f"scenario matrices must be n x t with n, t >= 1, not {a.shape}")
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValidationError("scenario matrices must be finite")
+    if (a < 0.0).any() or (b < 0.0).any():
+        raise ValidationError("distances must be >= 0")
     # Each column as a contiguous row: a mean down the columns of a rounds
     # differently from the mean of the column on its own.
     num, den = (_hoelder(np.ascontiguousarray(m.T), hoelder_order) for m in (a, b))

@@ -25,7 +25,7 @@ from itertools import islice
 import numpy as np
 
 from .dataset import DataSet, Direction
-from .dea import INPUT_FLOOR, weak_disposability_distances, world_distances
+from .dea import INPUT_FLOOR, world_distances
 # Unused here; the tracer in perfbench/spans.py looks these names up.
 from .dea import directional_distance, weak_disposability_distance  # noqa: F401
 from .errors import ParseError, ValidationError
@@ -77,23 +77,21 @@ class DistanceMatrix:
 
 
 def _column_distances(points: np.ndarray, m: int, s: int, model: str, direction: Direction):
-    """Distances of every DMU against the frontier of one sampled world.
+    """Distances of every DMU against the frontier of one sampled world,
+    by ``world_distances``: ``model`` "weak" keeps U's rows, "plain" drops
+    them.
 
     Values are floored at ``INPUT_FLOOR`` before LP assembly: sampled
     points may sit exactly on the orthant boundary.
-    Either model solves the whole world as one warm-started batch, each
-    DMU anchored at its own column; a large plain world is solved over its
-    frame (``world_distances``).
     """
     floored = np.maximum(points, INPUT_FLOOR)
     X = floored[:m]
     Y = floored[m : m + s]
     U = floored[m + s :]
     dx, dy, du = direction.resolve_at(X, Y, U)
-    if model == "weak":
-        return weak_disposability_distances(X, Y, U, X, Y, U, dx, dy, du,
-                                            np.arange(points.shape[1]))
-    return world_distances(X, Y, dx, dy)
+    if model != "weak":
+        U, du = U[:0], du[:0]
+    return world_distances(X, Y, U, dx, dy, du)
 
 
 def _score(worlds, *args):

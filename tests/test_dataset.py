@@ -154,6 +154,11 @@ def test_negative_known_value_rejected():
         from_arrays(X=[[1.0, np.nan]], Y=[[-1.0, 2.0]])
 
 
+def test_duplicate_ids_are_named():
+    with pytest.raises(ValidationError, match=r"duplicate DMU ids: \['A'\]"):
+        from_arrays(X=[[1.0, 2.0, 3.0]], Y=[[1.0, 1.0, 1.0]], dmu_ids=("A", "B", "A"))
+
+
 def test_duplicate_rows_are_legal():
     ds = from_arrays(X=[[1.0, 1.0]], Y=[[2.0, 2.0]], dmu_ids=["a", "b"])
     assert ds.n == 2

@@ -16,12 +16,11 @@ from hrdea.dataset import Direction, from_arrays
 from hrdea.dea import (
     BATCH_BYTES,
     directional_distance,
-    directional_distances,
+    distances,
     interval_dea_bounds,
     solve_directional,
     solve_weak_disposability,
     weak_disposability_distance,
-    weak_disposability_distances,
 )
 from hrdea.errors import LpError, ValidationError
 from hrdea.pipeline import INPUT_FLOOR, _column_distances
@@ -435,7 +434,8 @@ def all_columns(monkeypatch, X, Y, dx, dy):
     """The world's distances, every member solved over all columns."""
     with monkeypatch.context() as patch:
         patch.setattr(dea, "_nondominated", lambda X, Y: np.arange(X.shape[1]))
-        return directional_distances(X, Y, X, Y, dx, dy, np.arange(X.shape[1]))
+        none = Y[:0]
+        return distances(X, Y, none, X, Y, none, dx, dy, none, np.arange(X.shape[1]))
 
 
 def assert_relative(value, reference, rtol=1e-12):
@@ -534,11 +534,11 @@ def spy_passes(monkeypatch):
     """A list that records the candidate columns and member count of every
     ``_distances`` call from now on."""
     passes = []
-    distances = dea._distances
+    solve = dea._distances
 
     def spy(Z, sign, cols, p, *args, **kwargs):
         passes.append((cols.copy(), p.shape[1]))
-        return distances(Z, sign, cols, p, *args, **kwargs)
+        return solve(Z, sign, cols, p, *args, **kwargs)
 
     monkeypatch.setattr(dea, "_distances", spy)
     return passes
@@ -564,7 +564,7 @@ def test_frame_path_matches_the_single_pass(scenario, mode, monkeypatch):
     X, Y = large_world(scenario, 70 + len(scenario))
     dx, dy, _ = DIRECTIONS[mode].resolve_at(X, Y)
     passes = spy_passes(monkeypatch)
-    frame = dea.world_distances(X, Y, dx, dy)
+    frame = dea.world_distances(X, Y, Y[:0], dx, dy, dy[:0])
     nondominated = dea._nondominated(X, Y)
     # Two passes: the nondominated members over the nondominated columns,
     # then the other members over the columns at distance 0.
@@ -574,7 +574,7 @@ def test_frame_path_matches_the_single_pass(scenario, mode, monkeypatch):
     assert rest == 300 - nondominated.size and second.size < first.size
     passes.clear()
     monkeypatch.setattr(dea, "BATCH_BYTES", 1 << 40)
-    single = dea.world_distances(X, Y, dx, dy)
+    single = dea.world_distances(X, Y, Y[:0], dx, dy, dy[:0])
     assert len(passes) == 1
     assert np.array_equal(frame[nondominated], single[nondominated])
     assert np.abs(frame - single).max() <= 1e-12 * np.abs(single).max(initial=1.0)
@@ -591,18 +591,18 @@ def test_frame_missing_a_column_is_priced_back_to_all_columns(mode, monkeypatch)
     dx, dy, _ = direction.resolve_at(X, Y)
     reference = all_columns(monkeypatch, X, Y, dx, dy)
     drop = frame_dmu(X, Y, direction)
-    distances, calls = dea._distances, []
+    solve, calls = dea._distances, []
 
     def lose_one(Z, sign, cols, p, *args, **kwargs):
         calls.append(1)
         if len(calls) == 2:  # the second pass, over the frame
             assert drop in cols
             cols = cols[cols != drop]
-        return distances(Z, sign, cols, p, *args, **kwargs)
+        return solve(Z, sign, cols, p, *args, **kwargs)
 
     monkeypatch.setattr(dea, "_distances", lose_one)
     solved = spy_candidate_sets(monkeypatch)
-    batch = dea.world_distances(X, Y, dx, dy)
+    batch = dea.world_distances(X, Y, Y[:0], dx, dy, dy[:0])
     assert sum(members for size, members in solved if size == 300) > 0
     assert_relative(batch, reference)
 
@@ -667,8 +667,9 @@ def test_interval_lower_bounds_match_a_swapped_copy_loop():
 def test_batch_rejects_anchor_that_does_not_dominate():
     X = np.array([[1.0, 2.0]])
     Y = np.array([[1.0, 1.0]])
+    none = Y[:0, [0]]
     with pytest.raises(ValidationError):
-        directional_distances(X, Y, X[:, [0]], Y[:, [0]], X[:, [0]], Y[:, [0]], [1])
+        distances(X, Y, Y[:0], X[:, [0]], Y[:, [0]], none, X[:, [0]], Y[:, [0]], none, [1])
 
 
 def test_single_distance_rejects_anchor_that_does_not_dominate():
@@ -947,6 +948,10 @@ def test_weak_world_batch_matches_single_solves_and_highs(mode, n):
     batch = check_weak_world(points, WEAK_DIRECTIONS[mode])
     if n == 1:
         assert batch[0] == 0.0
+    # world_distances scores the weak world as those batches of one, bit for bit.
+    X, Y, U = np.split(np.maximum(points, INPUT_FLOOR), [2, 3])
+    assert np.array_equal(dea.world_distances(X, Y, U, *WEAK_DIRECTIONS[mode].resolve_at(X, Y, U)),
+                          batch)
 
 
 def test_weak_world_with_a_repeated_undesirable_row(monkeypatch):
@@ -972,19 +977,20 @@ def test_weak_batch_crosses_chunk_edges(monkeypatch):
     points = order_one_world(30)
     X, Y, U = points[:2], points[2:3], points[3:]
     anchors = np.arange(30)
-    whole = weak_disposability_distances(X, Y, U, X, Y, U, X, Y, U, anchors)
+    whole = distances(X, Y, U, X, Y, U, X, Y, U, anchors)
     monkeypatch.setattr(dea, "BATCH_BYTES", 4096)
-    assert np.array_equal(weak_disposability_distances(X, Y, U, X, Y, U, X, Y, U, anchors),
-                          whole)
+    assert np.array_equal(distances(X, Y, U, X, Y, U, X, Y, U, anchors), whole)
+    # A weak world larger than a chunk still takes the single pass.
+    assert np.array_equal(dea.world_distances(X, Y, U, X, Y, U), whole)
 
 
 def every_weak_column(patch):
     """Make every alpha and beta column a candidate of the weak model."""
     frame = dea._frame
 
-    def every(X, Y, U=None):
+    def every(X, Y, U):
         Z, sign, cols = frame(X, Y, U)
-        return Z, sign, cols if U is None else np.arange(Z.shape[1])
+        return Z, sign, np.arange(Z.shape[1]) if len(U) else cols
 
     patch.setattr(dea, "_frame", every)
 
@@ -993,7 +999,7 @@ def weak_all_columns(monkeypatch, X, Y, U, dx, dy, du):
     """The world's weak distances, every member solved over all columns."""
     with monkeypatch.context() as patch:
         every_weak_column(patch)
-        return weak_disposability_distances(X, Y, U, X, Y, U, dx, dy, du,
+        return distances(X, Y, U, X, Y, U, dx, dy, du,
                                             np.arange(X.shape[1]))
 
 
@@ -1023,7 +1029,7 @@ def test_weak_pricing_sends_a_member_missing_a_frame_column_to_all_columns(
     drop = weak_frame_column(data, direction, block)
     frame = dea._frame
 
-    def without(X, Y, U=None):
+    def without(X, Y, U):
         Z, sign, cols = frame(X, Y, U)
         assert drop in cols
         return Z, sign, cols[cols != drop]
@@ -1137,7 +1143,7 @@ def test_weak_candidate_set_is_exact_for_both_phases(seed, scale, mode, monkeypa
     direction = DIRECTIONS[mode]
     dx, dy, du = direction.resolve_at(X, Y, U)
     everyone = np.arange(n)
-    dist = weak_disposability_distances(X, Y, U, X, Y, U, dx, dy, du, everyone)
+    dist = distances(X, Y, U, X, Y, U, dx, dy, du, everyone)
     assert_matches(dist, weak_all_columns(monkeypatch, X, Y, U, dx, dy, du), rtol=1e-12)
     sols = [solve_weak_disposability(data, k, direction) for k in range(n)]
     with monkeypatch.context() as patch:

@@ -101,6 +101,19 @@ def test_erii_empty_samples_rejected():
         erii_counts([], BucketScheme(width=0.01, count=2))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_helpers_of_one_sample_reject_non_finite_values(value):
+    # A DistanceMatrix cannot hold such a value, so no helper takes one.
+    scheme = BucketScheme(width=0.1, count=10)
+    sample = [value, 0.05, 0.5]
+    for call in (lambda: erii_counts(sample, scheme), lambda: erii(sample, scheme),
+                 lambda: confidence_interval(sample, 0.5),
+                 lambda: confidence_interval(np.array([sample, [0.1, 0.2, 0.3]]), 0.5),
+                 lambda: expected_distance([value, *np.full(10, 0.1)], scheme)):
+        with pytest.raises(ValidationError, match="finite"):
+            call()
+
+
 def test_expected_distance_examples():
     scheme = BucketScheme(width=0.01, count=3)
     assert expected_distance([1.0, 0, 0, 0], scheme) == 0.0
@@ -276,6 +289,14 @@ def test_p_value_rejects_non_finite_matrices(value, side):
         scenario_p_value(*pair)
     with pytest.raises(ValidationError, match="finite"):
         scenario_p_value(np.full((2, 4), np.nan), np.ones((2, 4)))
+
+
+@pytest.mark.parametrize("side", [0, 1])
+def test_p_value_rejects_negative_distances(side):
+    pair = [np.ones((2, 3)), np.ones((2, 3))]
+    pair[side] = -pair[side]
+    with pytest.raises(ValidationError, match=">= 0"):
+        scenario_p_value(*pair)
 
 
 def scenario_pairs():

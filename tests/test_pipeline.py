@@ -75,6 +75,28 @@ def test_degenerate_sets_reproduce_weak_model():
     assert np.abs(dm.values - plain[:, None]).max() < 1e-9
 
 
+@pytest.mark.parametrize("du", [None, [0.7]], ids=["proportional", "custom"])
+def test_plain_model_drops_the_undesirable_rows(du):
+    # With every set frozen along U, a plain-model run on data with U is the
+    # same run on the data without U, bit for bit; a custom du is ignored.
+    rng = np.random.default_rng(6)
+    data = weak_instance(rng, 12)
+    semi = 0.15 * data.stacked()
+    semi[3:] = 0.0
+    sets = [UncertaintySet.box(c, w) for c, w in zip(data.stacked().T, semi.T)]
+    sets[4] = UncertaintySet.ellipsoid(sets[4].center, semi[:, 4])
+    without = [UncertaintySet(u.shape, u.center[:3], u.semi_axes[:3]) for u in sets]
+    with_u = without_u = Direction.proportional()
+    if du is not None:
+        with_u, without_u = (Direction.custom([1.0, 0.5], [2.0], u) for u in (du, None))
+    dm = run_hr_dea(data, sets, with_u, t=30, seed=4, undesirable=False)
+    assert dm.config["model"] == "plain"
+    reference = run_hr_dea(from_arrays(data.X, data.Y), without, without_u, t=30, seed=4)
+    assert dm.values.tobytes() == reference.values.tobytes()
+    assert dm.baseline.tobytes() == reference.baseline.tobytes()
+    assert len(set(dm.values[4].tolist())) > 1  # the ellipsoid walks
+
+
 def test_traced_entry_points_resolve(monkeypatch):
     """perfbench/spans.py rebinds module attributes at the names their
     callers look up; every name it lists must exist, and run_hr_dea must
