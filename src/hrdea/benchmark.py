@@ -128,8 +128,7 @@ def _output_distances(data: DataSet) -> np.ndarray:
     """Output-oriented distances of the sample scored as one world; values
     are floored there, so an imputed zero output yields a finite (huge)
     distance instead of a degenerate LP."""
-    return _column_distances(data.stacked(), data.m, data.s, "plain",
-                             Direction.output_oriented())
+    return _column_distances(data.stacked(), data.m, data.s, Direction.output_oriented())
 
 
 def _child_seed(seed: int, case_stream: int, offset: int) -> int:
@@ -161,14 +160,7 @@ def run_case(scenario: str, rep: int, n: int, gaps: int, t: int, seed: int) -> d
         ("hr_rhombus", "rhombus", _HR_RHO),
     ):
         sets = sets_from_gaps(lower, upper, shape)
-        dm = run_hr_dea(
-            masked,
-            sets,
-            direction,
-            t=t,
-            seed=_child_seed(seed, case, offset),
-            undesirable=False,
-        )
+        dm = run_hr_dea(masked, sets, direction, t=t, seed=_child_seed(seed, case, offset))
         estimates[name] = dm.values.mean(axis=1)
 
     return {

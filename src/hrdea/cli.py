@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands: solve (plain DEA), run (sampling pipeline), analyze
+Subcommands: solve (DEA on fully known data), run (sampling pipeline), analyze
 (robustness report from a distance matrix), bench (Monte Carlo
 comparison), density (beta fit for one DMU).  Every artifact starts with
 comment lines recording the configuration and seed.
@@ -69,17 +69,15 @@ def _load(args):
 
 
 def _cmd_solve(args) -> int:
-    data = _load(args)
-    direction = Direction(args.orientation)
-    use_weak = args.undesirable if args.undesirable is not None else data.v > 0
+    data = _load(args).for_model(args.undesirable)
     config = {
         "command": "solve",
         "data": os.path.basename(args.data),
         "orientation": args.orientation,
-        "undesirable": use_weak,
+        "undesirable": data.v > 0,
         "eps": args.eps,
     }
-    solutions = _solve_dmus(data, range(data.n), direction, use_weak, eps=args.eps)
+    solutions = _solve_dmus(data, range(data.n), Direction(args.orientation), args.eps)
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         write_header(fh, "distances", config)
         writer = csv.writer(fh)
@@ -133,8 +131,7 @@ def _check_file_names(dmu_ids) -> None:
         raise ValidationError(f"DMU ids {nested} hold a path separator, so cannot name files")
 
 
-def _analyze_matrix(matrix_path, outdir, tau, width) -> int:
-    dm = load_distance_matrix(matrix_path)
+def _analyze_matrix(dm, outdir, tau, width) -> int:
     _check_file_names(dm.dmu_ids)
     report = robustness_report(dm, tau=tau, bucket_width=width)
     os.makedirs(outdir, exist_ok=True)
@@ -167,12 +164,13 @@ def _cmd_run(args) -> int:
     print(f"wrote {args.out}")
     if args.analyze:
         outdir = args.outdir or os.path.dirname(os.path.abspath(args.out))
-        return _analyze_matrix(args.out, outdir, args.tau, args.bucket_width)
+        return _analyze_matrix(dm, outdir, args.tau, args.bucket_width)
     return 0
 
 
 def _cmd_analyze(args) -> int:
-    return _analyze_matrix(args.matrix, args.outdir, args.tau, args.bucket_width)
+    return _analyze_matrix(load_distance_matrix(args.matrix), args.outdir, args.tau,
+                           args.bucket_width)
 
 
 def _cmd_bench(args) -> int:
@@ -214,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("solve", help="plain DEA distances on fully known data")
+    p = sub.add_parser("solve", help="DEA distances on fully known data")
     _add_data_arguments(p)
     _add_model_arguments(p)
     p.add_argument("--eps", type=float, default=dea.DEFAULT_EPS,

@@ -131,6 +131,18 @@ class DataSet:
             U=stacked[m + s :],
         )
 
+    def without_undesirables(self) -> "DataSet":
+        """The same DMUs without U: all the data the plain model reads."""
+        return replace(self, U=self.U[:0], undesirable_names=())
+
+    def for_model(self, undesirable: bool | None) -> "DataSet":
+        """The data a model reads: all of it for the weak-disposability model
+        (``undesirable`` True, or None and v > 0), without U for the plain one."""
+        if undesirable and not self.v:
+            raise ValidationError("the weak-disposability model needs undesirable outputs, "
+                                  "and the dataset has none")
+        return self if undesirable or undesirable is None else self.without_undesirables()
+
 
 def from_arrays(X, Y, U=None, dmu_ids=None, **names) -> DataSet:
     """Build a DataSet from plain arrays; a NaN cell is unknown."""

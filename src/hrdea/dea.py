@@ -31,7 +31,9 @@ covers it, at the same distance and no less slack.  Both interval bounds
 are one plain batch each, anchored at the best version.
 ``solve_directional`` and ``solve_weak_disposability`` are batches of one
 of ``_solve_dmus``, whose slack phase continues each member's final
-distance tableau on its optimal face (``_max_slacks``).
+distance tableau on its optimal face (``_max_slacks``).  The data decides
+the model: a plain solve is a solve of the data without U
+(``DataSet.without_undesirables``).
 
 ``world_distances`` scores every column of a world of either model
 against the world itself, in one batch, or a plain world too large for one
@@ -40,7 +42,7 @@ against the world itself, in one batch, or a plain world too large for one
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -342,11 +344,11 @@ def weak_disposability_distance(X, Y, U, xk, yk, uk, dx, dy, du, anchor: int) ->
                            [anchor])[0])
 
 
-def _solve_dmus(
-    data: DataSet, ks, direction: Direction, weak: bool, eps: float = DEFAULT_EPS
-) -> list[DeaSolution]:
-    """Solve DMUs ``ks`` against the full sample as one batch: the plain
-    model, or with ``weak`` the weak-disposability model (requires v >= 1).
+def _solve_dmus(data: DataSet, ks, direction: Direction, eps: float = DEFAULT_EPS
+                ) -> list[DeaSolution]:
+    """Solve DMUs ``ks`` against the full sample as one batch: the data
+    decides the model, the weak-disposability model when v > 0, else the
+    plain one.
 
     Each DMU is anchored at its own column.  Its distance phase is solved
     once, and its slack phase continues that tableau; the anchor's weight
@@ -356,21 +358,17 @@ def _solve_dmus(
     if data.has_missing:
         raise ValidationError("dataset has imperfectly known cells; run the sampling "
                               "pipeline or an imputation baseline first")
-    if weak and data.v < 1:
-        raise ValidationError("no undesirable outputs; use solve_directional")
     ks = np.asarray(ks, dtype=int)
     bad = ks[(ks < 0) | (ks >= data.n)]
     if bad.size:
         raise ValidationError(f"DMU index {bad[0]} out of range")
     X, Y, U = data.X, data.Y, data.U
     dx, dy, du = direction.resolve_at(X[:, ks], Y[:, ks], U[:, ks])
-    if not weak:
-        U, du = U[:0], du[:0]
     Z, sign, cols = _frame(X, Y, U)
     p = Z[:, ks]  # each DMU, which is also its own anchor
     dist, sol = _distances(Z, sign, cols, p, np.concatenate([dx, dy, du]), p, eq=len(U),
                            slacks=True)
-    n, nz, m = data.n, Z.shape[1], data.m
+    n, nz, m, weak = data.n, Z.shape[1], data.m, data.v > 0
     weights = sol[:, :nz]
     weights[np.arange(ks.size), ks] += sol[:, nz]
     alpha, beta = weights[:, :n], weights[:, n:]
@@ -393,15 +391,18 @@ def _solve_dmus(
 def solve_directional(
     data: DataSet, k: int, direction: Direction, eps: float = DEFAULT_EPS
 ) -> DeaSolution:
-    """Solve the plain directional model for DMU k against the full sample."""
-    return _solve_dmus(data, [k], direction, weak=False, eps=eps)[0]
+    """Solve the plain directional model for DMU k against the full sample,
+    on the data without U; a custom direction's du is dropped."""
+    return _solve_dmus(data.without_undesirables(), [k], replace(direction, du=None), eps)[0]
 
 
 def solve_weak_disposability(
     data: DataSet, k: int, direction: Direction, eps: float = DEFAULT_EPS
 ) -> DeaSolution:
     """Solve the weak-disposability model for DMU k (requires v >= 1)."""
-    return _solve_dmus(data, [k], direction, weak=True, eps=eps)[0]
+    if data.v < 1:
+        raise ValidationError("no undesirable outputs; use solve_directional")
+    return _solve_dmus(data, [k], direction, eps)[0]
 
 
 def interval_dea_bounds(

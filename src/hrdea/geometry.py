@@ -9,7 +9,7 @@ Each set also carries the law of its walk's chord fraction (``xi_law``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -132,6 +132,15 @@ class UncertaintySet:
         if self.shape == "polytope":
             return False
         return not self.active.any()
+
+    def slice(self, keep) -> "UncertaintySet":
+        """The slice through the center on the coordinates of mask ``keep``:
+        the others stay at the center, so a polytope's rows lose their terms."""
+        if self.shape != "polytope":
+            return replace(self, center=self.center[keep], semi_axes=self.semi_axes[keep])
+        a, drop = self.rows_a, ~keep
+        return replace(self, center=self.center[keep], rows_a=a[:, keep],
+                       rows_b=self.rows_b - a[:, drop] @ self.center[drop])
 
     # -- constructors ------------------------------------------------------
 

@@ -8,7 +8,8 @@ the resulting matrix is therefore one coherent resampled world.
 The walk is ``sampler.Walker.walk`` over all n DMUs, continuous across
 iterations (never restarted at the centroid).  Iteration 0 evaluates the
 centroids themselves; those distances are kept separate from the sampled
-columns.
+columns.  The data decides the model: a plain run is the data without U
+and each set's slice through its center on X and Y.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import math
 import os
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import islice
 
 import numpy as np
@@ -28,7 +29,7 @@ from .dataset import DataSet, Direction
 from .dea import INPUT_FLOOR, world_distances
 # Unused here; the tracer in perfbench/spans.py looks these names up.
 from .dea import directional_distance, weak_disposability_distance  # noqa: F401
-from .errors import ParseError, ValidationError
+from .errors import ParseError, UnsupportedDimensionError, ValidationError
 from .geometry import UncertaintySet
 from .sampler import Walker
 # Unused here; the tracer in perfbench/spans.py looks this name up.
@@ -76,10 +77,10 @@ class DistanceMatrix:
         return self.values[j]
 
 
-def _column_distances(points: np.ndarray, m: int, s: int, model: str, direction: Direction):
+def _column_distances(points: np.ndarray, m: int, s: int, direction: Direction):
     """Distances of every DMU against the frontier of one sampled world,
-    by ``world_distances``: ``model`` "weak" keeps U's rows, "plain" drops
-    them.
+    by ``world_distances``: the weak model when the points have rows past
+    X and Y (U's), the plain model when they have none.
 
     Values are floored at ``INPUT_FLOOR`` before LP assembly: sampled
     points may sit exactly on the orthant boundary.
@@ -88,10 +89,7 @@ def _column_distances(points: np.ndarray, m: int, s: int, model: str, direction:
     X = floored[:m]
     Y = floored[m : m + s]
     U = floored[m + s :]
-    dx, dy, du = direction.resolve_at(X, Y, U)
-    if model != "weak":
-        U, du = U[:0], du[:0]
-    return world_distances(X, Y, U, dx, dy, du)
+    return world_distances(X, Y, U, *direction.resolve_at(X, Y, U))
 
 
 def _score(worlds, *args):
@@ -133,6 +131,9 @@ def run_hr_dea(
     ``threads``.  Each world is walked when it is scored: a
     serial run holds one world of z-by-n points at a time, and with
     ``threads > 1`` a bounded window of worlds.
+
+    The data decides the model (``DataSet.for_model``): a plain run takes the
+    data without U, each set's slice through its center and no custom du.
     """
     n = data.n
     if t < 1:
@@ -146,18 +147,22 @@ def run_hr_dea(
             raise ValidationError(
                 f"set for DMU {data.dmu_ids[j]!r} has dimension {uset.z}, expected {data.z}"
             )
-    if undesirable is None:
-        undesirable = data.v > 0
-    if undesirable and data.v == 0:
-        raise ValidationError("undesirable model requested but the dataset has v = 0")
-    model = "weak" if undesirable else "plain"
+    read = data.for_model(undesirable)
+    if read.v < data.v:
+        keep, sets = np.arange(data.z) < read.z, list(sets)
+        for j, dmu in enumerate(data.dmu_ids):
+            try:
+                sets[j] = sets[j].slice(keep)
+            except UnsupportedDimensionError as exc:
+                raise UnsupportedDimensionError(f"DMU {dmu!r}: {exc}") from exc
+        data, direction = read, replace(direction, du=None)
     walker = Walker(sets)
 
     centroids = np.column_stack([uset.center for uset in sets])
-    baseline = _column_distances(centroids, data.m, data.s, model, direction)
+    baseline = _column_distances(centroids, data.m, data.s, direction)
 
     worlds = (np.ascontiguousarray(points.T) for points in walker.walk(centroids.T, seed, t, 0))
-    args = (data.m, data.s, model, direction)
+    args = (data.m, data.s, direction)
     if threads > 1:
         columns = _pooled(worlds, args, threads, t)
     else:
@@ -170,7 +175,7 @@ def run_hr_dea(
         "t": t,
         "seed": seed,
         "direction": direction.mode,
-        "model": model,
+        "model": "weak" if data.v else "plain",
         "xi_laws": sorted({uset.xi_law for uset in sets}),
         "shapes": [uset.shape for uset in sets],
     }

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -464,6 +465,51 @@ def test_solve_on_unknown_cells_exits_1(tmp_path, capsys, na_csv):
                  "--out", str(out)])
     assert code == 1
     assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+
+
+NA_U1 = "dmu,x1,x2,y1,u1\nA,2,3,5,1\nB,4,1,6,NA\nC,3,3,4,1.5\nD,5,2,7,3\n"
+
+
+def test_plain_solve_reads_no_undesirable_cell(tmp_path):
+    # The plain model never reads u1, so an unknown u1 does not stop it: the
+    # output is the solve of the same CSV without u1, byte for byte.
+    (tmp_path / "with").mkdir()
+    (tmp_path / "without").mkdir()
+    with_u, without_u = tmp_path / "with" / "na.csv", tmp_path / "without" / "na.csv"
+    with_u.write_text(NA_U1)
+    without_u.write_text("".join(",".join(line.split(",")[:4]) + "\n"
+                                 for line in NA_U1.splitlines()))
+    outs = [tmp_path / "with" / "d.csv", tmp_path / "without" / "d.csv"]
+    base = ["solve", "--inputs", "x1,x2", "--outputs", "y1"]
+    assert main([*base, "--data", str(with_u), "--undesirable-cols", "u1",
+                 "--no-undesirable", "--out", str(outs[0])]) == 0
+    assert main([*base, "--data", str(without_u), "--out", str(outs[1])]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+def test_solve_directional_reads_no_undesirable_cell(tmp_path):
+    path = tmp_path / "na.csv"
+    path.write_text(NA_U1)
+    data = load_dataset(path, {"dmu": "id", "x1": "input", "x2": "input", "y1": "output",
+                               "u1": "undesirable"})
+    assert data.has_missing
+    plain = from_arrays(data.X, data.Y, dmu_ids=data.dmu_ids)
+    for k in range(data.n):
+        sol, ref = (solve_directional(d, k, Direction.proportional()) for d in (data, plain))
+        for field in fields(sol):
+            a, b = getattr(sol, field.name), getattr(ref, field.name)
+            assert (a is None and b is None) or np.array_equal(a, b), (k, field.name)
+
+
+@pytest.mark.parametrize("command, extra", [("solve", []), ("run", ["--t", "5"])])
+def test_weak_model_without_undesirable_columns_exits_1(tmp_path, capsys, two_dmu_csv,
+                                                        command, extra):
+    out = tmp_path / "out.csv"
+    code = main([command, *data_args(two_dmu_csv), "--undesirable", *extra, "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == ("error: the weak-disposability model needs "
+                                       "undesirable outputs, and the dataset has none\n")
     assert not out.exists()
 
 

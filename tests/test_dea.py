@@ -334,7 +334,7 @@ def scenario_world(rng, n):
 def check_world(points, direction, m=2, s=1):
     """The world's batch against each member as a batch of one (same bits)
     and against HiGHS (1e-9 relative to max(1, |D|)); returns the batch."""
-    batch = _column_distances(points, m, s, "plain", direction)
+    batch = _column_distances(points[: m + s], m, s, direction)
     floored = np.maximum(points, INPUT_FLOOR)
     X, Y = floored[:m], floored[m : m + s]
     dx, dy, _ = direction.resolve_at(X, Y)
@@ -912,7 +912,7 @@ def test_batch_of_dmus_matches_batches_of_one(weak, monkeypatch):
     monkeypatch.setattr(dea, "_nondominated", lambda X, Y: np.delete(nondominated(X, Y), 1))
     monkeypatch.setattr(dea, "BATCH_BYTES", 4096)
     solved = spy_candidate_sets(monkeypatch)
-    batch = dea._solve_dmus(data, range(30), direction, weak)
+    batch = dea._solve_dmus(data, range(30), direction)
     assert any(size == (2 if weak else 1) * 30 for size, _ in solved)
     solve = solve_weak_disposability if weak else solve_directional
     for k, sol in enumerate(batch):
@@ -926,7 +926,7 @@ def test_batch_of_dmus_matches_batches_of_one(weak, monkeypatch):
 def check_weak_world(points, direction, m=2, s=1):
     """The weak model's world batch against each member as a batch of one
     (same bits) and against HiGHS; returns the batch."""
-    batch = _column_distances(points, m, s, "weak", direction)
+    batch = _column_distances(points, m, s, direction)
     floored = np.maximum(points, INPUT_FLOOR)
     X, Y, U = floored[:m], floored[m : m + s], floored[m + s :]
     dx, dy, du = direction.resolve_at(X, Y, U)
@@ -1007,7 +1007,7 @@ def weak_frame_column(data, direction, block):
     """The alpha or the beta column (its index among the 2n) carrying the
     most weight in the projections of the other DMUs."""
     weight = np.zeros(2 * data.n)
-    for k, sol in enumerate(dea._solve_dmus(data, range(data.n), direction, weak=True)):
+    for k, sol in enumerate(dea._solve_dmus(data, range(data.n), direction)):
         mu = np.concatenate([sol.alpha, sol.beta])
         mu[k] = 0.0  # the anchor's weight
         weight += mu
@@ -1105,7 +1105,7 @@ def test_weak_hospital_panels_match_highs(seed, scale):
     # cost of 2e-9, which an absolute PIVOT_TOL would take off the face.
     # HiGHS runs at its default tolerances (1e-7).
     data = from_arrays(points[:2], points[2:4], points[4:])
-    for k, sol in enumerate(dea._solve_dmus(data, range(data.n), direction, weak=True)):
+    for k, sol in enumerate(dea._solve_dmus(data, range(data.n), direction)):
         dx, dy, du = direction.resolve(data, k)
         args = (data.X, data.Y, data.U, data.X[:, k], data.Y[:, k], data.U[:, k], dx, dy, du)
         assert_matches(sol.slacks_x.sum() + sol.slacks_y.sum(),
@@ -1148,7 +1148,7 @@ def test_weak_candidate_set_is_exact_for_both_phases(seed, scale, mode, monkeypa
     sols = [solve_weak_disposability(data, k, direction) for k in range(n)]
     with monkeypatch.context() as patch:
         every_weak_column(patch)
-        reference = dea._solve_dmus(data, everyone, direction, weak=True)
+        reference = dea._solve_dmus(data, everyone, direction)
     for field in ("distance", "objective"):
         assert_matches([getattr(sol, field) for sol in sols],
                        [getattr(sol, field) for sol in reference], rtol=1e-12)

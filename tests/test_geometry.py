@@ -376,3 +376,24 @@ def test_a_scalar_or_one_element_semi_axis_applies_to_every_coordinate(shape):
 def test_superellipsoid_orders_are_stored_as_floats():
     uset = UncertaintySet("superellipsoid", CENTER3, 0.5, orders=[2, np.float64(3)])
     assert uset.orders == (2.0, 3.0) and all(type(o) is float for o in uset.orders)
+
+
+@pytest.mark.parametrize("shape", ["point", "box", "ellipsoid", "rhombus", "polytope"])
+def test_a_slice_holds_the_points_of_the_set_at_the_center_of_the_rest(shape):
+    center = np.array([2.0, 3.0, 4.0, 1.5])
+    w = np.array([0.5, 1.0, 0.0, 0.6])
+    if shape == "polytope":
+        uset = UncertaintySet.polytope(
+            np.vstack([np.eye(4), -np.eye(4), [[1.0, 0.0, 1.0, 1.0]]]),
+            np.r_[center + 1.0, 1.0 - center, center.sum() - center[1] + 0.5], center)
+    else:
+        uset = UncertaintySet(shape, center, None if shape == "point" else w, xi_law="triangular")
+    keep = np.array([True, True, True, False])
+    sliced = uset.slice(keep)
+    assert sliced.shape == shape and sliced.xi_law == uset.xi_law
+    assert np.array_equal(sliced.center, center[:3])
+    if shape != "polytope":
+        assert np.array_equal(sliced.semi_axes, uset.semi_axes[:3])
+    points = center[:3] + np.random.default_rng(3).uniform(-1.2, 1.2, size=(400, 3))
+    for p in points:
+        assert contains(sliced, p) == contains(uset, np.r_[p, center[3]])

@@ -16,7 +16,7 @@ import hrdea.sampler
 from hrdea.benchmark import run_benchmark
 from hrdea.dataset import Direction, from_arrays
 from hrdea.dea import interval_dea_bounds, solve_directional, solve_weak_disposability
-from hrdea.errors import ValidationError
+from hrdea.errors import UnsupportedDimensionError, ValidationError
 from hrdea.geometry import UncertaintySet
 from hrdea.sampler import Walker
 from hrdea.pipeline import (
@@ -95,6 +95,53 @@ def test_plain_model_drops_the_undesirable_rows(du):
     assert dm.values.tobytes() == reference.values.tobytes()
     assert dm.baseline.tobytes() == reference.baseline.tobytes()
     assert len(set(dm.values[4].tolist())) > 1  # the ellipsoid walks
+
+
+def free_u_sets(data, shape, rel=0.15):
+    """One set of ``shape`` per DMU, each free along U: semi-axes ``rel`` of
+    each value, or for a polytope that box's rows and two rows that couple
+    u1 with x1 and with y1.  DMU 0 keeps a point."""
+    stacked = data.stacked()
+    sets = [UncertaintySet.point(stacked[:, 0])]
+    for c, w in zip(stacked.T[1:], rel * stacked.T[1:]):
+        if shape != "polytope":
+            sets.append(UncertaintySet(shape, c, None if shape == "point" else w))
+            continue
+        coupled = np.array([[1.0, 0.0, 0.0, 1.0], [0.0, 0.0, -1.0, 1.0]])
+        rows_a = np.vstack([np.eye(4), -np.eye(4), coupled])
+        rows_b = np.r_[c + w, w - c, coupled @ c + 0.5 * np.abs(coupled) @ w]
+        sets.append(UncertaintySet.polytope(rows_a, rows_b, c))
+    return sets
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("shape", ["box", "ellipsoid", "rhombus", "polytope", "point"])
+def test_plain_model_slices_sets_free_along_u(shape, threads):
+    # A plain-model run on data with U is the run on the data without U and
+    # each set's slice through its center, bit for bit, and a shorter run is
+    # a prefix of it.
+    data = weak_instance(np.random.default_rng(6), 12)
+    sets = free_u_sets(data, shape)
+    assert shape == "point" or sets[1].active[3]
+    sliced = [uset.slice(np.arange(4) < 3) for uset in sets]
+    d = Direction.proportional()
+    dm = run_hr_dea(data, sets, d, t=30, seed=4, undesirable=False, threads=threads)
+    reference = run_hr_dea(from_arrays(data.X, data.Y), sliced, d, t=30, seed=4)
+    assert dm.config == reference.config and dm.config["model"] == "plain"
+    assert dm.values.tobytes() == reference.values.tobytes()
+    assert dm.baseline.tobytes() == reference.baseline.tobytes()
+    short = run_hr_dea(data, sets, d, t=10, seed=4, undesirable=False, threads=threads)
+    assert short.values.tobytes() == np.ascontiguousarray(dm.values[:, :10]).tobytes()
+    assert shape == "point" or len(set(dm.values[1].tolist())) > 1  # DMU 1 walks
+
+
+def test_plain_model_refuses_a_superellipsoid_with_a_u_axis():
+    data = from_arrays([[2.0, 3.0]], [[5.0, 4.0]], [[1.0, 2.0]], dmu_ids=["A", "B"])
+    sets = [UncertaintySet.point(data.column(0)),
+            UncertaintySet.superellipsoid(data.column(1), [0.5, 0.5, 0.5], (2.0, 2.0))]
+    with pytest.raises(UnsupportedDimensionError,
+                       match="DMU 'B': superellipsoid sets support exactly 3 dimensions"):
+        run_hr_dea(data, sets, Direction.proportional(), t=5, undesirable=False)
 
 
 def test_traced_entry_points_resolve(monkeypatch):
