@@ -136,8 +136,9 @@ def _child_seed(seed: int, case_stream: int, offset: int) -> int:
     return int(gen.integers(0, 2**63 - 1))
 
 
-def run_case(scenario: str, rep: int, n: int, gaps: int, t: int, seed: int) -> dict:
-    """One (scenario, repetition) cell: metrics for every alternative."""
+def run_case(scenario: str, rep: int, n: int, gaps: int, t: int, seed: int) -> np.ndarray:
+    """One (scenario, repetition) cell: a (len(ALTERNATIVES), len(METRICS))
+    array, one row of metrics per alternative."""
     case = (rep * len(SCENARIOS) + SCENARIOS.index(scenario)) * _STREAMS_PER_CASE
     data = generate_scenario(scenario, n, RngStream(seed, case + _GEN))
     base = _output_distances(data)
@@ -163,13 +164,7 @@ def run_case(scenario: str, rep: int, n: int, gaps: int, t: int, seed: int) -> d
         dm = run_hr_dea(masked, sets, direction, t=t, seed=_child_seed(seed, case, offset))
         estimates[name] = dm.values.mean(axis=1)
 
-    return {
-        "scenario": scenario,
-        "rep": rep,
-        "metrics": {
-            name: compare_metrics(base, est).as_tuple() for name, est in estimates.items()
-        },
-    }
+    return np.array([compare_metrics(base, estimates[alt]).as_tuple() for alt in ALTERNATIVES])
 
 
 def _run_case_args(args):
@@ -200,9 +195,13 @@ def run_benchmark(
 ) -> BenchmarkReport:
     """Monte Carlo comparison of all alternatives; deterministic in ``seed``."""
     scenarios = tuple(scenarios)
+    if not scenarios:
+        raise ValidationError("need at least one scenario")
     for sc in scenarios:
         if sc not in SCENARIOS:
             raise ValidationError(f"unknown scenario {sc!r}")
+        if scenarios.count(sc) > 1:
+            raise ValidationError(f"scenario {sc!r} named twice")
     if reps < 1:
         raise ValidationError("need at least one repetition")
     if threads < 1:
@@ -215,23 +214,17 @@ def run_benchmark(
     else:
         results = [run_case(*case) for case in cases]
 
-    sums = {
-        alt: {metric: {sc: 0.0 for sc in scenarios} for metric in METRICS}
-        for alt in ALTERNATIVES
+    # Sums over the outer axis add the reps, then the scenarios, one at a
+    # time from 0.0 and in order.
+    shape = (reps, len(scenarios), len(ALTERNATIVES), len(METRICS))
+    per_sc = np.reshape(results, shape).sum(axis=0, initial=0.0) / reps
+    mean = per_sc.sum(axis=0, initial=0.0) / len(scenarios)
+    cells = np.concatenate([per_sc, mean[None]]).transpose(1, 2, 0).tolist()
+    columns = (*scenarios, "mean")
+    table = {
+        alt: {metric: dict(zip(columns, row)) for metric, row in zip(METRICS, rows)}
+        for alt, rows in zip(ALTERNATIVES, cells)
     }
-    for res in results:
-        sc = res["scenario"]
-        for alt in ALTERNATIVES:
-            values = res["metrics"][alt]
-            for metric, value in zip(METRICS, values):
-                sums[alt][metric][sc] += value
-    table = {}
-    for alt in ALTERNATIVES:
-        table[alt] = {}
-        for metric in METRICS:
-            per_sc = {sc: sums[alt][metric][sc] / reps for sc in scenarios}
-            per_sc["mean"] = sum(per_sc.values()) / len(scenarios)
-            table[alt][metric] = per_sc
     config = {
         "scenarios": list(scenarios),
         "reps": reps,

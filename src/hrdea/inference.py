@@ -363,53 +363,42 @@ def fit_beta_rows(values, support: tuple[float, float] | None = None) -> BetaFit
     """
     from scipy.special import betainc
 
-    values = np.asarray(values, dtype=float)
+    # Contiguous, so that each row's sums are those of the row alone.
+    values = np.ascontiguousarray(_rows(values))
     n, t = values.shape
-    failure = np.zeros(n, dtype=np.int8)
-    alpha, beta, ks = (np.full(n, np.nan) for _ in range(3))
-
-    def fail(rows, mask, code):
-        """Record ``code`` for the masked ``rows`` that have no failure yet."""
-        rows = rows[mask]
-        failure[rows[failure[rows] == 0]] = code
-
     if t == 0:  # no samples, so fewer than 10 distinct ones
-        failure[:] = 2
-        return BetaFits(alpha, beta, alpha.copy(), alpha.copy(), ks, failure)
-    every = np.arange(n)
-    fail(every, values.std(axis=1) == 0.0, 1)
+        return BetaFits(*(np.full(n, np.nan) for _ in range(5)), np.full(n, 2, dtype=np.int8))
     xs = np.sort(values, axis=1)
     distinct = np.count_nonzero(xs[:, 1:] != xs[:, :-1], axis=1) + 1
-    # np.unique, which the count follows, keeps one of the NaNs sorted last.
-    distinct -= np.maximum(np.count_nonzero(np.isnan(xs), axis=1) - 1, 0)
-    fail(every, distinct < 10, 2)
     if support is None:
         q1, q2 = values.min(axis=1), values.max(axis=1)
     else:
         q1, q2 = (np.full(n, float(bound)) for bound in support)
-    fail(every, ~(q1 < q2), 3)
-
-    rows = np.flatnonzero(failure == 0)
-    low, width = q1[rows, None], (q2 - q1)[rows, None]
-    z = (values[rows] - low) / width
-    mean, var = z.mean(axis=1), z.var(axis=1)
-    fail(rows, ~((0.0 < mean) & (mean < 1.0)) | (var == 0.0), 4)
-    with np.errstate(all="ignore"):  # on rows that failed already
+    width = q2 - q1
+    with np.errstate(all="ignore"):  # on rows that fail an earlier check
+        z = (values - q1[:, None]) / width[:, None]
+        mean, var = z.mean(axis=1), z.var(axis=1)
         factor = mean * (1.0 - mean) / var - 1.0
         a, b = mean * factor, (1.0 - mean) * factor
-        shapes_ok = (a > 0) & (b > 0) & np.isfinite(a + b)
-    fail(rows, factor <= 0.0, 5)
-    fail(rows, ~shapes_ok, 6)
+        checks = (  # the FIT_FAILURES in order; a row gets the first it fails
+            values.std(axis=1) == 0.0,
+            distinct < 10,
+            ~(q1 < q2),
+            ~((0.0 < mean) & (mean < 1.0)) | (var == 0.0),
+            factor <= 0.0,
+            ~((a > 0) & (b > 0) & np.isfinite(a + b)),
+        )
+        failure = np.select(checks, range(1, len(checks) + 1)).astype(np.int8)
 
-    fitted = failure[rows] == 0
-    rows, a, b = rows[fitted], a[fitted, None], b[fitted, None]
-    cdf = betainc(a, b, (xs[rows] - low[fitted]) / width[fitted])
+    rows = np.flatnonzero(failure == 0)
+    cdf = betainc(a[rows, None], b[rows, None], (xs[rows] - q1[rows, None]) / width[rows, None])
     d_plus = (np.arange(1.0, t + 1) / t - cdf).max(axis=1)
     d_minus = (cdf - np.arange(0.0, t) / t).max(axis=1)
-    alpha[rows], beta[rows] = a[:, 0], b[:, 0]
+    ks = np.full(n, np.nan)
     ks[rows] = np.maximum(d_plus, d_minus)
-    q1[failure != 0] = q2[failure != 0] = np.nan
-    return BetaFits(alpha, beta, q1, q2, ks, failure)
+    skip = failure != 0
+    a[skip] = b[skip] = q1[skip] = q2[skip] = np.nan
+    return BetaFits(a, b, q1, q2, ks, failure)
 
 
 def fit_beta(samples, support: tuple[float, float] | None = None) -> BetaFit:

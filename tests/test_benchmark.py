@@ -10,6 +10,7 @@ from hrdea.benchmark import (
     ComparisonMetrics,
     compare_metrics,
     run_benchmark,
+    run_case,
     save_benchmark,
 )
 from hrdea.errors import ValidationError
@@ -150,3 +151,32 @@ def test_save_benchmark_layout(tmp_path):
 def test_unknown_scenario_rejected():
     with pytest.raises(ValidationError):
         run_benchmark(scenarios=("IV",), reps=1, n=10, gaps=2, t=5)
+
+
+@pytest.mark.parametrize("scenarios,message", [
+    (("I", "II", "I"), "scenario 'I' named twice"),  # both would add into one cell
+    ((), "need at least one scenario"),  # no scenario to average for the mean column
+])
+def test_bad_scenario_list_rejected(scenarios, message):
+    with pytest.raises(ValidationError, match=message):
+        run_benchmark(scenarios=scenarios, reps=2, n=20, gaps=4, t=5, seed=3)
+
+
+def test_benchmark_table_equals_a_plain_loop_over_run_case():
+    # Nine reps: a pairwise sum (blocks of 8) would round differently.
+    scenarios, reps, kw = ("I", "III"), 9, dict(n=12, gaps=3, t=5, seed=4)
+    table = run_benchmark(scenarios, reps=reps, **kw).table
+    rows = {(sc, rep): run_case(sc, rep, **kw) for rep in range(reps) for sc in scenarios}
+    for a, alt in enumerate(ALTERNATIVES):
+        for m, metric in enumerate(METRICS):
+            expected = {}
+            for sc in scenarios:
+                total = 0.0
+                for rep in range(reps):
+                    total += float(rows[sc, rep][a, m])
+                expected[sc] = total / reps
+            expected["mean"] = sum(expected.values()) / len(scenarios)
+            got = table[alt][metric]
+            assert all(type(v) is float for v in got.values())
+            assert {k: v.hex() for k, v in got.items()} == {
+                k: v.hex() for k, v in expected.items()}

@@ -281,6 +281,15 @@ def test_negative_gap_count_exits_1(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_bench_scenario_named_twice_exits_1(tmp_path, capsys):
+    out = tmp_path / "bench.csv"
+    code = main(["bench", "--scenarios", "I,I", "--reps", "2", "--n", "20", "--gaps", "4",
+                 "--t", "5", "--seed", "3", "--out", str(out)])
+    assert code == 1
+    assert "scenario 'I' named twice" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["run", "bench"])
 @pytest.mark.parametrize("threads", ["0", "-2"])
 def test_thread_count_below_one_exits_1(tmp_path, capsys, two_dmu_csv, command, threads):

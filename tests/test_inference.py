@@ -517,6 +517,15 @@ def test_fit_beta_rows_equal_fit_beta_row_by_row():
                 fit_beta(np.full(short, 0.5))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_fit_beta_refuses_non_finite_samples(bad):
+    samples = np.r_[bad, np.arange(20.0)]
+    with pytest.raises(ValidationError, match="values must be finite"):
+        fit_beta(samples)
+    with pytest.raises(ValidationError, match="values must be finite"):
+        fit_beta_rows(np.vstack([np.arange(20.0, 41.0), samples]))
+
+
 def test_beta_expected_distance_formulas():
     from hrdea.inference import BetaFit
 
